@@ -11,7 +11,6 @@ from driftstream.ensemble import (
     DriftEvent,
     EnsembleConfig,
     HybridEnsemble,
-    Member,
     MemberSpec,
     ReplacementEvent,
     combine_votes,
@@ -65,6 +64,10 @@ class SpyBatchModel(BatchClassifier):
 
     def fit(self, X, y):
         self.fits.append((np.array(X), np.array(y)))
+
+    def fit_seqs(self, i=0):
+        """Arrival indices of the rows of the i-th fit, read from the first feature."""
+        return self.fits[i][0][:, 0].astype(int).tolist()
 
     def predict(self, x):
         if self.behaviour == "oracle":
@@ -175,14 +178,12 @@ def test_ensemble_config_validation():
 def test_batch_member_warm_up_predicts_cache_majority(monkeypatch):
     install_spies(monkeypatch, ["constant0"])
     config = EnsembleConfig(members=(batch_spec(perf_strategy()),), first_fit_size=10, seed=0)
-    member = Member(config.members[0], SCHEMA, config, seed=0)
-    x = np.array([0.0, 0.0])
-    assert member.predict(x).label == 0  # empty cache falls back to class 0
-    for inst in encoded_stream(6):  # labels 0,1,2,0,1,2
-        member.learn(inst, member.predict(inst.x).label, [])
-    assert member.predict(x).label == 0  # tie between all classes, lowest wins
-    member.learn(Instance(np.array([6.0, 1.0]), 1, 6), 0, [])
-    assert member.predict(x).label == 1  # now class 1 leads the cache
+    ensemble = HybridEnsemble(SCHEMA, config)
+    stream = encoded_stream(6) + [Instance(np.array([6.0, 1.0]), 1, 6), Instance(np.array([7.0, 0.0]), 0, 7)]
+    labels = [ensemble.process_instance(inst).member_labels[0] for inst in stream]
+    assert labels[0] == 0  # empty cache falls back to class 0
+    assert labels[6] == 0  # labels 0,1,2,0,1,2 tie between all classes, lowest wins
+    assert labels[7] == 1  # now class 1 leads the cache
 
 
 def test_batch_member_first_fit_trains_on_initial_window(monkeypatch):
@@ -211,7 +212,7 @@ def test_online_member_untrained_fallback():
 # retraining scope and the shadow lifecycle
 
 
-def run_spy_member(monkeypatch, behaviours, scope, n, fire_at=None):
+def run_spy_member(monkeypatch, behaviours, scope, n, fire_at=None, window_size=1000, member_first_fit=None, **options):
     created = install_spies(monkeypatch, behaviours)
     if fire_at is None:
         monkeypatch.setattr("driftstream.ensemble.check_windows", always_drift)
@@ -221,10 +222,9 @@ def run_spy_member(monkeypatch, behaviours, scope, n, fire_at=None):
             return always_drift(pair, strategy, schema) if len(_seen) in fire_at else DriftVerdict(False)
 
         monkeypatch.setattr("driftstream.ensemble.check_windows", fire)
-    strategy = perf_strategy(retrain_scope=scope)
-    config = EnsembleConfig(
-        members=(batch_spec(strategy),), first_fit_size=500, shadow_eval_size=100, seed=0
-    )
+    strategy = perf_strategy(retrain_scope=scope, window_size=window_size, first_fit_size=member_first_fit)
+    options = {"first_fit_size": 500, "shadow_eval_size": 100, "seed": 0, **options}
+    config = EnsembleConfig(members=(batch_spec(strategy),), **options)
     ensemble = HybridEnsemble(SCHEMA, config)
     events = []
     for inst in encoded_stream(n):
@@ -256,6 +256,42 @@ def test_retrain_last_window_uses_trailing_window(monkeypatch):
     )
     shadow_X, _ = created[1].fits[0]
     assert shadow_X[:, 0].tolist() == [float(i) for i in range(1500, 2500)]  # last 1000 at seq 2499
+
+
+def test_retrain_since_last_replacement_is_capped(monkeypatch):
+    created, events, ensemble = run_spy_member(
+        monkeypatch, ["constant0", "oracle"], "since_last_replacement", 2600, cache_cap=800
+    )
+    assert created[1].fit_seqs() == list(range(1700, 2500))  # the last cache_cap rows at seq 2499
+
+
+def test_retrain_last_window_larger_than_cache_cap(monkeypatch):
+    created, events, ensemble = run_spy_member(
+        monkeypatch, ["constant0", "oracle"], "last_window", 2600, cache_cap=600
+    )
+    assert created[1].fit_seqs() == list(range(1500, 2500))  # the last s rows, not the last cache_cap
+
+
+def test_first_fit_longer_than_cache_cap_uses_last_cache_cap_rows(monkeypatch):
+    created, events, ensemble = run_spy_member(
+        monkeypatch, ["oracle"], "since_last_replacement", 800,
+        member_first_fit=700, first_fit_size=200, cache_cap=400,
+    )
+    assert created[0].fit_seqs() == list(range(300, 700))
+
+
+def test_rejected_shadow_keeps_the_since_replacement_cache(monkeypatch):
+    # Window 100 after a fit at seq 499: checks land at 599, 799, 999, 1099, ...
+    # The check-1 shadow wins and swaps at 699; the check-2 shadow (constant)
+    # loses to the oracle incumbent at 899; the check-30 shadow at seq 3699
+    # must still train on every row since the swap.
+    created, events, ensemble = run_spy_member(
+        monkeypatch, ["constant0", "oracle", "constant0", "oracle"], "since_last_replacement", 3800,
+        fire_at={1, 2, 30}, window_size=100,
+    )
+    assert [e.seq for e in events if isinstance(e, DriftEvent)] == [599, 799, 3699]
+    assert [e.seq for e in events if isinstance(e, ReplacementEvent)] == [699]
+    assert created[3].fit_seqs() == list(range(700, 3700))
 
 
 def test_shadow_tie_keeps_incumbent(monkeypatch):
