@@ -15,7 +15,7 @@ from pathlib import Path
 from .core import ConfigError, DataError, MetricError, SchemaError, ToolkitError
 from .evaluation import ranking
 from .experiment import load_config, read_run_dir, run_experiment
-from .ingest import IngestConfig, SynthConfig, generate_synthetic, preprocess_csv
+from .ingest import IngestConfig, SynthConfig, config_from_dict, generate_synthetic, preprocess_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -47,7 +47,7 @@ def cmd_preprocess(args) -> int:
     if "input" not in data:
         raise ConfigError("preprocess config needs an 'input' CSV path")
     raw_path = data.pop("input")
-    config = IngestConfig(**data)
+    config = config_from_dict(IngestConfig, data)
     out = Path(args.out)
     _refuse_existing(out, args.force)
     schema, path = preprocess_csv(raw_path, config, out)
@@ -61,7 +61,7 @@ def cmd_generate(args) -> int:
     data = _load_json(args.config)
     if args.seed is not None:
         data["seed"] = args.seed
-    config = SynthConfig(**data)
+    config = config_from_dict(SynthConfig, data)
     out = Path(args.out)
     _refuse_existing(out, args.force)
     schema, path = generate_synthetic(config, out)

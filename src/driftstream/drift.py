@@ -14,7 +14,7 @@ trigger marks the pair as drifted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,6 @@ class DriftStrategy:
     perf_tolerance: float
     retrain_scope: str = SINCE_LAST_REPLACEMENT
     first_fit_size: int | None = None
-    literal_perf_rule: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 < self.perf_tolerance < 1.0:
@@ -164,11 +163,7 @@ def check_windows(pair: WindowPair, strategy: DriftStrategy, schema: Schema) -> 
     if strategy.monitor_performance:
         f1_ref = f1_from_pairs(pair.y_ref, pair.pred_ref, schema.n_classes)
         f1_cur = f1_from_pairs(pair.y_cur, pair.pred_cur, schema.n_classes)
-        if strategy.literal_perf_rule:
-            dropped = f1_cur < strategy.perf_tolerance * f1_ref
-        else:
-            dropped = f1_cur < (1.0 - strategy.perf_tolerance) * f1_ref
-        if dropped:
+        if f1_cur < (1.0 - strategy.perf_tolerance) * f1_ref:
             drop = 1.0 - f1_cur / f1_ref if f1_ref > 0 else 0.0
             triggers.append(Trigger("performance", drop))
     return DriftVerdict(drifted=bool(triggers), triggers=tuple(triggers))
@@ -205,8 +200,3 @@ def strategy_catalog() -> dict[str, DriftStrategy]:
         ),
     ]
     return {s.id: s for s in catalog}
-
-
-def customize_strategy(base: DriftStrategy, **overrides) -> DriftStrategy:
-    """A copy of ``base`` with selected fields replaced (id kept unless given)."""
-    return replace(base, **overrides)

@@ -7,33 +7,34 @@ For every stream instance, in order:
    this instance is scored, so the weights never depend on the label being
    predicted;
 3. the weighted hard vote produces the final prediction;
-4. the label is revealed: member score windows update with the step-1
-   predictions;
+4. the label is revealed: the instance, its label and every member's step-1
+   prediction are appended once to the shared ``History``, and member score
+   windows update with the step-1 predictions;
 5. online members learn the instance;
-6. batch members update their caches, run their drift check every
-   ``window_size`` instances after their first fit, train a shadow model on a
-   drift verdict, and evaluate a pending shadow against the incumbent over
-   the comparison window, swapping only on strictly better performance;
+6. batch members fit, check and compare on slices of that history: they run
+   their drift check every ``window_size`` instances after their first fit,
+   train a shadow model on a drift verdict, and evaluate a pending shadow
+   against the incumbent over the comparison window, swapping only on
+   strictly better performance;
 7. the caller updates global metrics from the returned step record.
 
-Batch members answer with the majority class of their cache until the warm-up
-of ``first_fit_size`` instances has been collected and the first fit runs.
-While a shadow is under comparison, new drift verdicts are ignored, so shadow
-evaluations never overlap.
+Batch members answer with the majority class of the labels seen so far until
+the warm-up of ``first_fit_size`` instances has been collected and the first
+fit runs. While a shadow is under comparison, new drift verdicts are ignored,
+so shadow evaluations never overlap.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ConfigError, Instance, Prediction, Schema, argmax_tiebreak
+from .core import ConfigError, Instance, Schema, SchemaError, argmax_tiebreak
 from .drift import LAST_WINDOW, DriftStrategy, Trigger, WindowPair, check_windows
-from .evaluation import PrequentialState, f1_from_pairs
+from .evaluation import ConfusionMatrix, f1_from_pairs
 from .learners import make_batch_classifier, make_online_classifier
 
 logger = logging.getLogger(__name__)
@@ -145,29 +146,86 @@ def combine_votes(labels: Sequence[int], weights: np.ndarray, n_classes: int) ->
     return argmax_tiebreak(tally)
 
 
-class _Shadow:
-    __slots__ = ("model", "records", "started_at")
+class History:
+    """The stream rows that members can still read, in one contiguous block.
 
-    def __init__(self, model, started_at: int) -> None:
-        self.model = model
-        self.records: list[tuple[int, int, int]] = []  # (y, shadow label, incumbent label)
-        self.started_at = started_at
+    Rows are addressed by arrival index: ``X``, ``y`` and ``labels`` (one row
+    of recorded predictions per member) hold rows ``start`` to ``end - 1``,
+    and ``class_counts`` counts the labels of every row ever appended. When
+    the block is full, ``compact`` drops the rows no member needs and moves
+    the rest to the front, doubling the block only when less than half of it
+    would be free.
+    """
+
+    def __init__(self, n_features: int, n_members: int, n_classes: int) -> None:
+        rows = 1024  # compact doubles it when needed
+        self.X = np.empty((rows, n_features))
+        self.y = np.empty(rows, dtype=np.int64)
+        self.labels = np.empty((n_members, rows), dtype=np.int64)
+        self.class_counts = np.zeros(n_classes, dtype=np.int64)
+        self.start = 0
+        self.end = 0
+
+    def append(self, x: np.ndarray, y: int, labels: Sequence[int]) -> None:
+        i = self.end - self.start
+        self.X[i] = x
+        self.y[i] = y
+        self.labels[:, i] = labels
+        self.class_counts[y] += 1
+        self.end += 1
+
+    def rows(self, first: int) -> slice:
+        """Block positions of the rows from ``first`` to the last."""
+        if first < self.start:
+            raise IndexError(f"history row {first} was dropped (oldest kept is {self.start})")
+        return slice(first - self.start, self.end - self.start)
+
+    def compact(self, keep_from: int) -> None:
+        """Drop the rows before ``keep_from``."""
+        kept = self.rows(max(keep_from, self.start))
+        n = kept.stop - kept.start
+        X, y, labels = self.X, self.y, self.labels
+        if 2 * n > len(y):
+            capacity = 2 * len(y)
+            X = np.empty((capacity, X.shape[1]))
+            y = np.empty(capacity, dtype=np.int64)
+            labels = np.empty((labels.shape[0], capacity), dtype=np.int64)
+        X[:n] = self.X[kept]
+        y[:n] = self.y[kept]
+        labels[:, :n] = self.labels[:, kept]
+        self.X, self.y, self.labels = X, y, labels
+        self.start = self.end - n
+
+
+@dataclass
+class _Shadow:
+    model: object
+    started_at: int
+    labels: list[int] = field(default_factory=list)  # its predictions for the rows after started_at
 
 
 class Member:
-    """Runtime state of one ensemble slot."""
+    """Runtime state of one ensemble slot.
 
-    def __init__(self, spec: MemberSpec, schema: Schema, config: EnsembleConfig, seed: int) -> None:
+    A batch member's cache is the history rows from ``cache_start`` on, at
+    most the last ``cache_limit``: ``cache_cap`` until the first fit, then
+    ``window_size`` for a last-window member and 0 for a train-once one.
+    """
+
+    def __init__(
+        self, spec: MemberSpec, schema: Schema, config: EnsembleConfig, seed: int, history: History, index: int
+    ) -> None:
         self.spec = spec
         self.schema = schema
         self.config = config
         self.seed = seed
+        self.history = history
+        self.index = index  # this member's row of history.labels
         self.strategy = spec.strategy
         self.drift_count = 0
         self.replacement_count = 0
-        self.scores = PrequentialState(schema.n_classes, config.score_window)
+        self.window = ConfusionMatrix(schema.n_classes)
         self.shadow: _Shadow | None = None
-        self.n_seen = 0
         if spec.kind == ONLINE:
             self.model = make_online_classifier(spec.algorithm, schema, spec.params)
             self.fitted = True
@@ -175,134 +233,105 @@ class Member:
             self.model = None
             self.fitted = False
             self.first_fit_size = self.strategy.first_fit_size or config.first_fit_size
-            self.label_counts = np.zeros(schema.n_classes, dtype=np.int64)
-            self._cache_x: deque = deque(maxlen=config.cache_cap)
-            self._cache_y: deque = deque(maxlen=config.cache_cap)
+            self.cache_start = 0
+            self.cache_limit = config.cache_cap
             self._cache_warned = False
-            self.n_since_fit = 0
-            if self.strategy.monitors_any:
-                self._buffer: deque = deque(maxlen=2 * self.strategy.window_size)
-            else:
-                self._buffer = deque(maxlen=0)
 
     def new_model(self):
         return make_batch_classifier(self.spec.algorithm, self.schema, self.seed, self.spec.params)
 
     # -- prediction -------------------------------------------------------
 
-    def predict(self, x: np.ndarray) -> Prediction:
-        if self.spec.kind == BATCH and not self.fitted:
-            total = self.label_counts.sum()
-            if total == 0:
-                return Prediction(0, np.full(self.schema.n_classes, 1.0 / self.schema.n_classes))
-            scores = self.label_counts / total
-            return Prediction(argmax_tiebreak(scores), scores)
-        return self.model.predict(x)
-
     def safe_predict_label(self, x: np.ndarray) -> int:
+        if not self.fitted:  # warm-up: the majority class so far
+            return argmax_tiebreak(self.history.class_counts)
         try:
-            return self.predict(x).label
+            return self.model.predict(x).label
         except Exception:
             logger.warning("member %s failed to predict, falling back to class 0", self.spec.id, exc_info=True)
             return 0
 
     def window_score(self) -> float:
-        if self.scores.window.total == 0:
+        if self.window.total == 0:
             return 0.0
-        return self.scores.windowed_f1()
+        return self.window.f1_macro()
+
+    def first_readable(self) -> int:
+        """The oldest history row this member can still read, its score window's next eviction included."""
+        end = self.history.end
+        first = end - self.config.score_window
+        if self.spec.kind == BATCH:
+            first = min(first, max(self.cache_start, end - self.cache_limit))
+            if self.strategy.monitors_any:
+                first = min(first, end - 2 * self.strategy.window_size)
+            if self.shadow is not None:
+                first = min(first, self.shadow.started_at + 1)
+        return first
 
     # -- learning ---------------------------------------------------------
 
-    def learn(self, inst: Instance, recorded_label: int, events: list) -> None:
+    def learn(self, inst: Instance, events: list) -> None:
         if self.spec.kind == ONLINE:
             self.model.learn_one(inst.x, inst.y)
-            self.n_seen += 1
-            return
-        self._batch_learn(inst, recorded_label, events)
+        else:
+            self._batch_learn(inst, events)
 
-    def _cache_append(self, x: np.ndarray, y: int) -> None:
-        if (
-            self._cache_x.maxlen == self.config.cache_cap
-            and len(self._cache_x) == self.config.cache_cap
-            and not self._cache_warned
-        ):
-            logger.warning(
-                "member %s cache reached its cap of %d instances, dropping oldest",
-                self.spec.id,
-                self.config.cache_cap,
-            )
+    def _cache_append(self) -> None:
+        """Warn once when the newest row pushes the cache past ``cache_cap``."""
+        cap = self.config.cache_cap
+        if not self._cache_warned and self.cache_limit == cap and self.history.end - self.cache_start > cap:
+            logger.warning("member %s cache reached its cap of %d instances, dropping oldest", self.spec.id, cap)
             self._cache_warned = True
-        self._cache_x.append(x)
-        self._cache_y.append(y)
 
-    def _cache_arrays(self, last: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        xs = list(self._cache_x)
-        ys = list(self._cache_y)
-        if last is not None:
-            xs = xs[-last:]
-            ys = ys[-last:]
-        return np.stack(xs), np.asarray(ys, dtype=int)
+    def _cache_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        history = self.history
+        rows = history.rows(max(self.cache_start, history.end - self.cache_limit))
+        return history.X[rows], history.y[rows]
 
-    def _batch_learn(self, inst: Instance, recorded_label: int, events: list) -> None:
+    def _batch_learn(self, inst: Instance, events: list) -> None:
         strategy = self.strategy
-        self.label_counts[inst.y] += 1
-        self._cache_append(inst.x, inst.y)
-        self._buffer.append((inst.x, inst.y, recorded_label))
-        self.n_seen += 1
+        self._cache_append()
 
         if not self.fitted:
-            if self.n_seen == self.first_fit_size:
+            if self.history.end == self.first_fit_size:
                 model = self.new_model()
-                X, y = self._cache_arrays()
-                model.fit(X, y)
+                model.fit(*self._cache_arrays())
                 self.model = model
                 self.fitted = True
-                self.n_since_fit = 0
                 if not strategy.monitors_any:
-                    # Train-once member: the cache is never consulted again.
-                    self._cache_x = deque(maxlen=0)
-                    self._cache_y = deque(maxlen=0)
+                    self._trim_cache(0)  # train-once member: the cache is never read again
                 elif strategy.retrain_scope == LAST_WINDOW:
                     self._trim_cache(strategy.window_size)
             return
 
-        self.n_since_fit += 1
         if self.shadow is not None:
-            self._shadow_step(inst, recorded_label, events)
+            self._shadow_step(inst, events)
         elif self._check_due():
             verdict = check_windows(self._window_pair(), strategy, self.schema)
             if verdict.drifted:
                 self._retrain(inst.seq, verdict.triggers, events)
 
     def _trim_cache(self, size: int) -> None:
-        self._cache_x = deque(list(self._cache_x)[-size:], maxlen=size)
-        self._cache_y = deque(list(self._cache_y)[-size:], maxlen=size)
+        self.cache_limit = size
 
     def _check_due(self) -> bool:
-        strategy = self.strategy
-        return (
-            strategy.monitors_any
-            and self.n_since_fit > 0
-            and self.n_since_fit % strategy.window_size == 0
-            and len(self._buffer) == 2 * strategy.window_size
-        )
+        s = self.strategy.window_size
+        end = self.history.end
+        # Due every s instances after the first fit, once 2 * s rows exist.
+        return self.strategy.monitors_any and (end - self.first_fit_size) % s == 0 and end >= 2 * s
 
     def _window_pair(self) -> WindowPair:
         s = self.strategy.window_size
-        rows = list(self._buffer)
-        X = np.stack([r[0] for r in rows])
-        y = np.asarray([r[1] for r in rows], dtype=int)
-        pred = np.asarray([r[2] for r in rows], dtype=int)
+        history = self.history
+        rows = history.rows(history.end - 2 * s)
+        X, y, pred = history.X[rows], history.y[rows], history.labels[self.index, rows]
         return WindowPair(
             X_ref=X[:s], y_ref=y[:s], pred_ref=pred[:s],
             X_cur=X[s:], y_cur=y[s:], pred_cur=pred[s:],
         )
 
     def _retrain(self, seq: int, triggers: tuple[Trigger, ...], events: list) -> None:
-        if len(self._cache_x) == 0:
-            return
-        last = self.strategy.window_size if self.strategy.retrain_scope == LAST_WINDOW else None
-        X, y = self._cache_arrays(last)
+        X, y = self._cache_arrays()
         model = self.new_model()
         try:
             model.fit(X, y)
@@ -313,30 +342,32 @@ class Member:
         self.drift_count += 1
         events.append(DriftEvent(seq=seq, member_id=self.spec.id, triggers=triggers))
 
-    def _pair_metric(self, pairs: list[tuple[int, int]]) -> float:
+    def _pair_metric(self, y_true: np.ndarray, y_pred: Sequence[int]) -> float:
         if self.config.shadow_metric == "accuracy":
-            return sum(1 for t, p in pairs if t == p) / len(pairs)
-        return f1_from_pairs([t for t, _ in pairs], [p for _, p in pairs], self.schema.n_classes)
+            return np.count_nonzero(y_true == y_pred) / len(y_true)
+        return f1_from_pairs(y_true, y_pred, self.schema.n_classes)
 
-    def _shadow_step(self, inst: Instance, recorded_label: int, events: list) -> None:
+    def _shadow_step(self, inst: Instance, events: list) -> None:
         shadow = self.shadow
         try:
             shadow_label = shadow.model.predict(inst.x).label
         except Exception:
             logger.warning("member %s shadow failed to predict", self.spec.id, exc_info=True)
             shadow_label = 0
-        shadow.records.append((inst.y, shadow_label, recorded_label))
-        if len(shadow.records) < self.config.shadow_eval_size:
+        shadow.labels.append(shadow_label)
+        if len(shadow.labels) < self.config.shadow_eval_size:
             return
-        shadow_score = self._pair_metric([(t, s) for t, s, _ in shadow.records])
-        incumbent_score = self._pair_metric([(t, i) for t, _, i in shadow.records])
+        history = self.history
+        rows = history.rows(shadow.started_at + 1)
+        y = history.y[rows]
+        shadow_score = self._pair_metric(y, np.asarray(shadow.labels))
+        incumbent_score = self._pair_metric(y, history.labels[self.index, rows])
         if shadow_score > incumbent_score:
             self.model = shadow.model
             self.replacement_count += 1
             events.append(ReplacementEvent(seq=inst.seq, member_id=self.spec.id))
             if self.strategy.retrain_scope != LAST_WINDOW:
-                self._cache_x.clear()
-                self._cache_y.clear()
+                self.cache_start = history.end
         self.shadow = None
 
 
@@ -346,9 +377,11 @@ class HybridEnsemble:
     def __init__(self, schema: Schema, config: EnsembleConfig) -> None:
         self.schema = schema
         self.config = config
+        self.history = History(schema.n_features, len(config.members), schema.n_classes)
         seeds = np.random.SeedSequence(config.seed).generate_state(len(config.members))
         self.members = [
-            Member(spec, schema, config, int(seed)) for spec, seed in zip(config.members, seeds)
+            Member(spec, schema, config, int(seed), self.history, i)
+            for i, (spec, seed) in enumerate(zip(config.members, seeds))
         ]
         self._next_seq = 0
 
@@ -363,18 +396,27 @@ class HybridEnsemble:
     def process_instance(self, inst: Instance) -> StepResult:
         if inst.seq != self._next_seq:
             raise ValueError(f"expected seq {self._next_seq}, got {inst.seq}")
+        if len(inst.x) != self.schema.n_features:
+            raise SchemaError(f"instance {inst.seq} has {len(inst.x)} features, expected {self.schema.n_features}")
         self._next_seq += 1
 
         member_labels = tuple(m.safe_predict_label(inst.x) for m in self.members)
         weights = compute_weights([m.window_score() for m in self.members], self.config.combiner)
         final = combine_votes(member_labels, weights, self.schema.n_classes)
 
+        history = self.history
+        if history.end - history.start == len(history.y):
+            history.compact(min(m.first_readable() for m in self.members))
+        history.append(inst.x, inst.y, member_labels)
+        leaving = history.end - 1 - self.config.score_window - history.start  # block position of the evicted row
+        for member, label in zip(self.members, member_labels):
+            member.window.update(inst.y, label)
+            if history.end > self.config.score_window:
+                member.window.remove(history.y[leaving], history.labels[member.index, leaving])
         events: list = []
-        for member, label in zip(self.members, member_labels):
-            member.scores.update(inst.y, label)
-        for member, label in zip(self.members, member_labels):
+        for member in self.members:
             try:
-                member.learn(inst, label, events)
+                member.learn(inst, events)
             except Exception:
                 logger.warning("member %s failed to learn", member.spec.id, exc_info=True)
         return StepResult(

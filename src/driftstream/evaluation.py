@@ -95,14 +95,6 @@ class PrequentialState:
             old_t, old_p = self._records.popleft()
             self.window.remove(old_t, old_p)
 
-    @property
-    def n_seen(self) -> int:
-        return self.cumulative.total
-
-    @property
-    def window_records(self) -> tuple[tuple[int, int], ...]:
-        return tuple(self._records)
-
     def cumulative_f1(self) -> float:
         return self.cumulative.f1_macro()
 

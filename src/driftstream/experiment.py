@@ -17,12 +17,12 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .core import ConfigError, Instance, Schema
-from .drift import DriftStrategy, customize_strategy, strategy_catalog
+from .drift import DriftStrategy, strategy_catalog
 from .ensemble import (
     BATCH,
     DriftEvent,
@@ -33,7 +33,7 @@ from .ensemble import (
     ReplacementEvent,
 )
 from .evaluation import PrequentialState, RunReport
-from .ingest import SynthConfig, replay, stream_schema, synthetic_instances
+from .ingest import SynthConfig, config_from_dict, replay, stream_schema, synthetic_instances
 
 ONLINE_DISPLAY = {"gnb": "GNB", "hoeffding": "HT", "logreg": "OLR"}
 
@@ -47,7 +47,6 @@ _STRATEGY_FIELDS = {
     "perf_tolerance",
     "retrain_scope",
     "first_fit_size",
-    "literal_perf_rule",
 }
 
 
@@ -76,7 +75,7 @@ def resolve_strategy(entry) -> DriftStrategy:
             raise ConfigError(f"unknown strategy field {key!r}")
         overrides[key] = value
     if sid in catalog:
-        return customize_strategy(catalog[sid], **overrides)
+        return replace(catalog[sid], **overrides)
     try:
         return DriftStrategy(id=sid, **overrides)
     except TypeError as exc:
@@ -131,6 +130,13 @@ def _derive_method_id(method: dict) -> str:
     raise ConfigError(f"unknown method type {kind!r}")
 
 
+def _int_field(data: dict, key: str, default: int) -> int:
+    try:
+        return int(data.get(key, default))
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be an integer, got {data[key]!r}") from None
+
+
 def parse_config(data: dict) -> ExperimentConfig:
     if "method" not in data or "stream" not in data:
         raise ConfigError("experiment config needs 'stream' and 'method' sections")
@@ -140,7 +146,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     if "path" in stream:
         stream_path = Path(stream["path"])
     elif "synthetic" in stream:
-        synth = SynthConfig(**stream["synthetic"])
+        synth = config_from_dict(SynthConfig, stream["synthetic"])
     else:
         raise ConfigError("stream section needs 'path' or 'synthetic'")
     method = data["method"]
@@ -151,13 +157,13 @@ def parse_config(data: dict) -> ExperimentConfig:
         synth=synth,
         method=method,
         method_id=data.get("method_id") or _derive_method_id(method),
-        seed=int(data.get("seed", 0)),
-        first_fit_size=int(data.get("first_fit_size", 2500)),
-        shadow_eval_size=int(data.get("shadow_eval_size", 500)),
-        score_window=int(data.get("score_window", 500)),
-        cache_cap=int(data.get("cache_cap", 200_000)),
+        seed=_int_field(data, "seed", 0),
+        first_fit_size=_int_field(data, "first_fit_size", 2500),
+        shadow_eval_size=_int_field(data, "shadow_eval_size", 500),
+        score_window=_int_field(data, "score_window", 500),
+        cache_cap=_int_field(data, "cache_cap", 200_000),
         shadow_metric=data.get("shadow_metric", "f1_macro"),
-        trace_every=int(data.get("trace_every", 1000)),
+        trace_every=_int_field(data, "trace_every", 1000),
         raw=data,
     )
 

@@ -80,6 +80,14 @@ class SynthConfig:
             raise ConfigError("gradual drift needs gradual_width >= 1")
 
 
+def config_from_dict(cls, data: dict):
+    """``cls(**data)`` for a config read from JSON; an unknown key or a bad value is a ConfigError."""
+    try:
+        return cls(**data)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {cls.__name__}: {exc}") from None
+
+
 def _manifest_line(schema: Schema, target_name: str) -> str:
     manifest = {
         "features": [

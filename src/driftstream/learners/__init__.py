@@ -2,10 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Sequence
-
-import numpy as np
-
 from ..core import ConfigError, Schema
 from .bayes import BatchGaussianNB, OnlineGaussianNB
 from .cart import CartClassifier, RandomForestClassifier
@@ -29,7 +25,6 @@ __all__ = [
     "RandomForestClassifier",
     "RunningMoments",
     "hoeffding_bound",
-    "majority_class",
     "make_batch_classifier",
     "make_online_classifier",
     "softmax_loss_and_gradient",
@@ -37,15 +32,6 @@ __all__ = [
 
 ONLINE_ALGORITHMS = ("gnb", "hoeffding", "logreg")
 BATCH_ALGORITHMS = ("gnb", "logreg", "cart", "rf")
-
-
-def majority_class(labels: Sequence[int] | np.ndarray, n_classes: int) -> int:
-    """Most frequent label; ties and an empty cache resolve to the lowest index."""
-    labels = np.asarray(labels, dtype=int)
-    if labels.size == 0:
-        return 0
-    counts = np.bincount(labels, minlength=n_classes)
-    return int(np.argmax(counts))
 
 
 def make_online_classifier(name: str, schema: Schema, params: dict | None = None):

@@ -4,8 +4,7 @@ The online learner standardizes features with running moments updated before
 each gradient step (scale, then learn), uses a shared learning rate for the
 weights and a separate one for the intercept, applies L2 at strength 1.0 and
 clips gradient coordinates at 1e12. The multinomial softmax form generalizes
-the binary learner to the multi-class streams this package targets; a
-one-vs-rest mode is available via configuration.
+the binary learner to the multi-class streams this package targets.
 """
 
 from __future__ import annotations
@@ -29,13 +28,11 @@ from .moments import RunningMoments
 class OnlineLogisticConfig:
     learning_rate: float = 0.005
     l2: float = 1.0
-    l1: float = 0.0
     intercept_lr: float = 0.01
     gradient_clip: float = 1e12
-    one_vs_rest: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("learning_rate", "l2", "l1", "intercept_lr", "gradient_clip"):
+        for name in ("learning_rate", "l2", "intercept_lr", "gradient_clip"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
@@ -47,21 +44,17 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 
 def softmax_loss_and_gradient(
-    W: np.ndarray, b: np.ndarray, x: np.ndarray, y: int, l2: float, l1: float = 0.0
+    W: np.ndarray, b: np.ndarray, x: np.ndarray, y: int, l2: float
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Cross-entropy loss with L2/L1 penalties on W and its exact gradient.
+    """Cross-entropy loss with an L2 penalty on W and its exact gradient.
 
     Returns (loss, dW, db). The intercept is unpenalized.
     """
     probs = _softmax(x @ W + b)
     loss = -np.log(max(probs[y], 1e-300)) + 0.5 * l2 * float(np.sum(W * W))
-    if l1 > 0:
-        loss += l1 * float(np.sum(np.abs(W)))
     g = probs.copy()
     g[y] -= 1.0
     dW = np.outer(x, g) + l2 * W
-    if l1 > 0:
-        dW += l1 * np.sign(W)
     return float(loss), dW, g
 
 
@@ -85,17 +78,9 @@ class OnlineLogisticRegression(OnlineClassifier):
         out[nz] = (x[nz] - self._scaler.mean[nz]) / std[nz]
         return out
 
-    def _scores(self, x_std: np.ndarray) -> np.ndarray:
-        if self.config.one_vs_rest:
-            margins = x_std @ self.W + self.b
-            sig = 1.0 / (1.0 + np.exp(-margins))
-            total = sig.sum()
-            return sig / total if total > 0 else np.full(len(sig), 1.0 / len(sig))
-        return _softmax(x_std @ self.W + self.b)
-
     def predict(self, x: np.ndarray) -> Prediction:
         self._check_x(x)
-        scores = self._scores(self._standardize(np.asarray(x, dtype=float)))
+        scores = _softmax(self._standardize(np.asarray(x, dtype=float)) @ self.W + self.b)
         return Prediction(argmax_tiebreak(scores), scores)
 
     def learn_one(self, x: np.ndarray, y: int) -> None:
@@ -106,17 +91,7 @@ class OnlineLogisticRegression(OnlineClassifier):
         self._scaler.update(x)
         x_std = self._standardize(x)
         cfg = self.config
-        if cfg.one_vs_rest:
-            margins = x_std @ self.W + self.b
-            sig = 1.0 / (1.0 + np.exp(-margins))
-            target = np.zeros(self.schema.n_classes)
-            target[y] = 1.0
-            g = sig - target
-            dW = np.outer(x_std, g) + cfg.l2 * self.W
-            if cfg.l1 > 0:
-                dW += cfg.l1 * np.sign(self.W)
-        else:
-            _, dW, g = softmax_loss_and_gradient(self.W, self.b, x_std, y, cfg.l2, cfg.l1)
+        _, dW, g = softmax_loss_and_gradient(self.W, self.b, x_std, y, cfg.l2)
         np.clip(dW, -cfg.gradient_clip, cfg.gradient_clip, out=dW)
         g = np.clip(g, -cfg.gradient_clip, cfg.gradient_clip)
         self.W -= cfg.learning_rate * dW

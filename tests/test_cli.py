@@ -158,6 +158,30 @@ def test_run_bad_config_exits_1(tmp_path):
     assert main(["run", "--config", config2, "--out", str(tmp_path / "r2")]) == 1
 
 
+SYNTHETIC = {"n_instances": 100, "n_features": 2, "n_classes": 2}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"stream": {"synthetic": {**SYNTHETIC, "n_instance": 100}}, "method": {"type": "online", "algorithm": "gnb"}},
+        {"stream": {"synthetic": SYNTHETIC}, "method": {"type": "online", "algorithm": "gnb"}, "seed": "abc"},
+    ],
+    ids=["unknown-synthetic-key", "non-integer-seed"],
+)
+def test_run_malformed_config_exits_1(tmp_path, config, capsys):
+    path = write_json(tmp_path / "bad.json", config)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "r")]) == 1
+    assert "internal error" not in capsys.readouterr().err
+
+
+def test_generate_and_preprocess_unknown_key_exit_1(tmp_path, raw_csv):
+    synth = write_json(tmp_path / "synth.json", {**SYNTHETIC, "drift_kinds": "abrupt"})
+    assert main(["generate", "--config", synth, "--out", str(tmp_path / "s.dsv")]) == 1
+    ingest = write_json(tmp_path / "ing.json", {"input": str(raw_csv), "target_column": "target", "categoricals": []})
+    assert main(["preprocess", "--config", ingest, "--out", str(tmp_path / "p.dsv")]) == 1
+
+
 def test_report_ranks_methods(tmp_path, synth_config, capsys):
     stream = tmp_path / "s.dsv"
     assert main(["generate", "--config", synth_config, "--out", str(stream), "--quiet"]) == 0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftstream.core import BatchClassifier, ConfigError, FeatureKind, Instance, Prediction, Schema
+from driftstream.core import BatchClassifier, ConfigError, FeatureKind, Instance, Prediction, Schema, SchemaError
 from driftstream.drift import DriftStrategy, DriftVerdict, Trigger
 from driftstream.ensemble import (
     DriftEvent,
@@ -294,6 +294,18 @@ def test_rejected_shadow_keeps_the_since_replacement_cache(monkeypatch):
     assert created[3].fit_seqs() == list(range(700, 3700))
 
 
+def test_history_keeps_only_readable_rows(monkeypatch):
+    # A last-window member with s = 100 and a score window of 200 reads at
+    # most the last 200 rows, so the history compacts without growing.
+    created, events, ensemble = run_spy_member(
+        monkeypatch, ["oracle"], "last_window", 5000, fire_at=set(), window_size=100, score_window=200
+    )
+    history = ensemble.history
+    assert history.end == 5000
+    assert len(history.y) == 1024
+    assert history.start > 5000 - 1024
+
+
 def test_shadow_tie_keeps_incumbent(monkeypatch):
     # Both incumbent and shadow answer constant 0: identical records tie, and
     # a tie keeps the incumbent.
@@ -438,6 +450,13 @@ def test_label_mutation_cannot_change_the_same_steps_prediction():
         mutated = Instance(target.x, (target.y + 1) % 3, target.seq)
         step = ensemble.process_instance(mutated)
         assert step.final_label == baseline[checkpoint]
+
+
+def test_instance_of_the_wrong_width_rejected():
+    config = EnsembleConfig(members=(online_spec(),), seed=0)
+    ensemble = HybridEnsemble(SCHEMA, config)
+    with pytest.raises(SchemaError, match="instance 0 has 3 features"):
+        ensemble.process_instance(Instance(np.array([0.0, 1.0, 2.0]), 0, 0))
 
 
 def test_out_of_order_instances_rejected():

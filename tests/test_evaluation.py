@@ -81,8 +81,6 @@ def test_prequential_ring_eviction():
     state.update(0, 1)  # wrong, will be evicted
     state.update(1, 1)
     state.update(0, 0)
-    assert len(state.window_records) == 2
-    assert state.window_records == ((1, 1), (0, 0))
     assert state.windowed_f1() == 1.0
     assert state.cumulative_f1() < 1.0
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftstream.core import DataError, FeatureKind, Schema
-from driftstream.learners import CartClassifier, RandomForestClassifier, majority_class
+from driftstream.learners import CartClassifier, RandomForestClassifier
 
 from conftest import gaussian_instances
 
@@ -158,20 +158,3 @@ def test_forest_vote_scores_are_fractions_of_trees():
     pred = forest.predict(X[0])
     assert pred.scores.sum() == pytest.approx(1.0)
     assert np.all((pred.scores * 7) % 1 == pytest.approx(0.0, abs=1e-12))
-
-
-# ---------------------------------------------------------------------------
-# majority class
-
-
-def test_majority_class_basic():
-    assert majority_class([0, 0, 1], 3) == 0
-
-
-def test_majority_class_tie_prefers_catalogue_order():
-    assert majority_class([0, 1], 3) == 0
-    assert majority_class([2, 1, 1, 2], 3) == 1
-
-
-def test_majority_class_empty_cache():
-    assert majority_class([], 3) == 0

@@ -119,17 +119,6 @@ def test_one_sgd_step_moves_other_predictions_boundedly():
     assert np.linalg.norm(after - before) <= delta_z + 1e-12
 
 
-def test_ovr_mode_runs_and_normalizes():
-    schema = make_schema(2, 3)
-    model = OnlineLogisticRegression(schema, OnlineLogisticConfig(one_vs_rest=True))
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        x = rng.normal(size=2)
-        model.learn_one(x, int(rng.integers(3)))
-    pred = model.predict(rng.normal(size=2))
-    assert pred.scores.sum() == pytest.approx(1.0, abs=1e-9)
-
-
 def test_config_rejects_negative_values():
     with pytest.raises(ValueError):
         OnlineLogisticConfig(learning_rate=-0.1)
