@@ -12,7 +12,6 @@ from .core import (
     FeatureKind,
     Instance,
     MetricError,
-    Prediction,
     Schema,
     SchemaError,
     ToolkitError,
@@ -52,7 +51,6 @@ __all__ = [
     "Instance",
     "MemberSpec",
     "MetricError",
-    "Prediction",
     "PrequentialState",
     "RankedMethod",
     "RunReport",

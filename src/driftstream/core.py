@@ -1,4 +1,4 @@
-"""Shared data model: schemas, instances, predictions and classifier contracts.
+"""Shared data model: schemas, instances and classifier contracts.
 
 The ordering of ``Schema.class_labels`` is the global tie-break order: every
 argmax in the package resolves ties toward the lowest class index, so a fixed
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -93,26 +93,9 @@ class Instance:
     seq: int
 
 
-@dataclass(frozen=True)
-class Prediction:
-    """A predicted class index with optional per-class scores.
-
-    When ``scores`` is present it is non-negative, sums to one, and ``label``
-    equals its argmax under the tie-break order.
-    """
-
-    label: int
-    scores: Optional[np.ndarray] = None
-
-
 def argmax_tiebreak(values: Sequence[float] | np.ndarray) -> int:
     """Index of the maximum, ties resolved toward the lowest index."""
     return int(np.argmax(values))
-
-
-def uniform_prediction(n_classes: int) -> Prediction:
-    """Fallback prediction for models queried before any training data."""
-    return Prediction(0, np.full(n_classes, 1.0 / n_classes))
 
 
 class Classifier:
@@ -126,7 +109,8 @@ class Classifier:
     def __init__(self, schema: Schema) -> None:
         self.schema = schema
 
-    def predict(self, x: np.ndarray) -> Prediction:
+    def predict(self, x: np.ndarray) -> int:
+        """The predicted class index; 0 before any training data."""
         raise NotImplementedError
 
     def _check_x(self, x: np.ndarray) -> None:

@@ -45,6 +45,8 @@ BATCH = "batch"
 WEIGHTED_VOTE = "wv"
 DYNAMIC_SWITCH = "ds"
 
+SHADOW_METRICS = ("f1_macro", "accuracy")
+
 
 @dataclass(frozen=True)
 class MemberSpec:
@@ -74,13 +76,15 @@ class EnsembleConfig:
     score_window: int = 500
     seed: int = 0
     cache_cap: int = 200_000
-    shadow_metric: str = "f1_macro"  # "f1_macro" | "accuracy"
+    shadow_metric: str = "f1_macro"
 
     def __post_init__(self) -> None:
         if not self.members:
             raise ConfigError("ensemble needs at least one member")
         if self.combiner not in (WEIGHTED_VOTE, DYNAMIC_SWITCH):
             raise ConfigError(f"unknown combiner {self.combiner!r}")
+        if self.shadow_metric not in SHADOW_METRICS:
+            raise ConfigError(f"unknown shadow_metric {self.shadow_metric!r}, expected one of {SHADOW_METRICS}")
         if self.shadow_eval_size < 1 or self.score_window < 1 or self.first_fit_size < 1:
             raise ConfigError("first_fit_size, shadow_eval_size and score_window must be positive")
         if self.first_fit_size > self.cache_cap:
@@ -230,7 +234,7 @@ class Member:
             self.model = make_online_classifier(spec.algorithm, schema, spec.params)
             self.fitted = True
         else:
-            self.model = None
+            self.model = self.new_model()  # fails here, before the stream starts, on bad params
             self.fitted = False
             self.first_fit_size = self.strategy.first_fit_size or config.first_fit_size
             self.cache_start = 0
@@ -246,7 +250,7 @@ class Member:
         if not self.fitted:  # warm-up: the majority class so far
             return argmax_tiebreak(self.history.class_counts)
         try:
-            return self.model.predict(x).label
+            return self.model.predict(x)
         except Exception:
             logger.warning("member %s failed to predict, falling back to class 0", self.spec.id, exc_info=True)
             return 0
@@ -294,9 +298,7 @@ class Member:
 
         if not self.fitted:
             if self.history.end == self.first_fit_size:
-                model = self.new_model()
-                model.fit(*self._cache_arrays())
-                self.model = model
+                self.model.fit(*self._cache_arrays())
                 self.fitted = True
                 if not strategy.monitors_any:
                     self._trim_cache(0)  # train-once member: the cache is never read again
@@ -350,7 +352,7 @@ class Member:
     def _shadow_step(self, inst: Instance, events: list) -> None:
         shadow = self.shadow
         try:
-            shadow_label = shadow.model.predict(inst.x).label
+            shadow_label = shadow.model.predict(inst.x)
         except Exception:
             logger.warning("member %s shadow failed to predict", self.spec.id, exc_info=True)
             shadow_label = 0

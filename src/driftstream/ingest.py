@@ -137,8 +137,9 @@ def stream_schema(path: str | Path) -> Schema:
 def replay(path: str | Path) -> Iterator[Instance]:
     """Yield the stored instances in order, with seq equal to row position.
 
-    Memory use is constant in the stream length. Malformed rows raise a
-    decode error naming the offending row.
+    Memory use is constant in the stream length. Malformed rows, including
+    rows with a nan or infinite feature value, raise a DataError naming the
+    offending row.
     """
     path = Path(path)
     schema = stream_schema(path)
@@ -161,6 +162,8 @@ def replay(path: str | Path) -> Iterator[Instance]:
                 x = np.array([float(v) for v in row[:-1]])
             except ValueError as exc:
                 raise DataError(f"{path}: row {row_number}: {exc}") from None
+            if not np.isfinite(x).all():
+                raise DataError(f"{path}: row {row_number}: non-finite feature value")
             label = row[-1]
             if label not in label_index:
                 raise DataError(f"{path}: row {row_number}: unknown class label {label!r}")

@@ -36,24 +36,29 @@ BATCH_ALGORITHMS = ("gnb", "logreg", "cart", "rf")
 
 def make_online_classifier(name: str, schema: Schema, params: dict | None = None):
     params = dict(params or {})
-    if name == "gnb":
-        return OnlineGaussianNB(schema)
-    if name == "hoeffding":
-        return HoeffdingTreeClassifier(schema, **params)
-    if name == "logreg":
-        config = OnlineLogisticConfig(**params) if params else None
-        return OnlineLogisticRegression(schema, config)
+    try:
+        if name == "gnb":
+            return OnlineGaussianNB(schema, **params)
+        if name == "hoeffding":
+            return HoeffdingTreeClassifier(schema, **params)
+        if name == "logreg":
+            return OnlineLogisticRegression(schema, OnlineLogisticConfig(**params))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"online algorithm {name!r}: invalid params: {exc}") from None
     raise ConfigError(f"unknown online algorithm {name!r}, expected one of {ONLINE_ALGORITHMS}")
 
 
 def make_batch_classifier(name: str, schema: Schema, seed: int, params: dict | None = None):
     params = dict(params or {})
-    if name == "gnb":
-        return BatchGaussianNB(schema, seed=seed)
-    if name == "logreg":
-        return BatchLogisticRegression(schema, seed=seed, **params)
-    if name == "cart":
-        return CartClassifier(schema, seed=seed, **params)
-    if name == "rf":
-        return RandomForestClassifier(schema, seed=seed, **params)
+    try:
+        if name == "gnb":
+            return BatchGaussianNB(schema, seed=seed, **params)
+        if name == "logreg":
+            return BatchLogisticRegression(schema, seed=seed, **params)
+        if name == "cart":
+            return CartClassifier(schema, seed=seed, **params)
+        if name == "rf":
+            return RandomForestClassifier(schema, seed=seed, **params)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"batch algorithm {name!r}: invalid params: {exc}") from None
     raise ConfigError(f"unknown batch algorithm {name!r}, expected one of {BATCH_ALGORITHMS}")

@@ -13,10 +13,8 @@ from ..core import (
     BatchClassifier,
     DataError,
     OnlineClassifier,
-    Prediction,
     Schema,
     argmax_tiebreak,
-    uniform_prediction,
 )
 from .moments import RunningMoments
 
@@ -80,10 +78,10 @@ class OnlineGaussianNB(OnlineClassifier):
         counts = self.class_counts[:, None]
         return np.where(counts >= 2, self._m2 / np.maximum(counts - 1, 1), 0.0)
 
-    def predict(self, x: np.ndarray) -> Prediction:
+    def predict(self, x: np.ndarray) -> int:
         self._check_x(x)
         if self.class_counts.sum() == 0:
-            return uniform_prediction(self.schema.n_classes)
+            return 0
         scores = _gaussian_nb_scores(
             np.asarray(x, dtype=float),
             self.class_counts,
@@ -91,7 +89,7 @@ class OnlineGaussianNB(OnlineClassifier):
             self.class_variances(),
             self._global.variance(),
         )
-        return Prediction(argmax_tiebreak(scores), scores)
+        return argmax_tiebreak(scores)
 
 
 class BatchGaussianNB(BatchClassifier):
@@ -130,10 +128,10 @@ class BatchGaussianNB(BatchClassifier):
     def class_variances(self) -> np.ndarray:
         return self._variances.copy()
 
-    def predict(self, x: np.ndarray) -> Prediction:
+    def predict(self, x: np.ndarray) -> int:
         self._check_x(x)
         if self.class_counts.sum() == 0:
-            return uniform_prediction(self.schema.n_classes)
+            return 0
         scores = _gaussian_nb_scores(
             np.asarray(x, dtype=float),
             self.class_counts,
@@ -141,4 +139,4 @@ class BatchGaussianNB(BatchClassifier):
             self._variances,
             self._global_variance,
         )
-        return Prediction(argmax_tiebreak(scores), scores)
+        return argmax_tiebreak(scores)

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from ..core import BatchClassifier, DataError, Prediction, Schema, argmax_tiebreak, uniform_prediction
+from ..core import BatchClassifier, DataError, Schema, argmax_tiebreak
 
 
 class CartClassifier(BatchClassifier):
@@ -35,7 +35,6 @@ class CartClassifier(BatchClassifier):
         self.left: np.ndarray | None = None
         self.right: np.ndarray | None = None
         self.label: np.ndarray | None = None
-        self.node_counts: list[np.ndarray] = []
         self.depth = 0
 
     def _best_split(self, X: np.ndarray, y: np.ndarray, idx: np.ndarray, rng) -> tuple | None:
@@ -91,7 +90,6 @@ class CartClassifier(BatchClassifier):
         left: list[int] = []
         right: list[int] = []
         label: list[int] = []
-        self.node_counts = []
         self.depth = 0
 
         def new_node() -> int:
@@ -100,7 +98,6 @@ class CartClassifier(BatchClassifier):
             left.append(0)
             right.append(0)
             label.append(0)
-            self.node_counts.append(np.zeros(k, dtype=np.int64))
             return len(feature) - 1
 
         root = new_node()
@@ -109,7 +106,6 @@ class CartClassifier(BatchClassifier):
             node_id, idx, depth = stack.pop()
             self.depth = max(self.depth, depth)
             counts = np.bincount(y[idx], minlength=k)
-            self.node_counts[node_id] = counts
             label[node_id] = argmax_tiebreak(counts)
             if idx.size < self.min_samples_split or np.count_nonzero(counts) < 2:
                 continue
@@ -133,24 +129,22 @@ class CartClassifier(BatchClassifier):
         self.right = np.array(right, dtype=np.int32)
         self.label = np.array(label, dtype=np.int32)
 
-    def predict(self, x: np.ndarray) -> Prediction:
+    def predict(self, x: np.ndarray) -> int:
         self._check_x(x)
         if self.feature is None:
-            return uniform_prediction(self.schema.n_classes)
+            return 0
         node = 0
         while self.feature[node] >= 0:
             node = self.left[node] if x[self.feature[node]] <= self.threshold[node] else self.right[node]
-        counts = self.node_counts[node]
-        scores = counts / counts.sum()
-        return Prediction(argmax_tiebreak(counts), scores)
+        return int(self.label[node])
 
 
 class RandomForestClassifier(BatchClassifier):
     """Bagging over CART trees with per-split feature subsampling.
 
     Per-tree seeds are fixed up front from the forest seed, so the fitted
-    forest is identical however tree construction is scheduled. Prediction is
-    a majority vote over trees, ties resolved by class order.
+    forest is identical however tree construction is scheduled. The predicted
+    label is a majority vote over trees, ties resolved by class order.
     """
 
     def __init__(
@@ -210,10 +204,10 @@ class RandomForestClassifier(BatchClassifier):
         self._rows = np.arange(t)
         self._max_depth = max(tree.depth for tree in self.trees)
 
-    def predict(self, x: np.ndarray) -> Prediction:
+    def predict(self, x: np.ndarray) -> int:
         self._check_x(x)
         if self._flat is None:
-            return uniform_prediction(self.schema.n_classes)
+            return 0
         feat, thr, left, right, label = self._flat
         x = np.asarray(x, dtype=float)
         nodes = np.zeros(len(self.trees), dtype=np.int32)
@@ -226,4 +220,4 @@ class RandomForestClassifier(BatchClassifier):
             nxt = np.where(go_left, left[self._rows, nodes], right[self._rows, nodes])
             nodes = np.where(internal, nxt, nodes)
         votes = np.bincount(label[self._rows, nodes], minlength=self.schema.n_classes)
-        return Prediction(argmax_tiebreak(votes), votes / votes.sum())
+        return argmax_tiebreak(votes)

@@ -17,7 +17,6 @@ from ..core import (
     BatchClassifier,
     DataError,
     OnlineClassifier,
-    Prediction,
     Schema,
     argmax_tiebreak,
 )
@@ -78,10 +77,10 @@ class OnlineLogisticRegression(OnlineClassifier):
         out[nz] = (x[nz] - self._scaler.mean[nz]) / std[nz]
         return out
 
-    def predict(self, x: np.ndarray) -> Prediction:
+    def predict(self, x: np.ndarray) -> int:
         self._check_x(x)
         scores = _softmax(self._standardize(np.asarray(x, dtype=float)) @ self.W + self.b)
-        return Prediction(argmax_tiebreak(scores), scores)
+        return argmax_tiebreak(scores)
 
     def learn_one(self, x: np.ndarray, y: int) -> None:
         self._check_x(x)
@@ -170,8 +169,8 @@ class BatchLogisticRegression(BatchClassifier):
         self.W, self.b = W, b
         self._fitted = True
 
-    def predict(self, x: np.ndarray) -> Prediction:
+    def predict(self, x: np.ndarray) -> int:
         self._check_x(x)
         x_std = (np.asarray(x, dtype=float) - self._mean) / self._std
         scores = _softmax(x_std @ self.W + self.b)
-        return Prediction(argmax_tiebreak(scores), scores)
+        return argmax_tiebreak(scores)

@@ -14,7 +14,7 @@ import math
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from ..core import OnlineClassifier, Prediction, Schema, argmax_tiebreak, uniform_prediction
+from ..core import OnlineClassifier, Schema, argmax_tiebreak
 from .bayes import _gaussian_nb_scores
 
 #: Variance floor scale for the per-leaf Gaussian summaries.
@@ -193,21 +193,16 @@ class HoeffdingTreeClassifier(OnlineClassifier):
                 parent.right = node
             self._n_nodes += 2
 
-    def predict(self, x: np.ndarray) -> Prediction:
+    def predict(self, x: np.ndarray) -> int:
         self._check_x(x)
         x = np.asarray(x, dtype=float)
         leaf, _, _ = self._route(x)
         n = int(leaf.counts.sum())
         if n == 0:
-            if leaf is self._root:
-                return uniform_prediction(self.schema.n_classes)
-            # Empty child after a split: fall back to the parent's majority.
-            scores = np.zeros(self.schema.n_classes)
-            scores[leaf.fallback_label] = 1.0
-            return Prediction(leaf.fallback_label, scores)
+            # Untrained root (0) or empty child after a split (the parent's majority).
+            return leaf.fallback_label
         if n < self.nb_threshold:
-            scores = leaf.counts / n
-            return Prediction(argmax_tiebreak(scores), scores)
+            return argmax_tiebreak(leaf.counts)
         _, pooled_var = leaf.pooled_moments()
         scores = _gaussian_nb_scores(x, leaf.counts, leaf.mean, leaf.class_variances(), pooled_var)
-        return Prediction(argmax_tiebreak(scores), scores)
+        return argmax_tiebreak(scores)

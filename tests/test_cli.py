@@ -175,6 +175,38 @@ def test_run_malformed_config_exits_1(tmp_path, config, capsys):
     assert "internal error" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "method, extra, named",
+    [
+        ({"type": "batch", "algorithm": "rf", "strategy": "S4", "params": {"n_tres": 5}}, {}, "'rf'"),
+        ({"type": "online", "algorithm": "hoeffding", "params": {"grace": 1}}, {}, "'hoeffding'"),
+        ({"type": "online", "algorithm": "gnb", "params": {"var_smoothing": 1e-9}}, {}, "'gnb'"),
+        ({"type": "batch", "algorithm": "cart", "strategy": "S2"}, {"shadow_metric": "acuracy"}, "'acuracy'"),
+    ],
+    ids=["unknown-rf-param", "unknown-hoeffding-param", "unknown-gnb-param", "shadow-metric-typo"],
+)
+def test_run_invalid_method_options_exit_1_before_the_stream(tmp_path, synth_config, method, extra, named, capsys):
+    stream = tmp_path / "s.dsv"
+    assert main(["generate", "--config", synth_config, "--out", str(stream), "--quiet"]) == 0
+    config = experiment_config(tmp_path, stream, method, **extra)
+    out_dir = tmp_path / "r"
+    assert main(["run", "--config", config, "--out", str(out_dir), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert named in err and "internal error" not in err
+    assert not out_dir.exists()
+
+
+def test_run_non_finite_stream_value_exits_2(tmp_path, synth_config, capsys):
+    stream = tmp_path / "s.dsv"
+    assert main(["generate", "--config", synth_config, "--out", str(stream), "--quiet"]) == 0
+    lines = stream.read_text().splitlines()
+    lines[500] = "nan," + lines[500].split(",", 1)[1]
+    stream.write_text("\n".join(lines) + "\n")
+    config = experiment_config(tmp_path, stream, {"type": "online", "algorithm": "gnb"})
+    assert main(["run", "--config", config, "--out", str(tmp_path / "r"), "--quiet"]) == 2
+    assert "row 501" in capsys.readouterr().err
+
+
 def test_generate_and_preprocess_unknown_key_exit_1(tmp_path, raw_csv):
     synth = write_json(tmp_path / "synth.json", {**SYNTHETIC, "drift_kinds": "abrupt"})
     assert main(["generate", "--config", synth, "--out", str(tmp_path / "s.dsv")]) == 1

@@ -3,11 +3,9 @@ import pytest
 
 from driftstream.core import (
     FeatureKind,
-    Prediction,
     Schema,
     SchemaError,
     argmax_tiebreak,
-    uniform_prediction,
 )
 from driftstream.learners import (
     BatchGaussianNB,
@@ -56,27 +54,25 @@ def test_untrained_models_fall_back_to_class_zero_uniform(schema2x3):
         RandomForestClassifier(schema2x3, n_trees=3),
         BatchGaussianNB(schema2x3),
     ):
-        pred = model.predict(x)
-        assert pred.label == 0
-        assert np.allclose(pred.scores, 1.0 / 3)
+        label = model.predict(x)
+        assert label == 0
+        assert type(label) is int
 
 
 def test_olr_zero_weights_gives_uniform_scores(schema2x3):
     model = OnlineLogisticRegression(schema2x3)
-    pred = model.predict(np.array([1.0, 2.0]))
-    assert pred.label == 0
-    assert np.allclose(pred.scores, [1 / 3, 1 / 3, 1 / 3])
+    assert model.predict(np.array([1.0, 2.0])) == 0
 
 
 def test_single_class_models_predict_that_class(schema2x3):
     gnb = OnlineGaussianNB(schema2x3)
     gnb.learn_one(np.array([1.0, 2.0]), 2)
     gnb.learn_one(np.array([1.5, 2.5]), 2)
-    assert gnb.predict(np.array([-10.0, 10.0])).label == 2
+    assert gnb.predict(np.array([-10.0, 10.0])) == 2
 
     cart = CartClassifier(schema2x3)
     cart.fit(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([1, 1]))
-    assert cart.predict(np.array([5.0, 5.0])).label == 1
+    assert cart.predict(np.array([5.0, 5.0])) == 1
 
 
 def test_dimension_mismatch_raises_schema_error(schema2x3):
@@ -116,10 +112,7 @@ def test_predict_is_pure(schema2x3):
     with_probe = OnlineGaussianNB(schema2x3)
     without_probe = OnlineGaussianNB(schema2x3)
     for inst in instances:
-        first = with_probe.predict(probe)
-        second = with_probe.predict(probe)
-        assert first.label == second.label
-        assert np.array_equal(first.scores, second.scores)
+        assert with_probe.predict(probe) == with_probe.predict(probe)
         with_probe.learn_one(inst.x, inst.y)
         without_probe.learn_one(inst.x, inst.y)
     # Interleaved predictions changed nothing about the learned state.
@@ -136,11 +129,9 @@ def test_prediction_scores_are_simplex(schema2x3):
     ]
     for inst in instances:
         for model in models:
-            pred = model.predict(inst.x)
-            assert pred.scores is not None
-            assert np.all(pred.scores >= 0)
-            assert pred.scores.sum() == pytest.approx(1.0, abs=1e-9)
-            assert pred.label == argmax_tiebreak(pred.scores)
+            label = model.predict(inst.x)
+            assert type(label) is int
+            assert 0 <= label < schema2x3.n_classes
             model.learn_one(inst.x, inst.y)
 
 
@@ -150,16 +141,9 @@ def test_online_learners_are_deterministic(schema2x3):
     def trace(model):
         out = []
         for inst in instances:
-            out.append(model.predict(inst.x).label)
+            out.append(model.predict(inst.x))
             model.learn_one(inst.x, inst.y)
         return out
 
     for make in (OnlineGaussianNB, HoeffdingTreeClassifier, OnlineLogisticRegression):
         assert trace(make(schema2x3)) == trace(make(schema2x3))
-
-
-def test_uniform_prediction_shape():
-    pred = uniform_prediction(4)
-    assert pred.label == 0
-    assert np.allclose(pred.scores, 0.25)
-    assert isinstance(pred, Prediction)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftstream.core import BatchClassifier, ConfigError, FeatureKind, Instance, Prediction, Schema, SchemaError
+from driftstream.core import BatchClassifier, ConfigError, FeatureKind, Instance, Schema, SchemaError
 from driftstream.drift import DriftStrategy, DriftVerdict, Trigger
 from driftstream.ensemble import (
     DriftEvent,
@@ -71,8 +71,8 @@ class SpyBatchModel(BatchClassifier):
 
     def predict(self, x):
         if self.behaviour == "oracle":
-            return Prediction(int(x[1]))
-        return Prediction(0)
+            return int(x[1])
+        return 0
 
 
 def install_spies(monkeypatch, behaviours):
@@ -387,7 +387,7 @@ def test_single_member_reduces_to_standalone(schema2x3=None):
         standalone = OnlineGaussianNB(schema)
         for inst in instances:
             step = ensemble.process_instance(inst)
-            expected = standalone.predict(inst.x).label
+            expected = standalone.predict(inst.x)
             standalone.learn_one(inst.x, inst.y)
             assert step.final_label == expected
             assert step.final_label == step.member_labels[0]

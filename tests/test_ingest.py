@@ -153,6 +153,17 @@ def test_replay_wrong_field_count(tmp_path):
         list(replay(bad))
 
 
+@pytest.mark.parametrize("value, row", [("nan", 3), ("-inf", 4)])
+def test_replay_rejects_non_finite_values(tmp_path, value, row):
+    _, path = generate_synthetic(SynthConfig(n_instances=2, n_features=2, n_classes=2, seed=3), tmp_path / "s.dsv")
+    lines = path.read_text().splitlines()
+    lines[row - 1] = f"0.5,{value},c0"
+    bad = tmp_path / "bad.dsv"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=f"bad.dsv: row {row}: non-finite"):
+        list(replay(bad))
+
+
 def test_synthetic_same_seed_is_byte_identical(tmp_path):
     config = SynthConfig(n_instances=200, n_features=3, n_classes=3, drift_points=[100], seed=9)
     _, a = generate_synthetic(config, tmp_path / "a.dsv")
@@ -185,7 +196,7 @@ def test_synthetic_drift_points_validated():
 def _fit_and_score(schema, train, test):
     model = BatchGaussianNB(schema)
     model.fit(np.stack([i.x for i in train]), np.array([i.y for i in train]))
-    preds = [model.predict(i.x).label for i in test]
+    preds = [model.predict(i.x) for i in test]
     return f1_from_pairs([i.y for i in test], preds, schema.n_classes)
 
 
@@ -207,7 +218,7 @@ def test_abrupt_drift_breaks_a_frozen_model():
     model.fit(np.stack([i.x for i in train]), np.array([i.y for i in train]))
 
     def windowed_f1(window):
-        preds = [model.predict(i.x).label for i in window]
+        preds = [model.predict(i.x) for i in window]
         return f1_from_pairs([i.y for i in window], preds, schema.n_classes)
 
     pre = windowed_f1(instances[1000:2000])
@@ -229,7 +240,7 @@ def test_gradual_drift_interpolates():
     model.fit(np.stack([i.x for i in train]), np.array([i.y for i in train]))
 
     def acc(window):
-        return np.mean([model.predict(i.x).label == i.y for i in window])
+        return np.mean([model.predict(i.x) == i.y for i in window])
 
     early = acc(instances[1000:1300])
     late = acc(instances[2200:2500])

@@ -82,7 +82,7 @@ def test_scale_invariance_of_standardized_stream():
         model = OnlineLogisticRegression(schema)
         labels = []
         for inst in instances:
-            labels.append(model.predict(inst.x * scale).label)
+            labels.append(model.predict(inst.x * scale))
             model.learn_one(inst.x * scale, inst.y)
         return labels
 
@@ -133,7 +133,7 @@ def test_batch_lr_standardization_makes_scale_irrelevant():
     def labels(scale):
         model = BatchLogisticRegression(schema)
         model.fit(X * scale, y)
-        return [model.predict(x * scale).label for x in X]
+        return [model.predict(x * scale) for x in X]
 
     assert labels(1.0) == labels(100.0)
 
@@ -147,7 +147,7 @@ def test_batch_lr_learns_separable_data():
     y = np.array([0] * 100 + [1] * 100)
     model = BatchLogisticRegression(schema)
     model.fit(X, y)
-    preds = [model.predict(x).label for x in X]
+    preds = [model.predict(x) for x in X]
     assert np.mean(np.array(preds) == y) > 0.98
 
 

@@ -60,8 +60,8 @@ def test_perfectly_separating_feature_splits_quickly():
         x = np.array([(-5.0 if y == 0 else 5.0) + 0.01 * rng.normal(), rng.normal()])
         tree.learn_one(x, y)
     assert tree.n_nodes >= 3
-    assert tree.predict(np.array([-5.0, 0.0])).label == 0
-    assert tree.predict(np.array([5.0, 0.0])).label == 1
+    assert tree.predict(np.array([-5.0, 0.0])) == 0
+    assert tree.predict(np.array([5.0, 0.0])) == 1
 
 
 def test_identical_features_split_only_via_tie_rule():
@@ -93,7 +93,7 @@ def test_leaf_majority_below_nb_threshold():
     for _ in range(3):
         tree.learn_one(np.array([0.0]), 0)
     tree.learn_one(np.array([0.1]), 1)
-    assert tree.predict(np.array([0.1])).label == 0  # 4 < 10: majority wins
+    assert tree.predict(np.array([0.1])) == 0  # 4 < 10: majority wins
 
 
 def test_leaf_naive_bayes_above_threshold():
@@ -106,23 +106,24 @@ def test_leaf_naive_bayes_above_threshold():
         tree.learn_one(np.array([rng.normal(0.0, 1.0)]), 0)
     for _ in range(20):
         tree.learn_one(np.array([rng.normal(5.0, 1.0)]), 1)
-    assert tree.predict(np.array([5.0])).label == 1
-    assert tree.predict(np.array([0.0])).label == 0
+    assert tree.predict(np.array([5.0])) == 1
+    assert tree.predict(np.array([0.0])) == 0
 
 
 def test_empty_child_falls_back_to_parent_majority():
     schema = make_schema(2, 2)
     tree = HoeffdingTreeClassifier(schema)
     rng = np.random.default_rng(4)
-    for i in range(300):
-        y = i % 2
+    seen = []
+    while tree.n_nodes < 3:  # stop right after the root splits
+        y = int(len(seen) % 3 != 0)  # class 1 is the majority
         x = np.array([(-5.0 if y == 0 else 5.0) + 0.01 * rng.normal(), rng.normal()])
         tree.learn_one(x, y)
-    assert tree.n_nodes >= 3
-    # Fresh children have no counts yet; any routed point gets the fallback.
-    pred = tree.predict(np.array([100.0, 0.0]))
-    assert pred.label in (0, 1)
-    assert pred.scores is not None
+        seen.append(y)
+    assert np.argmax(np.bincount(seen)) == 1
+    # Both children are empty, so even a point on the class-0 side gets the parent's majority.
+    assert tree.predict(np.array([-5.0, 0.0])) == 1
+    assert tree.predict(np.array([5.0, 0.0])) == 1
 
 
 def test_node_count_bounded_by_grace_period():
@@ -144,7 +145,7 @@ def test_tree_learns_gaussian_stream():
     for inst in gaussian_instances(means, 2000, seed=6):
         tree.learn_one(inst.x, inst.y)
     holdout = gaussian_instances(means, 300, seed=7)
-    accuracy = np.mean([tree.predict(i.x).label == i.y for i in holdout])
+    accuracy = np.mean([tree.predict(i.x) == i.y for i in holdout])
     assert accuracy > 0.85
 
 
