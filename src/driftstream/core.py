@@ -113,6 +113,13 @@ class Classifier:
         """The predicted class index; 0 before any training data."""
         raise NotImplementedError
 
+    def predict_labels(self, X: np.ndarray) -> np.ndarray:
+        """``predict`` of every row of ``X``, as an int64 array.
+
+        Models that can route a block of rows at once override this.
+        """
+        return np.array([self.predict(x) for x in X], dtype=np.int64)
+
     def _check_x(self, x: np.ndarray) -> None:
         if len(x) != self.schema.n_features:
             raise SchemaError(

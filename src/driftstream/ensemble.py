@@ -2,7 +2,12 @@
 
 For every stream instance, in order:
 
-1. every member predicts (the true label is not visible to this step);
+1. every member predicts (the true label is not visible to this step). Batch
+   members and shadows are frozen between fits, so each frozen model labels
+   the rows read ahead with ``lookahead`` in one ``predict_labels`` call and
+   answers later steps of that block from its cache; only the features of
+   those rows are read. Online members learn between instances and predict
+   one row at a time;
 2. combination weights are computed from each member's windowed F1 *before*
    this instance is scored, so the weights never depend on the label being
    predicted;
@@ -202,10 +207,28 @@ class History:
 
 
 @dataclass
+class FrozenLabels:
+    """A frozen model's labels for the rows of one read-ahead block, from row ``first`` on."""
+
+    model: object = None
+    block: np.ndarray | None = None  # the block's features
+    first: int = 0
+    labels: list[int] = field(default_factory=list)
+
+    def label(self, model, block: np.ndarray, i: int) -> int:
+        """``model``'s label for block row ``i``; a miss labels the rest of the block in one call."""
+        if model is not self.model or block is not self.block or i < self.first:
+            labels = model.predict_labels(block[i:])  # on failure the cache stays as it was
+            self.model, self.block, self.first, self.labels = model, block, i, labels.tolist()
+        return self.labels[i - self.first]
+
+
+@dataclass
 class _Shadow:
     model: object
     started_at: int
     labels: list[int] = field(default_factory=list)  # its predictions for the rows after started_at
+    frozen: FrozenLabels = field(default_factory=FrozenLabels)
 
 
 class Member:
@@ -235,6 +258,7 @@ class Member:
             self.fitted = True
         else:
             self.model = self.new_model()  # fails here, before the stream starts, on bad params
+            self.frozen = FrozenLabels()
             self.fitted = False
             self.first_fit_size = self.strategy.first_fit_size or config.first_fit_size
             self.cache_start = 0
@@ -246,11 +270,13 @@ class Member:
 
     # -- prediction -------------------------------------------------------
 
-    def safe_predict_label(self, x: np.ndarray) -> int:
+    def safe_predict_label(self, inst: Instance, block: np.ndarray, i: int) -> int:
         if not self.fitted:  # warm-up: the majority class so far
             return argmax_tiebreak(self.history.class_counts)
         try:
-            return self.model.predict(x)
+            if self.spec.kind == ONLINE:
+                return self.model.predict(inst.x)
+            return self.frozen.label(self.model, block, i)
         except Exception:
             logger.warning("member %s failed to predict, falling back to class 0", self.spec.id, exc_info=True)
             return 0
@@ -274,11 +300,11 @@ class Member:
 
     # -- learning ---------------------------------------------------------
 
-    def learn(self, inst: Instance, events: list) -> None:
+    def learn(self, inst: Instance, events: list, block: np.ndarray, i: int) -> None:
         if self.spec.kind == ONLINE:
             self.model.learn_one(inst.x, inst.y)
         else:
-            self._batch_learn(inst, events)
+            self._batch_learn(inst, events, block, i)
 
     def _cache_append(self) -> None:
         """Warn once when the newest row pushes the cache past ``cache_cap``."""
@@ -292,7 +318,7 @@ class Member:
         rows = history.rows(max(self.cache_start, history.end - self.cache_limit))
         return history.X[rows], history.y[rows]
 
-    def _batch_learn(self, inst: Instance, events: list) -> None:
+    def _batch_learn(self, inst: Instance, events: list, block: np.ndarray, i: int) -> None:
         strategy = self.strategy
         self._cache_append()
 
@@ -307,7 +333,7 @@ class Member:
             return
 
         if self.shadow is not None:
-            self._shadow_step(inst, events)
+            self._shadow_step(inst, events, block, i)
         elif self._check_due():
             verdict = check_windows(self._window_pair(), strategy, self.schema)
             if verdict.drifted:
@@ -349,10 +375,10 @@ class Member:
             return np.count_nonzero(y_true == y_pred) / len(y_true)
         return f1_from_pairs(y_true, y_pred, self.schema.n_classes)
 
-    def _shadow_step(self, inst: Instance, events: list) -> None:
+    def _shadow_step(self, inst: Instance, events: list, block: np.ndarray, i: int) -> None:
         shadow = self.shadow
         try:
-            shadow_label = shadow.model.predict(inst.x)
+            shadow_label = shadow.frozen.label(shadow.model, block, i)
         except Exception:
             logger.warning("member %s shadow failed to predict", self.spec.id, exc_info=True)
             shadow_label = 0
@@ -366,6 +392,7 @@ class Member:
         incumbent_score = self._pair_metric(y, history.labels[self.index, rows])
         if shadow_score > incumbent_score:
             self.model = shadow.model
+            self.frozen = shadow.frozen
             self.replacement_count += 1
             events.append(ReplacementEvent(seq=inst.seq, member_id=self.spec.id))
             if self.strategy.retrain_scope != LAST_WINDOW:
@@ -386,6 +413,8 @@ class HybridEnsemble:
             for i, (spec, seed) in enumerate(zip(config.members, seeds))
         ]
         self._next_seq = 0
+        self._ahead: list[Instance] = []  # the rows read ahead, and their features
+        self._ahead_X = np.empty((0, schema.n_features))
 
     @property
     def drift_count(self) -> int:
@@ -395,14 +424,35 @@ class HybridEnsemble:
     def replacement_count(self) -> int:
         return sum(m.replacement_count for m in self.members)
 
+    def lookahead(self, instances: Sequence[Instance]) -> None:
+        """Read the next rows ahead, for frozen models to label in one call each.
+
+        Only their features are stored. Each row must still go through
+        ``process_instance`` in order; a row that is not one of these very
+        instances is labelled on its own.
+        """
+        for inst in instances:
+            self._check_width(inst)
+        self._ahead = list(instances)
+        self._ahead_X = np.array([inst.x for inst in instances], dtype=float)
+
+    def _check_width(self, inst: Instance) -> None:
+        if len(inst.x) != self.schema.n_features:
+            raise SchemaError(f"instance {inst.seq} has {len(inst.x)} features, expected {self.schema.n_features}")
+
     def process_instance(self, inst: Instance) -> StepResult:
         if inst.seq != self._next_seq:
             raise ValueError(f"expected seq {self._next_seq}, got {inst.seq}")
-        if len(inst.x) != self.schema.n_features:
-            raise SchemaError(f"instance {inst.seq} has {len(inst.x)} features, expected {self.schema.n_features}")
+        self._check_width(inst)
         self._next_seq += 1
+        ahead = self._ahead
+        i = inst.seq - ahead[0].seq if ahead else 0
+        if not (0 <= i < len(ahead) and ahead[i] is inst):
+            self.lookahead([inst])
+            i = 0
+        block = self._ahead_X
 
-        member_labels = tuple(m.safe_predict_label(inst.x) for m in self.members)
+        member_labels = tuple(m.safe_predict_label(inst, block, i) for m in self.members)
         weights = compute_weights([m.window_score() for m in self.members], self.config.combiner)
         final = combine_votes(member_labels, weights, self.schema.n_classes)
 
@@ -418,7 +468,7 @@ class HybridEnsemble:
         events: list = []
         for member in self.members:
             try:
-                member.learn(inst, events)
+                member.learn(inst, events, block, i)
             except Exception:
                 logger.warning("member %s failed to learn", member.spec.id, exc_info=True)
         return StepResult(

@@ -45,14 +45,16 @@ def f1_macro(counts: np.ndarray) -> float:
     counts = np.asarray(counts)
     if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
         raise MetricError("confusion matrix must be square")
-    if counts.sum() == 0:
+    # Python numbers: the same operations in the same order as on numpy
+    # scalars give the same floats (counts stay far below 2**53), faster.
+    true_totals = counts.sum(axis=1).tolist()
+    if sum(true_totals) == 0:
         raise MetricError("confusion matrix is empty")
-    true_totals = counts.sum(axis=1)
-    pred_totals = counts.sum(axis=0)
-    diag = np.diag(counts)
+    pred_totals = counts.sum(axis=0).tolist()
+    diag = np.diag(counts).tolist()
     f1_sum = 0.0
     n_seen = 0
-    for c in range(counts.shape[0]):
+    for c in range(len(diag)):
         if true_totals[c] == 0 and pred_totals[c] == 0:
             continue
         n_seen += 1

@@ -18,6 +18,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -36,6 +37,9 @@ from .evaluation import PrequentialState, RunReport
 from .ingest import SynthConfig, config_from_dict, replay, stream_schema, synthetic_instances
 
 ONLINE_DISPLAY = {"gnb": "GNB", "hoeffding": "HT", "logreg": "OLR"}
+
+#: Rows ``run_stream`` reads ahead per block.
+READ_AHEAD = 256
 
 _STRATEGY_ALIASES = {"theta": "threshold", "s": "window_size", "alpha": "perf_tolerance"}
 _STRATEGY_FIELDS = {
@@ -255,18 +259,25 @@ def run_stream(
     instances: Iterable[Instance],
     trace_every: int = 1000,
 ) -> RunResult:
-    """Drive the ensemble over a stream, collecting prequential metrics."""
+    """Drive the ensemble over a stream, collecting prequential metrics.
+
+    The stream is read in blocks of ``READ_AHEAD`` rows, so frozen models can
+    label a block in one call; each row is still processed on its own.
+    """
     metrics = PrequentialState(ensemble.schema.n_classes, window_size=trace_every)
     trace: list[tuple[int, float, float]] = []
     events: list = []
     n = 0
-    for inst in instances:
-        step = ensemble.process_instance(inst)
-        metrics.update(inst.y, step.final_label)
-        events.extend(step.events)
-        n += 1
-        if n % trace_every == 0:
-            trace.append((n, float(metrics.windowed_f1()), float(metrics.cumulative_f1())))
+    rows = iter(instances)
+    while block := list(islice(rows, READ_AHEAD)):
+        ensemble.lookahead(block)
+        for inst in block:
+            step = ensemble.process_instance(inst)
+            metrics.update(inst.y, step.final_label)
+            events.extend(step.events)
+            n += 1
+            if n % trace_every == 0:
+                trace.append((n, float(metrics.windowed_f1()), float(metrics.cumulative_f1())))
     if n == 0:
         raise ConfigError("stream produced no instances")
     return RunResult(

@@ -220,27 +220,12 @@ def preprocess_csv(raw_path: str | Path, config: IngestConfig, out_path: str | P
         if len(row) != len(header):
             raise DataError(f"{raw_path}: row {number}: expected {len(header)} fields, got {len(row)}")
 
-    if config.datetime_columns:
-        def sort_key(row: list[str]):
-            keys = []
-            for name in config.datetime_columns:
-                value = row[col_index[name]]
-                if config.datetime_format:
-                    try:
-                        keys.append(datetime.strptime(value, config.datetime_format))
-                    except ValueError as exc:
-                        raise DataError(f"{raw_path}: bad datetime {value!r}: {exc}") from None
-                else:
-                    keys.append(value)
-            return tuple(keys)
-
-        rows.sort(key=sort_key)
-
     excluded = set(config.drop_columns) | set(config.datetime_columns) | {config.target_column}
     feature_columns = [name for name in header if name not in excluded]
     categorical = [name for name in feature_columns if name in config.categorical_columns]
 
-    # First pass: category catalogues and numeric imputation statistics.
+    # First pass, in file order: category catalogues and numeric imputation
+    # statistics, neither of which depends on the row order.
     categories: dict[str, list[str]] = {}
     numeric_values: dict[str, list[float]] = {name: [] for name in feature_columns if name not in categorical}
     for row in rows:
@@ -263,7 +248,32 @@ def preprocess_csv(raw_path: str | Path, config: IngestConfig, out_path: str | P
     for name, values in numeric_values.items():
         if not values:
             raise DataError(f"{raw_path}: numeric column {name!r} has no usable values")
+        values = np.asarray(values)
+        if not np.isfinite(values).all():
+            i = col_index[name]
+            number, raw = next(
+                (n, r[i])
+                for n, r in enumerate(rows, start=1)
+                if not _is_missing_numeric(r[i]) and not np.isfinite(float(r[i]))
+            )
+            raise DataError(f"{raw_path}: row {number}: column {name!r} has non-finite value {raw!r}")
         modes[name] = _numeric_mode(values)
+
+    if config.datetime_columns:
+        def sort_key(row: list[str]):
+            keys = []
+            for name in config.datetime_columns:
+                value = row[col_index[name]]
+                if config.datetime_format:
+                    try:
+                        keys.append(datetime.strptime(value, config.datetime_format))
+                    except ValueError as exc:
+                        raise DataError(f"{raw_path}: bad datetime {value!r}: {exc}") from None
+                else:
+                    keys.append(value)
+            return tuple(keys)
+
+        rows.sort(key=sort_key)
 
     # Output column layout: original order, categoricals expanded in place.
     out_names: list[str] = []

@@ -2,9 +2,13 @@
 
 Trees use Gini impurity, midpoint thresholds between consecutive distinct
 values, unlimited depth, a minimum of two samples to split and a
-deterministic first-best tie-break. Nodes are stored in flat arrays; the
-forest stacks them so one prediction routes every tree with vectorized steps
-instead of per-tree Python loops.
+deterministic first-best tie-break. Nodes are stored in flat arrays.
+
+Prediction lays the trees end to end in one node layout (``_FlatTrees``):
+node ids are global across trees, and a leaf routes to itself with feature 0
+and threshold +inf. A block of rows then walks every tree at once, one
+vectorized step per level, and the forest takes its votes with one
+``bincount``. ``predict(x)`` is the one-row case of ``predict_labels``.
 """
 
 from __future__ import annotations
@@ -13,7 +17,51 @@ import math
 
 import numpy as np
 
-from ..core import BatchClassifier, DataError, Schema, argmax_tiebreak
+from ..core import BatchClassifier, DataError, Schema, SchemaError, argmax_tiebreak
+
+
+class _FlatTrees:
+    """Route arrays of one or more fitted trees, laid end to end.
+
+    ``child`` interleaves each node's right and left child, so a step takes
+    ``child[2 * node + (x[feature] <= threshold)]``. A leaf's children are
+    itself and its threshold is +inf, so every row takes ``depth`` steps in
+    every tree and stays on its leaf once there.
+    """
+
+    def __init__(self, trees: list[CartClassifier]) -> None:
+        sizes = [tree.feature.size for tree in trees]
+        self.roots = np.cumsum([0] + sizes[:-1])
+        feature, threshold, left, right, label = (
+            np.concatenate([getattr(tree, name) for tree in trees])
+            for name in ("feature", "threshold", "left", "right", "label")
+        )
+        leaf = feature < 0
+        ids = np.arange(feature.size)
+        offset = np.repeat(self.roots, sizes)
+        self.feature = np.where(leaf, 0, feature)
+        self.threshold = np.where(leaf, np.inf, threshold)
+        self.child = np.column_stack([np.where(leaf, ids, right + offset), np.where(leaf, ids, left + offset)]).ravel()
+        self.label = label.astype(np.int64)
+        self.depth = max(tree.depth for tree in trees)
+
+    def leaf_labels(self, X: np.ndarray) -> np.ndarray:
+        """The label of the leaf each row reaches in each tree: (rows x trees)."""
+        n, d = X.shape
+        cells = X.ravel()
+        row_start = np.arange(n)[:, None] * d
+        nodes = np.broadcast_to(self.roots, (n, self.roots.size))
+        for _ in range(self.depth):
+            go_left = cells.take(row_start + self.feature.take(nodes)) <= self.threshold.take(nodes)
+            nodes = self.child.take(2 * nodes + go_left)
+        return self.label.take(nodes)
+
+
+def _feature_block(model: BatchClassifier, X: np.ndarray) -> np.ndarray:
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != model.schema.n_features:
+        raise SchemaError(f"feature block has shape {X.shape}, schema expects {model.schema.n_features} columns")
+    return X
 
 
 class CartClassifier(BatchClassifier):
@@ -36,6 +84,7 @@ class CartClassifier(BatchClassifier):
         self.right: np.ndarray | None = None
         self.label: np.ndarray | None = None
         self.depth = 0
+        self._flat: _FlatTrees | None = None
 
     def _best_split(self, X: np.ndarray, y: np.ndarray, idx: np.ndarray, rng) -> tuple | None:
         d = X.shape[1]
@@ -128,15 +177,17 @@ class CartClassifier(BatchClassifier):
         self.left = np.array(left, dtype=np.int32)
         self.right = np.array(right, dtype=np.int32)
         self.label = np.array(label, dtype=np.int32)
+        self._flat = _FlatTrees([self])
 
     def predict(self, x: np.ndarray) -> int:
         self._check_x(x)
-        if self.feature is None:
-            return 0
-        node = 0
-        while self.feature[node] >= 0:
-            node = self.left[node] if x[self.feature[node]] <= self.threshold[node] else self.right[node]
-        return int(self.label[node])
+        return int(self.predict_labels(np.reshape(x, (1, -1)))[0])
+
+    def predict_labels(self, X: np.ndarray) -> np.ndarray:
+        X = _feature_block(self, X)
+        if self._flat is None:
+            return np.zeros(len(X), dtype=np.int64)
+        return self._flat.leaf_labels(X)[:, 0]
 
 
 class RandomForestClassifier(BatchClassifier):
@@ -161,7 +212,7 @@ class RandomForestClassifier(BatchClassifier):
         self.bootstrap = bootstrap
         self.max_features = max_features
         self.trees: list[CartClassifier] = []
-        self._flat = None
+        self._flat: _FlatTrees | None = None
 
     def _resolve_max_features(self, d: int) -> int | None:
         if self.max_features == "sqrt":
@@ -183,41 +234,17 @@ class RandomForestClassifier(BatchClassifier):
             tree = CartClassifier(self.schema, seed=int(seeds[2 * i + 1]), max_features=mf)
             tree.fit(X[idx], y[idx])
             self.trees.append(tree)
-        self._stack()
-
-    def _stack(self) -> None:
-        t = len(self.trees)
-        width = max(tree.feature.size for tree in self.trees)
-        feat = np.full((t, width), -1, dtype=np.int32)
-        thr = np.zeros((t, width))
-        left = np.zeros((t, width), dtype=np.int32)
-        right = np.zeros((t, width), dtype=np.int32)
-        label = np.zeros((t, width), dtype=np.int32)
-        for i, tree in enumerate(self.trees):
-            m = tree.feature.size
-            feat[i, :m] = tree.feature
-            thr[i, :m] = tree.threshold
-            left[i, :m] = tree.left
-            right[i, :m] = tree.right
-            label[i, :m] = tree.label
-        self._flat = (feat, thr, left, right, label)
-        self._rows = np.arange(t)
-        self._max_depth = max(tree.depth for tree in self.trees)
+        self._flat = _FlatTrees(self.trees)
 
     def predict(self, x: np.ndarray) -> int:
         self._check_x(x)
+        return int(self.predict_labels(np.reshape(x, (1, -1)))[0])
+
+    def predict_labels(self, X: np.ndarray) -> np.ndarray:
+        X = _feature_block(self, X)
         if self._flat is None:
-            return 0
-        feat, thr, left, right, label = self._flat
-        x = np.asarray(x, dtype=float)
-        nodes = np.zeros(len(self.trees), dtype=np.int32)
-        for _ in range(self._max_depth + 1):
-            f = feat[self._rows, nodes]
-            internal = f >= 0
-            if not internal.any():
-                break
-            go_left = x[np.maximum(f, 0)] <= thr[self._rows, nodes]
-            nxt = np.where(go_left, left[self._rows, nodes], right[self._rows, nodes])
-            nodes = np.where(internal, nxt, nodes)
-        votes = np.bincount(label[self._rows, nodes], minlength=self.schema.n_classes)
-        return argmax_tiebreak(votes)
+            return np.zeros(len(X), dtype=np.int64)
+        n, k = len(X), self.schema.n_classes
+        codes = self._flat.leaf_labels(X) + k * np.arange(n)[:, None]
+        votes = np.bincount(codes.ravel(), minlength=n * k).reshape(n, k)
+        return votes.argmax(axis=1)  # the first maximum: ties go to the lowest class index

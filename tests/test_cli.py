@@ -207,6 +207,35 @@ def test_run_non_finite_stream_value_exits_2(tmp_path, synth_config, capsys):
     assert "row 501" in capsys.readouterr().err
 
 
+def test_run_malformed_row_inside_a_read_ahead_block_exits_2(tmp_path, synth_config, capsys):
+    # File line 302 (seq 299) lies inside the second block of READ_AHEAD = 256
+    # rows, after the RF member's first fit; no run directory is written.
+    stream = tmp_path / "s.dsv"
+    assert main(["generate", "--config", synth_config, "--out", str(stream), "--quiet"]) == 0
+    lines = stream.read_text().splitlines()
+    lines[301] = lines[301].rsplit(",", 1)[0]
+    stream.write_text("\n".join(lines) + "\n")
+    method = {"type": "ensemble", "batch_algorithm": "rf", "batch_params": {"n_trees": 3}, "strategies": ["S4"]}
+    config = experiment_config(tmp_path, stream, method, first_fit_size=200)
+    out_dir = tmp_path / "r"
+    assert main(["run", "--config", config, "--out", str(out_dir), "--quiet"]) == 2
+    assert "row 302" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_preprocess_infinite_numeric_value_exits_2(tmp_path, capsys):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("color,v,target\nred,1,x\nblue,2,y\nred,-inf,x\nblue,4,y\n")
+    config = write_json(
+        tmp_path / "ing.json", {"input": str(raw), "target_column": "target", "categorical_columns": ["color"]}
+    )
+    out = tmp_path / "stream.dsv"
+    assert main(["preprocess", "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "row 3" in err and "'v'" in err and "'-inf'" in err
+    assert not out.exists()
+
+
 def test_generate_and_preprocess_unknown_key_exit_1(tmp_path, raw_csv):
     synth = write_json(tmp_path / "synth.json", {**SYNTHETIC, "drift_kinds": "abrupt"})
     assert main(["generate", "--config", synth, "--out", str(tmp_path / "s.dsv")]) == 1

@@ -51,6 +51,43 @@ def test_f1_excludes_classes_absent_everywhere():
     assert f1_macro(counts) == 1.0
 
 
+def f1_macro_numpy_scalars(counts):
+    """The body of ``f1_macro`` before it moved to Python numbers, verbatim."""
+    counts = np.asarray(counts)
+    if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
+        raise MetricError("confusion matrix must be square")
+    if counts.sum() == 0:
+        raise MetricError("confusion matrix is empty")
+    true_totals = counts.sum(axis=1)
+    pred_totals = counts.sum(axis=0)
+    diag = np.diag(counts)
+    f1_sum = 0.0
+    n_seen = 0
+    for c in range(counts.shape[0]):
+        if true_totals[c] == 0 and pred_totals[c] == 0:
+            continue
+        n_seen += 1
+        precision = diag[c] / pred_totals[c] if pred_totals[c] > 0 else 0.0
+        recall = diag[c] / true_totals[c] if true_totals[c] > 0 else 0.0
+        if precision + recall > 0:
+            f1_sum += 2.0 * precision * recall / (precision + recall)
+    return float(f1_sum / n_seen)
+
+
+def test_f1_is_bit_identical_to_the_numpy_scalar_body():
+    rng = np.random.default_rng(12)
+    for _ in range(3000):
+        k = int(rng.integers(1, 7))
+        counts = rng.integers(0, int(rng.choice([3, 50, 100_000])), size=(k, k))
+        counts[rng.random(k) < 0.3, :] = 0  # classes never true
+        counts[:, rng.random(k) < 0.3] = 0  # classes never predicted
+        if counts.sum() == 0:
+            with pytest.raises(MetricError):
+                f1_macro(counts)
+            continue
+        assert f1_macro(counts).hex() == f1_macro_numpy_scalars(counts).hex()
+
+
 def test_f1_empty_matrix_raises():
     with pytest.raises(MetricError):
         f1_macro(np.zeros((3, 3), dtype=int))

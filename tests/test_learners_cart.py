@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftstream.core import DataError, FeatureKind, Schema
+from driftstream.core import DataError, FeatureKind, Schema, SchemaError
 from driftstream.learners import CartClassifier, RandomForestClassifier
 
 from conftest import gaussian_instances
@@ -164,3 +164,102 @@ def test_forest_label_is_lowest_index_majority_of_its_trees():
         ties += np.count_nonzero(votes == votes.max()) > 1
         assert forest.predict(x) == int(np.argmax(votes))
     assert ties > 0
+
+
+# -- block prediction -----------------------------------------------------
+
+
+def route_one(tree, x):
+    """The per-row walk down one tree's node arrays, written independently of the flat layout."""
+    node = 0
+    while tree.feature[node] >= 0:
+        node = tree.left[node] if x[tree.feature[node]] <= tree.threshold[node] else tree.right[node]
+    return int(tree.label[node])
+
+
+def reference_labels(model, X):
+    if isinstance(model, CartClassifier):
+        return [route_one(model, x) for x in X]
+    k = model.schema.n_classes
+    return [int(np.argmax(np.bincount([route_one(t, x) for t in model.trees], minlength=k))) for x in X]
+
+
+def assert_block_matches_rows(model, X):
+    labels = model.predict_labels(X)
+    assert labels.dtype == np.int64
+    assert labels.tolist() == [model.predict(x) for x in X] == reference_labels(model, X)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_predict_labels_equals_per_row_predict_on_random_data(seed):
+    rng = np.random.default_rng(seed)
+    d, k = int(rng.integers(1, 6)), int(rng.integers(2, 5))
+    schema = make_schema(d, k)
+    X = rng.normal(size=(200, d))
+    y = rng.integers(0, k, 200)
+    for model in (CartClassifier(schema, seed=seed), RandomForestClassifier(schema, seed=seed, n_trees=7)):
+        model.fit(X, y)
+        assert_block_matches_rows(model, np.vstack([rng.normal(size=(150, d)), X[:50]]))
+
+
+def test_predict_labels_keeps_the_lowest_index_tie_break():
+    schema = make_schema(2, 3)
+    rng = np.random.default_rng(8)
+    forest = RandomForestClassifier(schema, n_trees=6, seed=3)
+    forest.fit(rng.normal(size=(90, 2)), rng.integers(0, 3, 90))
+    probes = rng.normal(size=(300, 2))
+    votes = [np.bincount([route_one(t, x) for t in forest.trees], minlength=3) for x in probes]
+    assert sum(np.count_nonzero(v == v.max()) > 1 for v in votes) > 20  # many tied rows
+    assert_block_matches_rows(forest, probes)
+
+
+def test_predict_labels_of_single_leaf_trees():
+    schema = make_schema(2, 3)
+    X = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+    y = np.array([2, 2, 2])
+    tree = CartClassifier(schema)
+    tree.fit(X, y)
+    assert tree.feature.tolist() == [-1]
+    forest = RandomForestClassifier(schema, n_trees=4, seed=1)
+    forest.fit(X, y)
+    probes = np.random.default_rng(0).normal(size=(20, 2))
+    for model in (tree, forest):
+        assert model.predict_labels(probes).tolist() == [2] * 20
+        assert_block_matches_rows(model, probes)
+
+
+def test_predict_labels_on_rows_exactly_at_a_threshold():
+    # A row whose value equals a split's threshold goes left, as in the walk.
+    schema = make_schema(3, 3)
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(120, 3))
+    y = rng.integers(0, 3, 120)
+    forest = RandomForestClassifier(schema, n_trees=5, seed=2)
+    forest.fit(X, y)
+    tree = CartClassifier(schema, seed=2)
+    tree.fit(X, y)
+    for model in (tree, forest):
+        trees = [model] if isinstance(model, CartClassifier) else model.trees
+        probes = []
+        for t in trees:
+            for node in np.flatnonzero(t.feature >= 0):
+                x = X[node % len(X)].copy()
+                x[t.feature[node]] = t.threshold[node]
+                probes.append(x)
+        assert_block_matches_rows(model, np.array(probes))
+
+
+def test_untrained_models_label_every_row_zero():
+    schema = make_schema(2, 3)
+    X = np.ones((5, 2))
+    for model in (CartClassifier(schema), RandomForestClassifier(schema)):
+        labels = model.predict_labels(X)
+        assert labels.dtype == np.int64 and labels.tolist() == [0] * 5
+
+
+def test_predict_labels_rejects_a_block_of_the_wrong_width():
+    schema = make_schema(2, 2)
+    forest = RandomForestClassifier(schema, n_trees=2)
+    forest.fit(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([0, 1]))
+    with pytest.raises(SchemaError):
+        forest.predict_labels(np.ones((4, 3)))
