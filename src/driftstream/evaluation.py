@@ -19,25 +19,35 @@ from .core import MetricError
 
 
 class ConfusionMatrix:
-    """K x K counts, rows = true class, columns = predicted class."""
+    """K x K counts, rows = true class, columns = predicted class.
+
+    The class totals, diagonal and grand total are kept as Python ints for ``f1_macro``."""
 
     def __init__(self, n_classes: int) -> None:
         if n_classes < 1:
             raise MetricError("confusion matrix needs at least one class")
         self.counts = np.zeros((n_classes, n_classes), dtype=np.int64)
+        self.true_totals = [0] * n_classes
+        self.pred_totals = [0] * n_classes
+        self.diag = [0] * n_classes
+        self.total = 0
 
     def update(self, y_true: int, y_pred: int) -> None:
-        self.counts[y_true, y_pred] += 1
+        self._add(y_true, y_pred, 1)
 
     def remove(self, y_true: int, y_pred: int) -> None:
-        self.counts[y_true, y_pred] -= 1
+        self._add(y_true, y_pred, -1)
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
+    def _add(self, y_true: int, y_pred: int, step: int) -> None:
+        self.counts[y_true, y_pred] += step
+        self.true_totals[y_true] += step
+        self.pred_totals[y_pred] += step
+        if y_true == y_pred:
+            self.diag[y_true] += step
+        self.total += step
 
     def f1_macro(self) -> float:
-        return f1_macro(self.counts)
+        return _f1_from_totals(self.true_totals, self.pred_totals, self.diag)
 
 
 def f1_macro(counts: np.ndarray) -> float:
@@ -45,23 +55,24 @@ def f1_macro(counts: np.ndarray) -> float:
     counts = np.asarray(counts)
     if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
         raise MetricError("confusion matrix must be square")
-    # Python numbers: the same operations in the same order as on numpy
-    # scalars give the same floats (counts stay far below 2**53), faster.
-    true_totals = counts.sum(axis=1).tolist()
-    if sum(true_totals) == 0:
-        raise MetricError("confusion matrix is empty")
-    pred_totals = counts.sum(axis=0).tolist()
-    diag = np.diag(counts).tolist()
+    return _f1_from_totals(counts.sum(axis=1).tolist(), counts.sum(axis=0).tolist(), np.diag(counts).tolist())
+
+
+def _f1_from_totals(true_totals: list[int], pred_totals: list[int], diag: list[int]) -> float:
+    """Macro F1 from per-class true totals, predicted totals and true positives, as Python ints:
+    the same operations in the same order as on numpy scalars give the same floats below 2**53."""
     f1_sum = 0.0
     n_seen = 0
-    for c in range(len(diag)):
-        if true_totals[c] == 0 and pred_totals[c] == 0:
+    for true_c, pred_c, tp in zip(true_totals, pred_totals, diag):
+        if true_c == 0 and pred_c == 0:
             continue
         n_seen += 1
-        precision = diag[c] / pred_totals[c] if pred_totals[c] > 0 else 0.0
-        recall = diag[c] / true_totals[c] if true_totals[c] > 0 else 0.0
+        precision = tp / pred_c if pred_c > 0 else 0.0
+        recall = tp / true_c if true_c > 0 else 0.0
         if precision + recall > 0:
             f1_sum += 2.0 * precision * recall / (precision + recall)
+    if n_seen == 0:
+        raise MetricError("confusion matrix is empty")
     return float(f1_sum / n_seen)
 
 

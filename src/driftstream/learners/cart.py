@@ -4,6 +4,14 @@ Trees use Gini impurity, midpoint thresholds between consecutive distinct
 values, unlimited depth, a minimum of two samples to split and a
 deterministic first-best tie-break. Nodes are stored in flat arrays.
 
+Fitting searches each splitting node with one fixed set of array operations
+over all of its candidate features: one stable ``argsort`` of the (features x
+rows) value block, one ``cumsum`` of the sorted one-hot labels that gives the
+left class counts of every cut, the Gini of every cut, and one ``argmin``, whose
+first minimum in (feature, cut) order is the first best split. A node's class
+counts are handed down from its parent (the left child takes the counts at the
+chosen cut, the right child the rest), so a leaf costs no array operation.
+
 Prediction lays the trees end to end in one node layout (``_FlatTrees``):
 node ids are global across trees, and a leaf routes to itself with feature 0
 and threshold +inf. A block of rows then walks every tree at once, one
@@ -17,7 +25,13 @@ import math
 
 import numpy as np
 
-from ..core import BatchClassifier, DataError, Schema, SchemaError, argmax_tiebreak
+from ..core import BatchClassifier, DataError, Schema, SchemaError
+
+
+#: The most (features x rows x classes) cells one split search holds per
+#: temporary array (8 MiB of floats); a node wider than that searches its
+#: candidate features a chunk at a time, keeping the first best split.
+_SEARCH_CELLS = 1 << 20
 
 
 class _FlatTrees:
@@ -86,54 +100,20 @@ class CartClassifier(BatchClassifier):
         self.depth = 0
         self._flat: _FlatTrees | None = None
 
-    def _best_split(self, X: np.ndarray, y: np.ndarray, idx: np.ndarray, rng) -> tuple | None:
-        d = X.shape[1]
-        if self.max_features is not None and self.max_features < d:
-            feats = np.sort(rng.choice(d, size=self.max_features, replace=False))
-        else:
-            feats = np.arange(d)
-        k = self.schema.n_classes
-        ys = y[idx]
-        onehot = np.zeros((idx.size, k))
-        onehot[np.arange(idx.size), ys] = 1.0
-        total = onehot.sum(axis=0)
-        n = idx.size
-        best = None
-        best_impurity = math.inf
-        for f in feats:
-            xf = X[idx, f]
-            order = np.argsort(xf, kind="stable")
-            xs = xf[order]
-            if xs[0] == xs[-1]:
-                continue
-            cum = np.cumsum(onehot[order], axis=0)
-            cut = np.nonzero(np.diff(xs) > 0)[0] + 1  # left side takes the first `cut` rows
-            if cut.size == 0:
-                continue
-            nl = cut.astype(float)
-            nr = n - nl
-            lc = cum[cut - 1]
-            rc = total[None, :] - lc
-            gini_l = 1.0 - np.sum((lc / nl[:, None]) ** 2, axis=1)
-            gini_r = 1.0 - np.sum((rc / nr[:, None]) ** 2, axis=1)
-            weighted = (nl * gini_l + nr * gini_r) / n
-            j = int(np.argmin(weighted))
-            if weighted[j] < best_impurity:
-                best_impurity = weighted[j]
-                thr = (xs[cut[j] - 1] + xs[cut[j]]) / 2.0
-                best = (int(f), float(thr), order, int(cut[j]))
-        if best is None:
-            return None
-        f, thr, order, pos = best
-        return f, thr, idx[order[:pos]], idx[order[pos:]]
-
     def fit(self, X: np.ndarray, y: np.ndarray) -> None:
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=int)
         if X.size == 0:
             raise DataError("empty training batch")
         rng = np.random.default_rng(self.seed)
+        n, d = X.shape
         k = self.schema.n_classes
+        subsample = self.max_features is not None and self.max_features < d
+        root_counts = np.bincount(y, minlength=k).tolist()
+        Xt = np.ascontiguousarray(X.T)
+        onehot = np.zeros((n, k))
+        onehot[np.arange(n), y] = 1.0
+        sizes = np.arange(1, n, dtype=float)  # rows left of each cut
         feature: list[int] = []
         threshold: list[float] = []
         left: list[int] = []
@@ -149,28 +129,42 @@ class CartClassifier(BatchClassifier):
             label.append(0)
             return len(feature) - 1
 
-        root = new_node()
-        stack: list[tuple[int, np.ndarray, int]] = [(root, np.arange(X.shape[0]), 0)]
+        stack: list[tuple[int, np.ndarray, list[int], int]] = [(new_node(), np.arange(n), root_counts, 0)]
         while stack:
-            node_id, idx, depth = stack.pop()
+            node_id, rows, counts, depth = stack.pop()
             self.depth = max(self.depth, depth)
-            counts = np.bincount(y[idx], minlength=k)
-            label[node_id] = argmax_tiebreak(counts)
-            if idx.size < self.min_samples_split or np.count_nonzero(counts) < 2:
+            m = rows.size
+            label[node_id] = counts.index(max(counts))  # the first maximum, as argmax_tiebreak
+            if m < self.min_samples_split or counts[label[node_id]] == m:
                 continue
-            split = self._best_split(X, y, idx, rng)
-            if split is None:
+            feats = np.sort(rng.choice(d, size=self.max_features, replace=False)) if subsample else np.arange(d)
+            total = np.array(counts, dtype=float)
+            nl = sizes[: m - 1]
+            nr = m - nl
+            best = math.inf
+            step = max(1, _SEARCH_CELLS // (m * k))
+            for lo in range(0, feats.size, step):
+                fs = feats[lo : lo + step, None]
+                srows = rows[Xt[fs, rows].argsort(axis=1, kind="stable")]
+                xs = Xt[fs, srows]
+                lc = onehot[srows[:, :-1]].cumsum(axis=1)  # left class counts of every cut
+                gini_l = 1.0 - ((lc / nl[:, None]) ** 2).sum(axis=2)
+                gini_r = 1.0 - (((total - lc) / nr[:, None]) ** 2).sum(axis=2)
+                # No cut between equal values; argmin takes the first minimum in (feature, cut) order.
+                weighted = np.where(xs[:, 1:] > xs[:, :-1], (nl * gini_l + nr * gini_r) / m, np.inf)
+                f, j = divmod(int(weighted.argmin()), m - 1)
+                if weighted[f, j] < best:
+                    best = weighted[f, j]
+                    thr = float((xs[f, j] + xs[f, j + 1]) / 2.0)
+                    split = (int(fs[f, 0]), thr, srows[f], j + 1, lc[f, j].astype(np.int64).tolist())
+            if best == math.inf:
                 continue
-            f, thr, left_idx, right_idx = split
-            feature[node_id] = f
-            threshold[node_id] = thr
-            lid = new_node()
-            rid = new_node()
-            left[node_id] = lid
-            right[node_id] = rid
+            feature[node_id], threshold[node_id], sorted_rows, pos, left_counts = split
+            left[node_id] = lid = new_node()
+            right[node_id] = rid = new_node()
             # Push right first so the left subtree is built first (stable rng order).
-            stack.append((rid, right_idx, depth + 1))
-            stack.append((lid, left_idx, depth + 1))
+            stack.append((rid, sorted_rows[pos:], [c - l for c, l in zip(counts, left_counts)], depth + 1))
+            stack.append((lid, sorted_rows[:pos], left_counts, depth + 1))
 
         self.feature = np.array(feature, dtype=np.int32)
         self.threshold = np.array(threshold)

@@ -42,6 +42,15 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
+def _softmax_gradient(W: np.ndarray, b: np.ndarray, x: np.ndarray, y: int, l2: float) -> tuple[np.ndarray, ...]:
+    """Class probabilities and the exact gradient (dW, db) of the L2-penalized cross-entropy."""
+    probs = _softmax(x @ W + b)
+    g = probs.copy()
+    g[y] -= 1.0
+    dW = np.outer(x, g) + l2 * W
+    return probs, dW, g
+
+
 def softmax_loss_and_gradient(
     W: np.ndarray, b: np.ndarray, x: np.ndarray, y: int, l2: float
 ) -> tuple[float, np.ndarray, np.ndarray]:
@@ -49,11 +58,8 @@ def softmax_loss_and_gradient(
 
     Returns (loss, dW, db). The intercept is unpenalized.
     """
-    probs = _softmax(x @ W + b)
+    probs, dW, g = _softmax_gradient(W, b, x, y, l2)
     loss = -np.log(max(probs[y], 1e-300)) + 0.5 * l2 * float(np.sum(W * W))
-    g = probs.copy()
-    g[y] -= 1.0
-    dW = np.outer(x, g) + l2 * W
     return float(loss), dW, g
 
 
@@ -90,7 +96,7 @@ class OnlineLogisticRegression(OnlineClassifier):
         self._scaler.update(x)
         x_std = self._standardize(x)
         cfg = self.config
-        _, dW, g = softmax_loss_and_gradient(self.W, self.b, x_std, y, cfg.l2)
+        _, dW, g = _softmax_gradient(self.W, self.b, x_std, y, cfg.l2)
         np.clip(dW, -cfg.gradient_clip, cfg.gradient_clip, out=dW)
         g = np.clip(g, -cfg.gradient_clip, cfg.gradient_clip)
         self.W -= cfg.learning_rate * dW

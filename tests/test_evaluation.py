@@ -160,6 +160,29 @@ def test_confusion_matrix_totals():
     assert cm.total == 1
 
 
+def test_confusion_matrix_f1_is_bit_identical_to_f1_of_its_counts():
+    # Random update/remove walks, with classes that never occur and matrices that empty.
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        k = int(rng.integers(1, 8))
+        present = rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False)
+        cm = ConfusionMatrix(k)
+        live = []
+        for _ in range(300):
+            if live and rng.random() < 0.45:
+                cm.remove(*live.pop(int(rng.integers(len(live)))))
+            else:
+                pair = (int(rng.choice(present)), int(rng.choice(present)))
+                cm.update(*pair)
+                live.append(pair)
+            assert cm.total == len(live) == int(cm.counts.sum())
+            if not live:
+                with pytest.raises(MetricError):
+                    cm.f1_macro()
+                continue
+            assert cm.f1_macro().hex() == f1_macro(cm.counts).hex()
+
+
 # ---------------------------------------------------------------------------
 # ranking
 

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftstream.core import DataError, FeatureKind, Schema, SchemaError
+from driftstream.core import DataError, FeatureKind, Schema, SchemaError, argmax_tiebreak
 from driftstream.learners import CartClassifier, RandomForestClassifier
+from driftstream.learners import cart as cart_module
 
 from conftest import gaussian_instances
 
@@ -263,3 +266,180 @@ def test_predict_labels_rejects_a_block_of_the_wrong_width():
     forest.fit(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([0, 1]))
     with pytest.raises(SchemaError):
         forest.predict_labels(np.ones((4, 3)))
+
+
+# -- fitting against the per-feature reference ------------------------------
+
+
+class ReferenceCart(CartClassifier):
+    """The per-node, per-feature split search that the vectorized fit replaced, verbatim."""
+
+    def _best_split(self, X: np.ndarray, y: np.ndarray, idx: np.ndarray, rng) -> tuple | None:
+        d = X.shape[1]
+        if self.max_features is not None and self.max_features < d:
+            feats = np.sort(rng.choice(d, size=self.max_features, replace=False))
+        else:
+            feats = np.arange(d)
+        k = self.schema.n_classes
+        ys = y[idx]
+        onehot = np.zeros((idx.size, k))
+        onehot[np.arange(idx.size), ys] = 1.0
+        total = onehot.sum(axis=0)
+        n = idx.size
+        best = None
+        best_impurity = math.inf
+        for f in feats:
+            xf = X[idx, f]
+            order = np.argsort(xf, kind="stable")
+            xs = xf[order]
+            if xs[0] == xs[-1]:
+                continue
+            cum = np.cumsum(onehot[order], axis=0)
+            cut = np.nonzero(np.diff(xs) > 0)[0] + 1  # left side takes the first `cut` rows
+            if cut.size == 0:
+                continue
+            nl = cut.astype(float)
+            nr = n - nl
+            lc = cum[cut - 1]
+            rc = total[None, :] - lc
+            gini_l = 1.0 - np.sum((lc / nl[:, None]) ** 2, axis=1)
+            gini_r = 1.0 - np.sum((rc / nr[:, None]) ** 2, axis=1)
+            weighted = (nl * gini_l + nr * gini_r) / n
+            j = int(np.argmin(weighted))
+            if weighted[j] < best_impurity:
+                best_impurity = weighted[j]
+                thr = (xs[cut[j] - 1] + xs[cut[j]]) / 2.0
+                best = (int(f), float(thr), order, int(cut[j]))
+        if best is None:
+            return None
+        f, thr, order, pos = best
+        return f, thr, idx[order[:pos]], idx[order[pos:]]
+
+    def fit(self, X: np.ndarray, y: np.ndarray) -> None:
+        X = np.asarray(X, dtype=float)
+        y = np.asarray(y, dtype=int)
+        if X.size == 0:
+            raise DataError("empty training batch")
+        rng = np.random.default_rng(self.seed)
+        k = self.schema.n_classes
+        feature: list[int] = []
+        threshold: list[float] = []
+        left: list[int] = []
+        right: list[int] = []
+        label: list[int] = []
+        self.depth = 0
+
+        def new_node() -> int:
+            feature.append(-1)
+            threshold.append(0.0)
+            left.append(0)
+            right.append(0)
+            label.append(0)
+            return len(feature) - 1
+
+        root = new_node()
+        stack: list[tuple[int, np.ndarray, int]] = [(root, np.arange(X.shape[0]), 0)]
+        while stack:
+            node_id, idx, depth = stack.pop()
+            self.depth = max(self.depth, depth)
+            counts = np.bincount(y[idx], minlength=k)
+            label[node_id] = argmax_tiebreak(counts)
+            if idx.size < self.min_samples_split or np.count_nonzero(counts) < 2:
+                continue
+            split = self._best_split(X, y, idx, rng)
+            if split is None:
+                continue
+            f, thr, left_idx, right_idx = split
+            feature[node_id] = f
+            threshold[node_id] = thr
+            lid = new_node()
+            rid = new_node()
+            left[node_id] = lid
+            right[node_id] = rid
+            # Push right first so the left subtree is built first (stable rng order).
+            stack.append((rid, right_idx, depth + 1))
+            stack.append((lid, left_idx, depth + 1))
+
+        self.feature = np.array(feature, dtype=np.int32)
+        self.threshold = np.array(threshold)
+        self.left = np.array(left, dtype=np.int32)
+        self.right = np.array(right, dtype=np.int32)
+        self.label = np.array(label, dtype=np.int32)
+        self._flat = cart_module._FlatTrees([self])
+
+
+def assert_same_tree(tree, reference):
+    for name in ("feature", "threshold", "left", "right", "label"):
+        got, want = getattr(tree, name), getattr(reference, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert tree.depth == reference.depth
+
+
+def fit_both(schema, X, y, **params):
+    tree, reference = CartClassifier(schema, **params), ReferenceCart(schema, **params)
+    tree.fit(X, y)
+    reference.fit(X, y)
+    assert_same_tree(tree, reference)
+    return tree
+
+
+def awkward_batch(rng, n, d, k):
+    """Integer-valued features with heavy ties, a constant column, a duplicated column and repeated rows."""
+    X = rng.integers(0, 4, size=(n, d)).astype(float)
+    X[:, 1] = rng.normal(size=n).round(1)
+    X[:, 2] = 7.0
+    X[:, 3] = X[:, 0]  # every split on column 0 ties with one on column 3
+    y = np.minimum(rng.integers(0, k, n), (X[:, 0] + rng.integers(0, 2, n)).astype(int) % k)
+    rows = rng.integers(0, n, n)  # a bootstrap sample
+    return X[rows], y[rows]
+
+
+@pytest.mark.parametrize("k", [2, 3, 7, 8, 9, 12])
+@pytest.mark.parametrize("max_features", [None, 2])
+@pytest.mark.parametrize("min_samples_split", [2, 5])
+def test_fit_builds_the_reference_tree(k, max_features, min_samples_split):
+    # k >= 8 is where numpy's row sums switch to pairwise summation.
+    rng = np.random.default_rng(100 * k + min_samples_split + (max_features or 0))
+    schema = make_schema(6, k)
+    params = dict(max_features=max_features, min_samples_split=min_samples_split)
+    for seed in range(3):
+        X, y = awkward_batch(rng, int(rng.integers(20, 300)), 6, k)
+        fit_both(schema, X, y, seed=seed, **params)
+        fit_both(schema, rng.normal(size=(200, 6)), rng.integers(0, k, 200), seed=seed, **params)
+
+
+def test_fit_builds_the_reference_tree_on_degenerate_batches():
+    schema = make_schema(3, 4)
+    rng = np.random.default_rng(3)
+    tree = fit_both(schema, rng.normal(size=(30, 3)), np.full(30, 2))
+    assert tree.feature.tolist() == [-1] and tree.label.tolist() == [2]
+    tree = fit_both(schema, np.array([[1.0, 2.0, 3.0]]), np.array([3]))
+    assert tree.feature.tolist() == [-1] and tree.label.tolist() == [3]
+    tree = fit_both(schema, np.ones((12, 3)), np.arange(12) % 4)  # nothing to split on
+    assert tree.feature.tolist() == [-1] and tree.label.tolist() == [0]
+
+
+def test_chunked_split_search_builds_the_reference_tree(monkeypatch):
+    # A node too wide for one search block takes its features a chunk at a time.
+    monkeypatch.setattr(cart_module, "_SEARCH_CELLS", 60)
+    rng = np.random.default_rng(11)
+    schema = make_schema(6, 3)
+    for seed in range(4):
+        X, y = awkward_batch(rng, 150, 6, 3)
+        fit_both(schema, X, y, seed=seed)
+        fit_both(schema, X, y, seed=seed, max_features=4)
+
+
+def test_forest_trees_equal_reference_trees(monkeypatch):
+    rng = np.random.default_rng(21)
+    schema = make_schema(6, 5)
+    X, y = awkward_batch(rng, 400, 6, 5)
+    X = np.hstack([X[:, :3], rng.normal(size=(400, 3))])
+    forest = RandomForestClassifier(schema, n_trees=10, seed=4)
+    forest.fit(X, y)
+    monkeypatch.setattr(cart_module, "CartClassifier", ReferenceCart)
+    reference = RandomForestClassifier(schema, n_trees=10, seed=4)
+    reference.fit(X, y)
+    assert all(isinstance(t, ReferenceCart) for t in reference.trees)
+    for tree, ref in zip(forest.trees, reference.trees, strict=True):
+        assert_same_tree(tree, ref)
