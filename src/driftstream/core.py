@@ -120,6 +120,13 @@ class Classifier:
         """
         return np.array([self.predict(x) for x in X], dtype=np.int64)
 
+    def _check_block(self, X: np.ndarray) -> np.ndarray:
+        """``X`` as a float (rows x features) array; another shape raises SchemaError."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.schema.n_features:
+            raise SchemaError(f"feature block has shape {X.shape}, schema expects {self.schema.n_features} columns")
+        return X
+
     def _check_x(self, x: np.ndarray) -> None:
         if len(x) != self.schema.n_features:
             raise SchemaError(

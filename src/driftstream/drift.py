@@ -121,7 +121,7 @@ def _column_outcome(test: str, ref: np.ndarray, cur: np.ndarray):
     if test == "js":
         # Dispatch only routes few-unique or categorical columns here, so the
         # union-of-values treatment applies.
-        return js_divergence(ref, cur, FeatureKind.CATEGORICAL)
+        return js_divergence(ref, cur)
     if test == "chi2":
         return chi_squared(ref, cur)
     if test == "zprop":

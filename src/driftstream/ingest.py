@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
@@ -27,6 +28,12 @@ import numpy as np
 from .core import ConfigError, DataError, FeatureKind, Instance, Schema
 
 SCHEMA_PREFIX = "#schema "
+
+#: Largest accepted ``SynthConfig.class_separation``. Class means farther apart
+#: than this, in units of the unit-variance noise, separate the classes no
+#: better; and from about 1e154 on, the squared deviations that the learners
+#: and drift tests sum overflow to inf.
+MAX_CLASS_SEPARATION = 1e6
 
 #: Cell values treated as missing in numeric columns.
 _MISSING_MARKERS = {"", "?", "na", "n/a", "nan", "none", "null"}
@@ -55,6 +62,7 @@ class SynthConfig:
     Class mean vectors are drawn once from the seed; at every drift point the
     class-to-mean assignment permutes (abrupt) or interpolates linearly over
     ``gradual_width`` instances toward the permuted assignment (gradual).
+    Each class mean lies ``class_separation`` from the origin.
     """
 
     n_instances: int
@@ -78,6 +86,10 @@ class SynthConfig:
             raise ConfigError(f"unknown drift_kind {self.drift_kind!r}")
         if self.drift_kind == "gradual" and self.gradual_width < 1:
             raise ConfigError("gradual drift needs gradual_width >= 1")
+        sep = self.class_separation
+        if isinstance(sep, bool) or not isinstance(sep, numbers.Real) or not 0 <= sep <= MAX_CLASS_SEPARATION:
+            # Also refuses nan and inf, which would make every feature value nan or inf.
+            raise ConfigError(f"class_separation must be a number in [0, {MAX_CLASS_SEPARATION:g}], got {sep!r}")
 
 
 def config_from_dict(cls, data: dict):

@@ -1,8 +1,12 @@
 """Gaussian naive Bayes, in online (Welford) and batch (two-pass) form.
 
-Both variants share one prediction routine, so fitting the batch model on a
-prefix of a stream is numerically equivalent to running the online model over
-the same prefix.
+Both variants compute the same scores in the same float operations, so fitting
+the batch model on a prefix of a stream is numerically equivalent to running
+the online model over the same prefix. The online model scores one row at a
+time with ``_gaussian_nb_scores``; the batch model scores a whole block at once
+over a (rows x seen classes x features) array, with the parts that depend only
+on the fit (floored variances, log prior, ``log(2 pi var)``) computed in
+``fit``. Every block score equals the per-row score bit for bit.
 """
 
 from __future__ import annotations
@@ -21,6 +25,10 @@ from .moments import RunningMoments
 #: Per-feature variance floor: VAR_FLOOR_SCALE * (global feature variance + 1e-12).
 #: Keeps class-conditional densities finite on constant features.
 VAR_FLOOR_SCALE = 1e-9
+
+#: The most (rows x seen classes x features) cells a block score holds per
+#: temporary array (1 MiB of floats); a larger block is scored in row chunks.
+_BLOCK_CELLS = 1 << 17
 
 
 def _floored(variances: np.ndarray, global_variance: np.ndarray) -> np.ndarray:
@@ -58,6 +66,7 @@ class OnlineGaussianNB(OnlineClassifier):
         self.class_counts = np.zeros(k, dtype=np.int64)
         self._means = np.zeros((k, d))
         self._m2 = np.zeros((k, d))
+        self._variances = np.zeros((k, d))  # m2 / (n - 1) per class, 0 below two rows
         self._global = RunningMoments(d)
 
     def learn_one(self, x: np.ndarray, y: int) -> None:
@@ -69,14 +78,15 @@ class OnlineGaussianNB(OnlineClassifier):
         delta = x - self._means[y]
         self._means[y] += delta / n
         self._m2[y] += delta * (x - self._means[y])
+        if n >= 2:
+            self._variances[y] = self._m2[y] / (n - 1)
         self._global.update(x)
 
     def class_means(self) -> np.ndarray:
         return self._means.copy()
 
     def class_variances(self) -> np.ndarray:
-        counts = self.class_counts[:, None]
-        return np.where(counts >= 2, self._m2 / np.maximum(counts - 1, 1), 0.0)
+        return self._variances.copy()
 
     def predict(self, x: np.ndarray) -> int:
         self._check_x(x)
@@ -86,7 +96,7 @@ class OnlineGaussianNB(OnlineClassifier):
             np.asarray(x, dtype=float),
             self.class_counts,
             self._means,
-            self.class_variances(),
+            self._variances,
             self._global.variance(),
         )
         return argmax_tiebreak(scores)
@@ -101,6 +111,7 @@ class BatchGaussianNB(BatchClassifier):
         self._means = np.zeros((schema.n_classes, schema.n_features))
         self._variances = np.zeros((schema.n_classes, schema.n_features))
         self._global_variance = np.zeros(schema.n_features)
+        self._fit_terms()
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> None:
         X = np.asarray(X, dtype=float)
@@ -121,6 +132,17 @@ class BatchGaussianNB(BatchClassifier):
             if rows.shape[0] >= 2:
                 self._variances[c] = rows.var(axis=0, ddof=1)
         self._global_variance = X.var(axis=0, ddof=1) if X.shape[0] >= 2 else np.zeros(X.shape[1])
+        self._fit_terms()
+
+    def _fit_terms(self) -> None:
+        """The seen classes' score terms that depend only on the fit, as ``_gaussian_nb_scores`` forms them."""
+        seen = self.class_counts > 0
+        var = _floored(self._variances, self._global_variance)[seen]
+        self._seen = np.flatnonzero(seen)
+        self._seen_means = self._means[seen]
+        self._seen_var = var
+        self._log_prior = np.log(self.class_counts[seen] / self.class_counts.sum())
+        self._log_norm = np.log(2.0 * np.pi * var)
 
     def class_means(self) -> np.ndarray:
         return self._means.copy()
@@ -128,15 +150,30 @@ class BatchGaussianNB(BatchClassifier):
     def class_variances(self) -> np.ndarray:
         return self._variances.copy()
 
+    def _block_scores(self, X: np.ndarray) -> np.ndarray:
+        """``_gaussian_nb_scores`` of every row of ``X`` at once: (rows x classes)."""
+        terms = X[:, None, :] - self._seen_means
+        # log(2 pi var) + diff * diff / var, in place: one (rows x seen x features) array.
+        np.multiply(terms, terms, out=terms)
+        np.divide(terms, self._seen_var, out=terms)
+        np.add(self._log_norm, terms, out=terms)
+        log_lik = -0.5 * np.sum(terms, axis=2)
+        log_joint = np.full((len(X), self.schema.n_classes), -np.inf)
+        log_joint[:, self._seen] = self._log_prior + log_lik
+        scores = np.exp(log_joint - log_joint.max(axis=1, keepdims=True))
+        return scores / scores.sum(axis=1, keepdims=True)
+
     def predict(self, x: np.ndarray) -> int:
         self._check_x(x)
-        if self.class_counts.sum() == 0:
-            return 0
-        scores = _gaussian_nb_scores(
-            np.asarray(x, dtype=float),
-            self.class_counts,
-            self._means,
-            self._variances,
-            self._global_variance,
-        )
-        return argmax_tiebreak(scores)
+        return int(self.predict_labels(np.reshape(x, (1, -1)))[0])
+
+    def predict_labels(self, X: np.ndarray) -> np.ndarray:
+        X = self._check_block(X)
+        labels = np.zeros(len(X), dtype=np.int64)
+        if self._seen.size == 0:
+            return labels
+        step = max(1, _BLOCK_CELLS // self._seen_means.size)
+        for lo in range(0, len(X), step):
+            # argmax_tiebreak of each row's normalised scores: the first maximum.
+            labels[lo : lo + step] = self._block_scores(X[lo : lo + step]).argmax(axis=1)
+        return labels

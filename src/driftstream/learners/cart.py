@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from ..core import BatchClassifier, DataError, Schema, SchemaError
+from ..core import BatchClassifier, DataError, Schema
 
 
 #: The most (features x rows x classes) cells one split search holds per
@@ -40,7 +40,9 @@ class _FlatTrees:
     ``child`` interleaves each node's right and left child, so a step takes
     ``child[2 * node + (x[feature] <= threshold)]``. A leaf's children are
     itself and its threshold is +inf, so every row takes ``depth`` steps in
-    every tree and stays on its leaf once there.
+    every tree and stays on its leaf once there. A one-row block instead walks
+    each tree in Python over list copies of the arrays, made on first use,
+    and stops at the leaf: the same comparisons without a numpy call a level.
     """
 
     def __init__(self, trees: list[CartClassifier]) -> None:
@@ -58,10 +60,13 @@ class _FlatTrees:
         self.child = np.column_stack([np.where(leaf, ids, right + offset), np.where(leaf, ids, left + offset)]).ravel()
         self.label = label.astype(np.int64)
         self.depth = max(tree.depth for tree in trees)
+        self._lists: tuple[list, ...] | None = None
 
     def leaf_labels(self, X: np.ndarray) -> np.ndarray:
         """The label of the leaf each row reaches in each tree: (rows x trees)."""
         n, d = X.shape
+        if n == 1:
+            return np.array([self._walk(X[0].tolist())], dtype=np.int64)
         cells = X.ravel()
         row_start = np.arange(n)[:, None] * d
         nodes = np.broadcast_to(self.roots, (n, self.roots.size))
@@ -70,12 +75,17 @@ class _FlatTrees:
             nodes = self.child.take(2 * nodes + go_left)
         return self.label.take(nodes)
 
-
-def _feature_block(model: BatchClassifier, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != model.schema.n_features:
-        raise SchemaError(f"feature block has shape {X.shape}, schema expects {model.schema.n_features} columns")
-    return X
+    def _walk(self, x: list[float]) -> list[int]:
+        """The leaf label one row reaches in each tree."""
+        if self._lists is None:
+            self._lists = tuple(a.tolist() for a in (self.roots, self.feature, self.threshold, self.child, self.label))
+        roots, feature, threshold, child, label = self._lists
+        labels = []
+        for node in roots:
+            while (step := child[2 * node + (x[feature[node]] <= threshold[node])]) != node:
+                node = step
+            labels.append(label[node])
+        return labels
 
 
 class CartClassifier(BatchClassifier):
@@ -178,7 +188,7 @@ class CartClassifier(BatchClassifier):
         return int(self.predict_labels(np.reshape(x, (1, -1)))[0])
 
     def predict_labels(self, X: np.ndarray) -> np.ndarray:
-        X = _feature_block(self, X)
+        X = self._check_block(X)
         if self._flat is None:
             return np.zeros(len(X), dtype=np.int64)
         return self._flat.leaf_labels(X)[:, 0]
@@ -235,7 +245,7 @@ class RandomForestClassifier(BatchClassifier):
         return int(self.predict_labels(np.reshape(x, (1, -1)))[0])
 
     def predict_labels(self, X: np.ndarray) -> np.ndarray:
-        X = _feature_block(self, X)
+        X = self._check_block(X)
         if self._flat is None:
             return np.zeros(len(X), dtype=np.int64)
         n, k = len(X), self.schema.n_classes

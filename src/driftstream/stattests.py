@@ -21,20 +21,12 @@ from typing import Optional
 import numpy as np
 from scipy.special import gammaincc
 
-from .core import FeatureKind
-
 P_VALUE = "p_value"
 DISTANCE = "distance"
 
 #: Floor for the reference standard deviation used to normalize Wasserstein
 #: distances; keeps the score scale-free without dividing by zero.
 _STD_FLOOR = 1e-12
-
-#: Bin count for Jensen-Shannon on continuous numeric samples.
-_JS_BINS = 30
-
-#: Laplace mass added per bin before normalization (numeric JS only).
-_JS_SMOOTHING = 1e-9
 
 
 @dataclass(frozen=True)
@@ -141,30 +133,18 @@ def _js_from_distributions(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * _kl(p) + 0.5 * _kl(q)
 
 
-def js_divergence(a, b, kind: FeatureKind = FeatureKind.CATEGORICAL) -> TestOutcome:
+def js_divergence(a, b) -> TestOutcome:
     """Jensen-Shannon divergence between two samples, log base 2.
 
-    Categorical and binary samples are compared over the union of observed
-    values. Numeric samples are discretized into 30 equal-width bins spanning
-    the pooled min-max, with 1e-9 Laplace mass per bin so the estimate is
-    stable under empty bins. ``drift_score`` is sqrt(JS), which lies in
-    [0, 1] for base-2 logarithms.
+    The samples are compared as categorical: over the union of their observed
+    values. ``drift_score`` is sqrt(JS), which lies in [0, 1] for base-2
+    logarithms.
     """
     a = _as_sample(a)
     b = _as_sample(b)
-    if kind is FeatureKind.NUMERIC:
-        lo = float(min(a.min(), b.min()))
-        hi = float(max(a.max(), b.max()))
-        if hi <= lo:
-            # Constant pooled sample: identical one-point distributions.
-            return TestOutcome(0.0, None, 0.0, DISTANCE)
-        edges = np.linspace(lo, hi, _JS_BINS + 1)
-        counts_a = np.histogram(a, bins=edges)[0].astype(float) + _JS_SMOOTHING
-        counts_b = np.histogram(b, bins=edges)[0].astype(float) + _JS_SMOOTHING
-    else:
-        union = np.unique(np.concatenate([a, b]))
-        counts_a = np.array([(a == v).sum() for v in union], dtype=float)
-        counts_b = np.array([(b == v).sum() for v in union], dtype=float)
+    union = np.unique(np.concatenate([a, b]))
+    counts_a = np.array([(a == v).sum() for v in union], dtype=float)
+    counts_b = np.array([(b == v).sum() for v in union], dtype=float)
     p = counts_a / counts_a.sum()
     q = counts_b / counts_b.sum()
     js = max(0.0, _js_from_distributions(p, q))

@@ -207,6 +207,22 @@ def test_run_non_finite_stream_value_exits_2(tmp_path, synth_config, capsys):
     assert "row 501" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("separation", [float("nan"), float("inf"), 1e308])
+def test_non_finite_synthetic_stream_exits_1_before_the_stream(tmp_path, separation, capsys):
+    # json writes nan and inf as the NaN and Infinity literals that json reads back.
+    synth = {**SYNTHETIC, "class_separation": separation}
+    path = write_json(tmp_path / "synth.json", synth)
+    out = tmp_path / "s.dsv"
+    assert main(["generate", "--config", path, "--out", str(out)]) == 1
+    assert not out.exists()
+    config = write_json(tmp_path / "run.json", {"stream": {"synthetic": synth}, "method": {"type": "online", "algorithm": "gnb"}})
+    out_dir = tmp_path / "r"
+    assert main(["run", "--config", config, "--out", str(out_dir), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "class_separation" in err and "internal error" not in err
+    assert not out_dir.exists()
+
+
 def test_run_malformed_row_inside_a_read_ahead_block_exits_2(tmp_path, synth_config, capsys):
     # File line 302 (seq 299) lies inside the second block of READ_AHEAD = 256
     # rows, after the RF member's first fit; no run directory is written.

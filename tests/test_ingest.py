@@ -193,6 +193,23 @@ def test_synthetic_drift_points_validated():
         SynthConfig(n_instances=10, n_features=2, n_classes=2, drift_points=[12])
 
 
+@pytest.mark.parametrize("separation", [float("nan"), float("inf"), -float("inf"), 1e308, -1.0, "3", True])
+def test_synthetic_rejects_a_class_separation_that_is_not_a_finite_distance(separation):
+    with pytest.raises(ConfigError, match="class_separation"):
+        SynthConfig(n_instances=10, n_features=2, n_classes=2, class_separation=separation)
+
+
+@pytest.mark.parametrize("separation", [0, 0.0, 3.0, 1e6])
+def test_synthetic_stream_is_finite_up_to_the_largest_class_separation(separation):
+    config = SynthConfig(
+        n_instances=60, n_features=3, n_classes=3, drift_points=[20], drift_kind="gradual", gradual_width=30,
+        seed=2, class_separation=separation,
+    )
+    _, instances = synthetic_instances(config)
+    X = np.stack([inst.x for inst in instances])
+    assert np.isfinite(X).all() and np.isfinite(X * X).all()
+
+
 def _fit_and_score(schema, train, test):
     model = BatchGaussianNB(schema)
     model.fit(np.stack([i.x for i in train]), np.array([i.y for i in train]))

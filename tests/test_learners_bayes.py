@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftstream.core import DataError, FeatureKind, Schema
+from driftstream.core import DataError, FeatureKind, Schema, SchemaError, argmax_tiebreak
 from driftstream.learners import BatchGaussianNB, OnlineGaussianNB, RunningMoments
+from driftstream.learners import bayes
 from driftstream.learners.bayes import _gaussian_nb_scores
 
 from conftest import gaussian_instances
@@ -90,3 +91,94 @@ def test_priors_matter_for_close_points():
     for v in (-1.0, 1.0) * 3:
         model.learn_one(np.array([v]), 1)
     assert model.predict(np.array([0.0])) == 1
+
+
+# -- block prediction and cached variances ----------------------------------
+
+
+def random_batch_fit(rng, d, k):
+    """A batch GNB (k >= 3) fitted on rounded, tied features, with one class
+    absent, one seen once (zero variance) and one with a constant feature."""
+    n = int(rng.integers(50, 400))
+    absent, single, *others = rng.permutation(k).tolist()
+    y = rng.choice(others, size=n)
+    y[0] = single
+    X = np.round(rng.normal(size=(n, d)) * rng.uniform(0.1, 4.0, d) + y[:, None], int(rng.integers(0, 3)))
+    X[y == others[0], int(rng.integers(d))] = 0.5
+    model = BatchGaussianNB(make_schema(d, k))
+    model.fit(X, y)
+    probes = np.vstack([np.round(rng.normal(size=(60, d)) * 3, 1), X[:40], model.class_means()])
+    return model, probes
+
+
+def row_scores(model, x):
+    return _gaussian_nb_scores(x, model.class_counts, model.class_means(), model.class_variances(), model._global_variance)
+
+
+@pytest.mark.parametrize("d", [3, 8, 17, 68])
+def test_block_scores_equal_per_row_scores_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    for _ in range(15):
+        model, probes = random_batch_fit(rng, d, int(rng.integers(3, 9)))
+        assert np.count_nonzero(model.class_counts == 0) >= 1
+        assert np.count_nonzero(model.class_counts == 1) >= 1
+        block = model._block_scores(probes)
+        for x, scores in zip(probes, block):
+            assert np.array_equal(scores, row_scores(model, x))
+
+
+@pytest.mark.parametrize("d", [3, 68])
+def test_predict_labels_equals_per_row_predict(d):
+    rng = np.random.default_rng(100 + d)
+    for _ in range(10):
+        model, probes = random_batch_fit(rng, d, int(rng.integers(3, 9)))
+        labels = model.predict_labels(probes)
+        assert labels.dtype == np.int64
+        expected = [argmax_tiebreak(row_scores(model, x)) for x in probes]
+        assert labels.tolist() == [model.predict(x) for x in probes] == expected
+
+
+def test_predict_labels_in_row_chunks_gives_the_same_labels(monkeypatch):
+    model, probes = random_batch_fit(np.random.default_rng(3), 8, 5)
+    whole = model.predict_labels(probes)
+    monkeypatch.setattr(bayes, "_BLOCK_CELLS", 100)  # 100 // (seen classes x 8 features): a few rows a chunk
+    assert np.array_equal(model.predict_labels(probes), whole)
+
+
+def test_unfit_batch_model_labels_every_row_zero():
+    model = BatchGaussianNB(make_schema(3, 4))
+    labels = model.predict_labels(np.ones((6, 3)))
+    assert labels.dtype == np.int64 and labels.tolist() == [0] * 6
+    assert model.predict(np.ones(3)) == 0
+
+
+def test_batch_predict_labels_rejects_a_block_of_the_wrong_width():
+    model = BatchGaussianNB(make_schema(2, 2))
+    model.fit(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([0, 1]))
+    with pytest.raises(SchemaError):
+        model.predict_labels(np.ones((4, 3)))
+
+
+def old_class_variances(model):
+    """OnlineGaussianNB.class_variances as it was before the variances were kept as state."""
+    counts = model.class_counts[:, None]
+    return np.where(counts >= 2, model._m2 / np.maximum(counts - 1, 1), 0.0)
+
+
+def test_online_cached_variances_equal_the_rebuilt_variances_over_a_drifting_stream():
+    d, k = 8, 4
+    rng = np.random.default_rng(21)
+    model = OnlineGaussianNB(make_schema(d, k))
+    # Class 3 arrives only after the drift at row 3000, where the means move.
+    before = gaussian_instances(rng.normal(size=(3, d)) * 2, 3000, seed=1)
+    after = gaussian_instances(rng.normal(size=(k, d)) * 2, 3000, seed=2, start_seq=3000)
+    probes = np.round(rng.normal(size=(5, d)) * 2, 1)
+    for inst in before + after:
+        model.learn_one(inst.x, inst.y)
+        variances = old_class_variances(model)
+        assert np.array_equal(model.class_variances(), variances)
+        if inst.seq % 50 == 0:
+            for x in probes:
+                old = _gaussian_nb_scores(x, model.class_counts, model._means, variances, model._global.variance())
+                assert model.predict(x) == argmax_tiebreak(old)
+    assert model.class_counts.min() >= 2

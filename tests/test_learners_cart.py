@@ -443,3 +443,29 @@ def test_forest_trees_equal_reference_trees(monkeypatch):
     assert all(isinstance(t, ReferenceCart) for t in reference.trees)
     for tree, ref in zip(forest.trees, reference.trees, strict=True):
         assert_same_tree(tree, ref)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_one_row_walk_reaches_the_leaves_of_the_block_path(seed):
+    # A one-row block walks the trees in Python; every tree's leaf label must
+    # be the one the vectorized path gives the same row inside a larger block.
+    rng = np.random.default_rng(seed)
+    d, k = int(rng.integers(1, 6)), int(rng.integers(2, 6))
+    schema = make_schema(d, k)
+    X = np.round(rng.normal(size=(400, d)), 1)  # noisy labels and tied values: deep trees
+    y = rng.integers(0, k, 400)
+    for model in (CartClassifier(schema, seed=seed), RandomForestClassifier(schema, seed=seed, n_trees=7)):
+        model.fit(X, y)
+        trees = [model] if isinstance(model, CartClassifier) else model.trees
+        at_thresholds = []
+        for t in trees:
+            for node in np.flatnonzero(t.feature >= 0)[:40]:
+                x = X[node % len(X)].copy()
+                x[t.feature[node]] = t.threshold[node]
+                at_thresholds.append(x)
+        probes = np.vstack([rng.normal(size=(100, d)), X[:50], at_thresholds])
+        flat = model._flat
+        assert flat.depth >= 10
+        one_row = np.vstack([flat.leaf_labels(x[None]) for x in probes])
+        assert np.array_equal(one_row, flat.leaf_labels(probes))
+        assert [model.predict(x) for x in probes] == model.predict_labels(probes).tolist()

