@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from pathlib import Path
 
 from .core import ConfigError, DataError, MetricError, SchemaError, ToolkitError
 from .evaluation import ranking
-from .experiment import load_config, read_run_dir, run_experiment
+from .experiment import load_json, parse_config, read_run_dir, run_experiment
 from .ingest import IngestConfig, SynthConfig, config_from_dict, generate_synthetic, preprocess_csv
 
 EXIT_OK = 0
@@ -33,17 +32,8 @@ def _refuse_existing(path: Path, force: bool) -> None:
         raise ConfigError(f"{path} already exists, pass --force to overwrite")
 
 
-def _load_json(path: str) -> dict:
-    try:
-        return json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-
-
 def cmd_preprocess(args) -> int:
-    data = _load_json(args.config)
+    data = load_json(args.config)
     if "input" not in data:
         raise ConfigError("preprocess config needs an 'input' CSV path")
     raw_path = data.pop("input")
@@ -58,7 +48,7 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    data = _load_json(args.config)
+    data = load_json(args.config)
     if args.seed is not None:
         data["seed"] = args.seed
     config = config_from_dict(SynthConfig, data)
@@ -70,13 +60,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    config = load_config(args.config)
+    data = load_json(args.config)
     if args.seed is not None:
-        raw = dict(config.raw)
-        raw["seed"] = args.seed
-        from .experiment import parse_config
-
-        config = parse_config(raw)
+        data["seed"] = args.seed
+    config = parse_config(data)
     out_dir = Path(args.out)
     _refuse_existing(out_dir / "report.json", args.force)
     report = run_experiment(config, out_dir=out_dir)

@@ -1,5 +1,11 @@
 """Hybrid ensemble of batch and online learners with drift-gated retraining.
 
+There are two member classes. An ``OnlineMember`` predicts one row and then
+learns it. A batch ``Member`` goes through warm-up, serving with periodic
+drift checks, and the comparison of a shadow model against its incumbent.
+The ensemble keeps one score window per member; the drift and replacement
+counts of a run are the ``DriftEvent``s and ``ReplacementEvent``s it returns.
+
 For every stream instance, in order:
 
 1. every member predicts (the true label is not visible to this step). Batch
@@ -24,9 +30,11 @@ For every stream instance, in order:
 7. the caller updates global metrics from the returned step record.
 
 Batch members answer with the majority class of the labels seen so far until
-the warm-up of ``first_fit_size`` instances has been collected and the first
-fit runs. While a shadow is under comparison, new drift verdicts are ignored,
-so shadow evaluations never overlap.
+their first fit succeeds. It is tried once ``first_fit_size`` instances have
+been collected, and again every ``window_size`` instances while it raises.
+While a shadow is under comparison, new drift verdicts are ignored, so shadow
+evaluations never overlap. A member whose predict raises answers class 0; a
+learn, fit or check that raises is skipped for that instance. Both are logged.
 """
 
 from __future__ import annotations
@@ -207,36 +215,58 @@ class History:
 
 
 @dataclass
-class FrozenLabels:
-    """A frozen model's labels for the rows of one read-ahead block, from row ``first`` on."""
+class FrozenModel:
+    """A batch model between fits, with its labels for the rows of one read-ahead block from row ``first`` on."""
 
-    model: object = None
+    model: object
     block: np.ndarray | None = None  # the block's features
     first: int = 0
     labels: list[int] = field(default_factory=list)
 
-    def label(self, model, block: np.ndarray, i: int) -> int:
-        """``model``'s label for block row ``i``; a miss labels the rest of the block in one call."""
-        if model is not self.model or block is not self.block or i < self.first:
-            labels = model.predict_labels(block[i:])  # on failure the cache stays as it was
-            self.model, self.block, self.first, self.labels = model, block, i, labels.tolist()
+    def label(self, block: np.ndarray, i: int) -> int:
+        """The label of block row ``i``; a miss labels the rest of the block in one call."""
+        if block is not self.block or i < self.first:
+            labels = self.model.predict_labels(block[i:])  # on failure the cache stays as it was
+            self.block, self.first, self.labels = block, i, labels.tolist()
         return self.labels[i - self.first]
 
 
 @dataclass
 class _Shadow:
-    model: object
+    frozen: FrozenModel
     started_at: int
     labels: list[int] = field(default_factory=list)  # its predictions for the rows after started_at
-    frozen: FrozenLabels = field(default_factory=FrozenLabels)
+
+
+def _label_or_zero(who: str, label, *args) -> int:
+    """``label(*args)``, or class 0 with a logged warning when it raises."""
+    try:
+        return label(*args)
+    except Exception:
+        logger.warning("member %s failed to predict, falling back to class 0", who, exc_info=True)
+        return 0
+
+
+class OnlineMember:
+    """An online learner: predicts one row, then learns it."""
+
+    def __init__(self, spec: MemberSpec, schema: Schema) -> None:
+        self.spec = spec
+        self.model = make_online_classifier(spec.algorithm, schema, spec.params)
+
+    def predict(self, inst: Instance, block: np.ndarray, i: int) -> int:
+        return self.model.predict(inst.x)
+
+    def learn(self, inst: Instance, events: list, block: np.ndarray, i: int) -> None:
+        self.model.learn_one(inst.x, inst.y)
 
 
 class Member:
-    """Runtime state of one ensemble slot.
+    """A batch learner: warm-up, then serving with drift checks, then a shadow under comparison.
 
-    A batch member's cache is the history rows from ``cache_start`` on, at
-    most the last ``cache_limit``: ``cache_cap`` until the first fit, then
-    ``window_size`` for a last-window member and 0 for a train-once one.
+    Its cache is the history rows from ``cache_start`` on, at most the last
+    ``cache_limit``: ``cache_cap`` until the first fit, then ``window_size``
+    for a last-window member and 0 for a train-once one.
     """
 
     def __init__(
@@ -249,62 +279,50 @@ class Member:
         self.history = history
         self.index = index  # this member's row of history.labels
         self.strategy = spec.strategy
-        self.drift_count = 0
-        self.replacement_count = 0
-        self.window = ConfusionMatrix(schema.n_classes)
+        self.incumbent = FrozenModel(self.new_model())  # fails here, before the stream starts, on bad params
+        self.fitted = False
         self.shadow: _Shadow | None = None
-        if spec.kind == ONLINE:
-            self.model = make_online_classifier(spec.algorithm, schema, spec.params)
-            self.fitted = True
-        else:
-            self.model = self.new_model()  # fails here, before the stream starts, on bad params
-            self.frozen = FrozenLabels()
-            self.fitted = False
-            self.first_fit_size = self.strategy.first_fit_size or config.first_fit_size
-            self.cache_start = 0
-            self.cache_limit = config.cache_cap
-            self._cache_warned = False
+        self.first_fit_size = self.strategy.first_fit_size or config.first_fit_size
+        self.cache_start = 0
+        self.cache_limit = config.cache_cap
+        self._cache_warned = False
 
     def new_model(self):
         return make_batch_classifier(self.spec.algorithm, self.schema, self.seed, self.spec.params)
 
-    # -- prediction -------------------------------------------------------
-
-    def safe_predict_label(self, inst: Instance, block: np.ndarray, i: int) -> int:
+    def predict(self, inst: Instance, block: np.ndarray, i: int) -> int:
         if not self.fitted:  # warm-up: the majority class so far
             return argmax_tiebreak(self.history.class_counts)
-        try:
-            if self.spec.kind == ONLINE:
-                return self.model.predict(inst.x)
-            return self.frozen.label(self.model, block, i)
-        except Exception:
-            logger.warning("member %s failed to predict, falling back to class 0", self.spec.id, exc_info=True)
-            return 0
-
-    def window_score(self) -> float:
-        if self.window.total == 0:
-            return 0.0
-        return self.window.f1_macro()
+        return self.incumbent.label(block, i)
 
     def first_readable(self) -> int:
-        """The oldest history row this member can still read, its score window's next eviction included."""
+        """The oldest history row this member can still read."""
         end = self.history.end
-        first = end - self.config.score_window
-        if self.spec.kind == BATCH:
-            first = min(first, max(self.cache_start, end - self.cache_limit))
-            if self.strategy.monitors_any:
-                first = min(first, end - 2 * self.strategy.window_size)
-            if self.shadow is not None:
-                first = min(first, self.shadow.started_at + 1)
+        first = max(self.cache_start, end - self.cache_limit)
+        if self.strategy.monitors_any:
+            first = min(first, end - 2 * self.strategy.window_size)
+        if self.shadow is not None:
+            first = min(first, self.shadow.started_at + 1)
         return first
 
-    # -- learning ---------------------------------------------------------
-
     def learn(self, inst: Instance, events: list, block: np.ndarray, i: int) -> None:
-        if self.spec.kind == ONLINE:
-            self.model.learn_one(inst.x, inst.y)
-        else:
-            self._batch_learn(inst, events, block, i)
+        strategy = self.strategy
+        self._cache_append()
+        if not self.fitted:  # warm-up: fit on the check grid until a fit succeeds
+            if self._on_grid():
+                self.incumbent.model.fit(*self._cache_arrays())
+                self.fitted = True
+                if not strategy.monitors_any:
+                    self._trim_cache(0)  # train-once member: the cache is never read again
+                elif strategy.retrain_scope == LAST_WINDOW:
+                    self._trim_cache(strategy.window_size)
+        elif self.shadow is not None:  # comparing
+            self._shadow_step(inst, events, block, i)
+        elif strategy.monitors_any and self._on_grid() and self.history.end >= 2 * strategy.window_size:
+            # serving, with a drift check due once two windows of rows exist
+            verdict = check_windows(self._window_pair(), strategy, self.schema)
+            if verdict.drifted:
+                self._retrain(inst.seq, verdict.triggers, events)
 
     def _cache_append(self) -> None:
         """Warn once when the newest row pushes the cache past ``cache_cap``."""
@@ -318,35 +336,13 @@ class Member:
         rows = history.rows(max(self.cache_start, history.end - self.cache_limit))
         return history.X[rows], history.y[rows]
 
-    def _batch_learn(self, inst: Instance, events: list, block: np.ndarray, i: int) -> None:
-        strategy = self.strategy
-        self._cache_append()
-
-        if not self.fitted:
-            if self.history.end == self.first_fit_size:
-                self.model.fit(*self._cache_arrays())
-                self.fitted = True
-                if not strategy.monitors_any:
-                    self._trim_cache(0)  # train-once member: the cache is never read again
-                elif strategy.retrain_scope == LAST_WINDOW:
-                    self._trim_cache(strategy.window_size)
-            return
-
-        if self.shadow is not None:
-            self._shadow_step(inst, events, block, i)
-        elif self._check_due():
-            verdict = check_windows(self._window_pair(), strategy, self.schema)
-            if verdict.drifted:
-                self._retrain(inst.seq, verdict.triggers, events)
-
     def _trim_cache(self, size: int) -> None:
         self.cache_limit = size
 
-    def _check_due(self) -> bool:
-        s = self.strategy.window_size
+    def _on_grid(self) -> bool:
+        """Whether the newest row is a multiple of ``window_size`` rows past the warm-up."""
         end = self.history.end
-        # Due every s instances after the first fit, once 2 * s rows exist.
-        return self.strategy.monitors_any and (end - self.first_fit_size) % s == 0 and end >= 2 * s
+        return end >= self.first_fit_size and (end - self.first_fit_size) % self.strategy.window_size == 0
 
     def _window_pair(self) -> WindowPair:
         s = self.strategy.window_size
@@ -359,15 +355,9 @@ class Member:
         )
 
     def _retrain(self, seq: int, triggers: tuple[Trigger, ...], events: list) -> None:
-        X, y = self._cache_arrays()
         model = self.new_model()
-        try:
-            model.fit(X, y)
-        except Exception:
-            logger.warning("member %s shadow training failed", self.spec.id, exc_info=True)
-            return
-        self.shadow = _Shadow(model, started_at=seq)
-        self.drift_count += 1
+        model.fit(*self._cache_arrays())
+        self.shadow = _Shadow(FrozenModel(model), started_at=seq)
         events.append(DriftEvent(seq=seq, member_id=self.spec.id, triggers=triggers))
 
     def _pair_metric(self, y_true: np.ndarray, y_pred: Sequence[int]) -> float:
@@ -377,23 +367,14 @@ class Member:
 
     def _shadow_step(self, inst: Instance, events: list, block: np.ndarray, i: int) -> None:
         shadow = self.shadow
-        try:
-            shadow_label = shadow.frozen.label(shadow.model, block, i)
-        except Exception:
-            logger.warning("member %s shadow failed to predict", self.spec.id, exc_info=True)
-            shadow_label = 0
-        shadow.labels.append(shadow_label)
+        shadow.labels.append(_label_or_zero(f"{self.spec.id} shadow", shadow.frozen.label, block, i))
         if len(shadow.labels) < self.config.shadow_eval_size:
             return
         history = self.history
         rows = history.rows(shadow.started_at + 1)
         y = history.y[rows]
-        shadow_score = self._pair_metric(y, np.asarray(shadow.labels))
-        incumbent_score = self._pair_metric(y, history.labels[self.index, rows])
-        if shadow_score > incumbent_score:
-            self.model = shadow.model
-            self.frozen = shadow.frozen
-            self.replacement_count += 1
+        if self._pair_metric(y, np.asarray(shadow.labels)) > self._pair_metric(y, history.labels[self.index, rows]):
+            self.incumbent = shadow.frozen
             events.append(ReplacementEvent(seq=inst.seq, member_id=self.spec.id))
             if self.strategy.retrain_scope != LAST_WINDOW:
                 self.cache_start = history.end
@@ -409,20 +390,15 @@ class HybridEnsemble:
         self.history = History(schema.n_features, len(config.members), schema.n_classes)
         seeds = np.random.SeedSequence(config.seed).generate_state(len(config.members))
         self.members = [
-            Member(spec, schema, config, int(seed), self.history, i)
+            OnlineMember(spec, schema) if spec.kind == ONLINE
+            else Member(spec, schema, config, int(seed), self.history, i)
             for i, (spec, seed) in enumerate(zip(config.members, seeds))
         ]
+        self._batch = [m for m in self.members if isinstance(m, Member)]
+        self.windows = [ConfusionMatrix(schema.n_classes) for _ in self.members]  # score windows, by member index
         self._next_seq = 0
         self._ahead: list[Instance] = []  # the rows read ahead, and their features
         self._ahead_X = np.empty((0, schema.n_features))
-
-    @property
-    def drift_count(self) -> int:
-        return sum(m.drift_count for m in self.members)
-
-    @property
-    def replacement_count(self) -> int:
-        return sum(m.replacement_count for m in self.members)
 
     def lookahead(self, instances: Sequence[Instance]) -> None:
         """Read the next rows ahead, for frozen models to label in one call each.
@@ -452,19 +428,20 @@ class HybridEnsemble:
             i = 0
         block = self._ahead_X
 
-        member_labels = tuple(m.safe_predict_label(inst, block, i) for m in self.members)
-        weights = compute_weights([m.window_score() for m in self.members], self.config.combiner)
+        member_labels = tuple(_label_or_zero(m.spec.id, m.predict, inst, block, i) for m in self.members)
+        weights = compute_weights([w.f1_macro() if w.total else 0.0 for w in self.windows], self.config.combiner)
         final = combine_votes(member_labels, weights, self.schema.n_classes)
 
         history = self.history
+        score_window = self.config.score_window
         if history.end - history.start == len(history.y):
-            history.compact(min(m.first_readable() for m in self.members))
+            history.compact(min([history.end - score_window, *(m.first_readable() for m in self._batch)]))
         history.append(inst.x, inst.y, member_labels)
-        leaving = history.end - 1 - self.config.score_window - history.start  # block position of the evicted row
-        for member, label in zip(self.members, member_labels):
-            member.window.update(inst.y, label)
-            if history.end > self.config.score_window:
-                member.window.remove(history.y[leaving], history.labels[member.index, leaving])
+        leaving = history.end - 1 - score_window - history.start  # block position of the evicted row
+        for index, (window, label) in enumerate(zip(self.windows, member_labels)):
+            window.update(inst.y, label)
+            if history.end > score_window:
+                window.remove(history.y[leaving], history.labels[index, leaving])
         events: list = []
         for member in self.members:
             try:

@@ -19,14 +19,12 @@ from .core import MetricError
 
 
 class ConfusionMatrix:
-    """K x K counts, rows = true class, columns = predicted class.
-
-    The class totals, diagonal and grand total are kept as Python ints for ``f1_macro``."""
+    """The (true, predicted) pairs of a window, kept as the per-class true totals,
+    predicted totals and diagonal and the grand total, as Python ints for ``f1_macro``."""
 
     def __init__(self, n_classes: int) -> None:
         if n_classes < 1:
             raise MetricError("confusion matrix needs at least one class")
-        self.counts = np.zeros((n_classes, n_classes), dtype=np.int64)
         self.true_totals = [0] * n_classes
         self.pred_totals = [0] * n_classes
         self.diag = [0] * n_classes
@@ -39,7 +37,6 @@ class ConfusionMatrix:
         self._add(y_true, y_pred, -1)
 
     def _add(self, y_true: int, y_pred: int, step: int) -> None:
-        self.counts[y_true, y_pred] += step
         self.true_totals[y_true] += step
         self.pred_totals[y_pred] += step
         if y_true == y_pred:

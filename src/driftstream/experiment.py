@@ -17,7 +17,7 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -42,16 +42,7 @@ ONLINE_DISPLAY = {"gnb": "GNB", "hoeffding": "HT", "logreg": "OLR"}
 READ_AHEAD = 256
 
 _STRATEGY_ALIASES = {"theta": "threshold", "s": "window_size", "alpha": "perf_tolerance"}
-_STRATEGY_FIELDS = {
-    "monitor_features",
-    "monitor_target",
-    "monitor_performance",
-    "threshold",
-    "window_size",
-    "perf_tolerance",
-    "retrain_scope",
-    "first_fit_size",
-}
+_STRATEGY_FIELDS = {f.name for f in fields(DriftStrategy)} - {"id"}
 
 
 def resolve_strategy(entry) -> DriftStrategy:
@@ -172,15 +163,21 @@ def parse_config(data: dict) -> ExperimentConfig:
     )
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
-    path = Path(path)
+def load_json(path: str | Path) -> dict:
+    """A JSON config file's contents; a missing or malformed file is a ``ConfigError``."""
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    return parse_config(data)
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    return data
+
+
+def load_config(path: str | Path) -> ExperimentConfig:
+    return parse_config(load_json(path))
 
 
 def build_member_specs(method: dict) -> tuple[MemberSpec, ...]:
@@ -284,8 +281,8 @@ def run_stream(
         final_f1=metrics.cumulative_f1(),
         trace=trace,
         events=events,
-        drift_count=ensemble.drift_count,
-        replacement_count=ensemble.replacement_count,
+        drift_count=sum(isinstance(e, DriftEvent) for e in events),
+        replacement_count=sum(isinstance(e, ReplacementEvent) for e in events),
         n_instances=n,
     )
 

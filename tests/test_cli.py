@@ -297,3 +297,10 @@ def test_report_incomplete_grid_exits_2(tmp_path, synth_config, capsys):
 
 def test_report_empty_directory_exits_2(tmp_path):
     assert main(["report", str(tmp_path), "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("command", ["run", "generate"])
+def test_seed_flag_on_a_config_that_is_not_an_object_exits_1(tmp_path, command, capsys):
+    path = write_json(tmp_path / "list.json", [1, 2])
+    assert main([command, "--config", path, "--out", str(tmp_path / "r"), "--seed", "3"]) == 1
+    assert "expected a JSON object" in capsys.readouterr().err

@@ -89,6 +89,14 @@ def install_spies(monkeypatch, behaviours):
     return created
 
 
+def count_events(events):
+    """(drifts, replacements) in a run's event log."""
+    return (
+        sum(isinstance(e, DriftEvent) for e in events),
+        sum(isinstance(e, ReplacementEvent) for e in events),
+    )
+
+
 def always_drift(pair, strategy, schema):
     return DriftVerdict(True, (Trigger("performance", 1.0),))
 
@@ -313,9 +321,8 @@ def test_shadow_tie_keeps_incumbent(monkeypatch):
         monkeypatch, ["constant0", "constant0"], "since_last_replacement", 2700, fire_at={1}
     )
     member = ensemble.members[0]
-    assert member.drift_count == 1
-    assert member.replacement_count == 0
-    assert member.model is created[0]
+    assert count_events(events) == (1, 0)
+    assert member.incumbent.model is created[0]
     assert member.shadow is None  # comparison window resolved and cleared
 
 
@@ -323,10 +330,8 @@ def test_better_shadow_replaces_incumbent(monkeypatch):
     created, events, ensemble = run_spy_member(
         monkeypatch, ["constant0", "oracle"], "since_last_replacement", 2700, fire_at={1}
     )
-    member = ensemble.members[0]
-    assert member.drift_count == 1
-    assert member.replacement_count == 1
-    assert member.model is created[1]
+    assert count_events(events) == (1, 1)
+    assert ensemble.members[0].incumbent.model is created[1]
 
 
 def test_verdicts_are_suppressed_while_shadow_pending(monkeypatch):
@@ -344,7 +349,7 @@ def test_verdicts_are_suppressed_while_shadow_pending(monkeypatch):
     # Shadow from the seq-2499 verdict is under comparison until seq 4999, so
     # the due checks at 3499 and 4499 are ignored; the next verdict lands at 5499.
     assert drift_seqs == [2499, 5499]
-    assert ensemble.members[0].drift_count == 2
+    assert count_events(events) == (2, 0)
 
 
 def test_counters_zero_for_online_and_train_once_members():
@@ -358,19 +363,17 @@ def test_counters_zero_for_online_and_train_once_members():
         seed=1,
     )
     ensemble = HybridEnsemble(SCHEMA, config)
-    for inst in encoded_stream(1500):
-        ensemble.process_instance(inst)
-    assert ensemble.drift_count == 0
-    assert ensemble.replacement_count == 0
+    events = [e for inst in encoded_stream(1500) for e in ensemble.process_instance(inst).events]
+    assert count_events(events) == (0, 0)
 
 
 def test_replacements_never_exceed_drifts(monkeypatch):
     created, events, ensemble = run_spy_member(
         monkeypatch, ["constant0"] + ["oracle"] * 10, "last_window", 4000
     )
-    member = ensemble.members[0]
-    assert member.replacement_count <= member.drift_count
-    assert member.drift_count >= 1
+    drifts, replacements = count_events(events)
+    assert 1 <= drifts
+    assert replacements <= drifts
 
 
 # ---------------------------------------------------------------------------
@@ -484,3 +487,133 @@ def test_broken_member_falls_back_and_logs(caplog):
     assert step.member_labels[0] == 0  # fallback, not a crash
     assert any("failed to predict" in r.message for r in caplog.records)
     assert any("failed to learn" in r.message for r in caplog.records)
+
+
+# ---------------------------------------------------------------------------
+# batch member failures: one logged warning each, and the fallback
+
+
+class FailureCounter(logging.Handler):
+    """Counts the warnings whose message contains "failed", as the benchmark does."""
+
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.count = 0
+
+    def emit(self, record):
+        if "failed" in record.getMessage():
+            self.count += 1
+
+
+class FlakySpy(SpyBatchModel):
+    """An oracle spy whose ``fit`` and ``predict_labels`` raise on the given calls, counted from 1."""
+
+    def __init__(self, fail_fits=(), fail_predicts=()):
+        super().__init__(SCHEMA, "oracle")
+        self.fail_fits = fail_fits
+        self.fail_predicts = fail_predicts
+        self.predict_calls = 0
+
+    def fit(self, X, y):
+        super().fit(X, y)
+        if self.fail_fits == "always" or len(self.fits) in self.fail_fits:
+            raise RuntimeError("fit failed on purpose")
+
+    def predict_labels(self, X):
+        self.predict_calls += 1
+        if self.predict_calls in self.fail_predicts:
+            raise RuntimeError("predict failed on purpose")
+        return super().predict_labels(X)
+
+
+def never_drift(pair, strategy, schema):
+    return DriftVerdict(False)
+
+
+def run_flaky_member(monkeypatch, models, check, n):
+    """One batch member (warm-up 50, checks every 50 rows from row 100, shadows judged over 20)
+    on ``n`` rows, each labelled on its own. Returns the steps, the member and the failure count."""
+    models = list(models)
+    monkeypatch.setattr(
+        "driftstream.ensemble.make_batch_classifier", lambda *a, **k: models.pop(0) if models else FlakySpy()
+    )
+    monkeypatch.setattr("driftstream.ensemble.check_windows", check)
+    config = EnsembleConfig(
+        members=(batch_spec(perf_strategy(window_size=50)),), first_fit_size=50, shadow_eval_size=20, seed=0
+    )
+    ensemble = HybridEnsemble(SCHEMA, config)
+    failures = FailureCounter()
+    logger = logging.getLogger("driftstream.ensemble")
+    logger.addHandler(failures)
+    try:
+        steps = [ensemble.process_instance(inst) for inst in encoded_stream(n)]
+    finally:
+        logger.removeHandler(failures)
+    return steps, ensemble.members[0], failures.count
+
+
+def drift_events(steps):
+    return [e for s in steps for e in s.events if isinstance(e, DriftEvent)]
+
+
+def test_failed_incumbent_predict_answers_zero(monkeypatch):
+    steps, member, failures = run_flaky_member(monkeypatch, [FlakySpy(fail_predicts={1})], never_drift, 60)
+    labels = [s.member_labels[0] for s in steps]
+    assert failures == 1
+    assert labels[50] == 0  # the oracle would answer 50 % 3 = 2
+    assert labels[51:] == [seq % 3 for seq in range(51, 60)]
+
+
+def test_failed_shadow_predict_records_zero(monkeypatch):
+    models = [FlakySpy(), FlakySpy(fail_predicts={1})]
+    steps, member, failures = run_flaky_member(monkeypatch, models, always_drift, 102)
+    assert failures == 1
+    assert [e.seq for e in drift_events(steps)] == [99]
+    assert member.shadow.labels == [0, 101 % 3]  # the oracle would answer 100 % 3 = 1 first
+
+
+def test_failed_warm_up_fit_keeps_the_majority_answer(monkeypatch):
+    steps, member, failures = run_flaky_member(monkeypatch, [FlakySpy(fail_fits={1})], never_drift, 99)
+    assert failures == 1
+    assert not member.fitted
+    assert [s.member_labels[0] for s in steps[50:]] == [0] * 49  # labels cycle 0, 1, 2: class 0 leads or ties
+
+
+def test_failed_shadow_fit_leaves_no_shadow_and_no_event(monkeypatch):
+    models = [FlakySpy(), FlakySpy(fail_fits={1})]
+    steps, member, failures = run_flaky_member(monkeypatch, models, always_drift, 149)
+    assert failures == 1
+    assert member.shadow is None
+    assert drift_events(steps) == []
+    assert [s.member_labels[0] for s in steps[50:]] == [seq % 3 for seq in range(50, 149)]
+
+
+def test_failed_drift_check_leaves_no_shadow_and_no_event(monkeypatch):
+    def check(pair, strategy, schema, _calls=[]):
+        _calls.append(True)
+        if len(_calls) == 1:
+            raise RuntimeError("check failed on purpose")
+        return always_drift(pair, strategy, schema)
+
+    steps, member, failures = run_flaky_member(monkeypatch, [FlakySpy()], check, 149)
+    assert failures == 1
+    assert member.shadow is None
+    assert drift_events(steps) == []
+
+
+def test_warm_up_fit_is_retried_on_the_check_grid(monkeypatch):
+    model = FlakySpy(fail_fits={1})
+    steps, member, failures = run_flaky_member(monkeypatch, [model], never_drift, 110)
+    assert failures == 1
+    assert len(model.fits) == 2
+    assert model.fit_seqs(1) == list(range(100))  # the retry at row 100 fits the whole cache
+    labels = [s.member_labels[0] for s in steps]
+    assert labels[:100] == [0] * 100  # the majority class until the retry
+    assert labels[100:] == [seq % 3 for seq in range(100, 110)]
+
+
+def test_a_fit_that_always_fails_is_tried_once_per_grid_point(monkeypatch):
+    model = FlakySpy(fail_fits="always")
+    steps, member, failures = run_flaky_member(monkeypatch, [model], never_drift, 260)
+    assert len(model.fits) == failures == 5  # rows 50, 100, 150, 200 and 250
+    assert [len(X) for X, _ in model.fits] == [50, 100, 150, 200, 250]

@@ -134,6 +134,13 @@ def test_load_config_bad_json(tmp_path):
         load_config(path)
 
 
+def test_load_config_not_an_object(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(ConfigError, match="expected a JSON object, got list"):
+        load_config(path)
+
+
 def test_shadow_metric_accuracy_mode():
     # Accuracy-based shadow comparison is selectable; the run still works.
     schema = Schema(("f0",), (FeatureKind.NUMERIC,), ("a", "b"))

@@ -1,17 +1,30 @@
-"""The benchmark's tracer patches package attributes by name; each must still exist."""
+"""The benchmark's tracer patches package attributes by name; each must still exist and be reached."""
 
+import collections
+import functools
 import importlib.util
 import sys
 from pathlib import Path
 
+import driftstream.ensemble as ensemble_mod
+from driftstream.ensemble import Member
+from driftstream.experiment import parse_config, run_experiment
+
+from test_golden import run_config
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def test_every_traced_attribute_exists(monkeypatch):
+def load_tracing(monkeypatch):
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look their module up
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_attribute_exists(monkeypatch):
+    tracing = load_tracing(monkeypatch)
     missing = [
         f"{getattr(owner, '__name__', owner)}.{attr}"
         for owner, attr, _ in tracing.SPANS
@@ -19,3 +32,30 @@ def test_every_traced_attribute_exists(monkeypatch):
     ]
     assert tracing.SPANS
     assert not missing, missing
+
+
+def test_every_traced_member_method_and_the_drift_check_are_called(monkeypatch):
+    # A refactor can keep a traced name but stop calling it, and its layer then reads 0.
+    tracing = load_tracing(monkeypatch)
+    reached = [(owner, attr, name) for owner, attr, name in tracing.SPANS if owner in (Member, ensemble_mod)]
+    calls = collections.Counter()
+    for owner, attr, _ in reached:  # counted inside the tracer's wrappers; monkeypatch restores the originals
+        monkeypatch.setattr(owner, attr, _counting(calls, attr, getattr(owner, attr)))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        run_experiment(parse_config(run_config("wv-rf")))
+    finally:
+        tracer.uninstall()
+    assert {"_cache_append", "_cache_arrays", "_window_pair", "_trim_cache", "check_windows"} <= {a for _, a, _ in reached}
+    assert [attr for _, attr, _ in reached if calls[attr] == 0] == []
+    assert [name for _, _, name in reached if tracer.get(name).calls == 0] == []
+
+
+def _counting(calls, attr, fn):
+    @functools.wraps(fn)
+    def counted(*args, **kwargs):
+        calls[attr] += 1
+        return fn(*args, **kwargs)
+
+    return counted
