@@ -1,9 +1,11 @@
 """Byte equality of a small run grid with committed golden artifacts.
 
-Every run replays the same seeded synthetic stream. Together the runs cover a
-capped since-last-replacement cache, a last-window member whose window is
-larger than ``cache_cap``, a warm-up longer than ``cache_cap``, a replacement
-that clears a member's cache, a train-once member and both shadow metrics.
+Every run but ``wv-gnb-long`` replays the same seeded synthetic stream.
+Together the runs cover a capped since-last-replacement cache, a last-window
+member whose window is larger than ``cache_cap``, a warm-up longer than
+``cache_cap``, a replacement that clears a member's cache, a train-once member
+and both shadow metrics. ``wv-gnb-long`` has a longer stream of its own, so
+windows above 1000 rows run the Wasserstein and Jensen-Shannon tests.
 
 Regenerate the fixtures (only with a CHANGES.md entry that says why) with
 
@@ -78,6 +80,16 @@ GRID = {
         "cache_cap": 400,
         "shadow_eval_size": 300,
         "score_window": 100,
+    },
+    "wv-gnb-long": {
+        "stream": {"synthetic": {**STREAM["synthetic"], "n_instances": 5000, "drift_points": [2500]}},
+        "method": {
+            "type": "ensemble",
+            "batch_algorithm": "gnb",
+            "strategies": [{"id": "S4", "s": 1100}, {"id": "S7", "s": 1100}],
+            "combiner": "wv",
+        },
+        "first_fit_size": 1100,
     },
 }
 
