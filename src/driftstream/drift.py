@@ -14,6 +14,7 @@ trigger marks the pair as drifted.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,11 @@ from .stattests import P_VALUE, chi_squared, js_divergence, ks_two_sample, wasse
 
 SINCE_LAST_REPLACEMENT = "since_last_replacement"
 LAST_WINDOW = "last_window"
+
+
+def _is_number(value, integral: bool = False) -> bool:
+    """An int (``integral``) or real number that is not a bool, as JSON configs spell them."""
+    return isinstance(value, numbers.Integral if integral else numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -48,6 +54,17 @@ class DriftStrategy:
     first_fit_size: int | None = None
 
     def __post_init__(self) -> None:
+        for name, expected, ok in (
+            ("monitor_features", "true or false", isinstance(self.monitor_features, bool)),
+            ("monitor_target", "true or false", isinstance(self.monitor_target, bool)),
+            ("monitor_performance", "true or false", isinstance(self.monitor_performance, bool)),
+            ("threshold", "a number", _is_number(self.threshold)),
+            ("perf_tolerance", "a number", _is_number(self.perf_tolerance)),
+            ("window_size", "an integer", _is_number(self.window_size, integral=True)),
+            ("first_fit_size", "an integer or null", self.first_fit_size is None or _is_number(self.first_fit_size, True)),
+        ):
+            if not ok:
+                raise ConfigError(f"strategy {self.id!r}: {name} must be {expected}, got {getattr(self, name)!r}")
         if not 0.0 < self.perf_tolerance < 1.0:
             raise ConfigError("perf_tolerance must lie in (0, 1)")
         if self.window_size < 2:
@@ -140,26 +157,19 @@ def check_windows(pair: WindowPair, strategy: DriftStrategy, schema: Schema) -> 
     """Run every enabled monitor over one window pair and aggregate triggers."""
     triggers: list[Trigger] = []
     s = len(pair.y_ref)
+    columns = []  # (trigger source, kind, reference column, current column), in trigger order
     if strategy.monitor_features:
         for j, (name, kind) in enumerate(zip(schema.feature_names, schema.feature_kinds)):
-            ref = pair.X_ref[:, j]
-            cur = pair.X_cur[:, j]
-            n_unique = np.unique(np.concatenate([ref, cur])).size
-            test = select_test(kind, n_unique, s)
-            if test is None:
-                continue
-            outcome = _column_outcome(test, ref, cur)
-            if _flags(outcome, strategy.threshold):
-                triggers.append(Trigger(f"feature:{name}", outcome.drift_score))
+            columns.append((f"feature:{name}", kind, pair.X_ref[:, j], pair.X_cur[:, j]))
     if strategy.monitor_target:
-        ref = pair.y_ref.astype(float)
-        cur = pair.y_cur.astype(float)
-        n_unique = np.unique(np.concatenate([ref, cur])).size
-        test = select_test(FeatureKind.CATEGORICAL, n_unique, s)
-        if test is not None:
-            outcome = _column_outcome(test, ref, cur)
-            if _flags(outcome, strategy.threshold):
-                triggers.append(Trigger("target", outcome.drift_score))
+        columns.append(("target", FeatureKind.CATEGORICAL, pair.y_ref.astype(float), pair.y_cur.astype(float)))
+    for source, kind, ref, cur in columns:
+        test = select_test(kind, np.unique(np.concatenate([ref, cur])).size, s)
+        if test is None:
+            continue
+        outcome = _column_outcome(test, ref, cur)
+        if _flags(outcome, strategy.threshold):
+            triggers.append(Trigger(source, outcome.drift_score))
     if strategy.monitor_performance:
         f1_ref = f1_from_pairs(pair.y_ref, pair.pred_ref, schema.n_classes)
         f1_cur = f1_from_pairs(pair.y_cur, pair.pred_cur, schema.n_classes)

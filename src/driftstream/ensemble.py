@@ -403,29 +403,25 @@ class HybridEnsemble:
     def lookahead(self, instances: Sequence[Instance]) -> None:
         """Read the next rows ahead, for frozen models to label in one call each.
 
-        Only their features are stored. Each row must still go through
-        ``process_instance`` in order; a row that is not one of these very
-        instances is labelled on its own.
+        Only their features are stored, after every row's width is checked.
+        Each row must still go through ``process_instance`` in order; a row
+        that is not one of these very instances is read ahead on its own.
         """
         for inst in instances:
-            self._check_width(inst)
+            if len(inst.x) != self.schema.n_features:
+                raise SchemaError(f"instance {inst.seq} has {len(inst.x)} features, expected {self.schema.n_features}")
         self._ahead = list(instances)
         self._ahead_X = np.array([inst.x for inst in instances], dtype=float)
-
-    def _check_width(self, inst: Instance) -> None:
-        if len(inst.x) != self.schema.n_features:
-            raise SchemaError(f"instance {inst.seq} has {len(inst.x)} features, expected {self.schema.n_features}")
 
     def process_instance(self, inst: Instance) -> StepResult:
         if inst.seq != self._next_seq:
             raise ValueError(f"expected seq {self._next_seq}, got {inst.seq}")
-        self._check_width(inst)
-        self._next_seq += 1
         ahead = self._ahead
         i = inst.seq - ahead[0].seq if ahead else 0
         if not (0 <= i < len(ahead) and ahead[i] is inst):
-            self.lookahead([inst])
+            self.lookahead([inst])  # checks the width of a row not read ahead
             i = 0
+        self._next_seq += 1
         block = self._ahead_X
 
         member_labels = tuple(_label_or_zero(m.spec.id, m.predict, inst, block, i) for m in self.members)

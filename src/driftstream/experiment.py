@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .core import ConfigError, Instance, Schema
-from .drift import DriftStrategy, strategy_catalog
+from .drift import DriftStrategy, _is_number, strategy_catalog
 from .ensemble import (
     BATCH,
     DriftEvent,
@@ -79,11 +79,15 @@ def resolve_strategy(entry) -> DriftStrategy:
 
 @dataclass
 class ExperimentConfig:
-    """Parsed experiment description; ``raw`` backs the config digest."""
+    """Parsed experiment description; ``raw`` backs the config digest.
+
+    ``members`` is ``method`` resolved into member specs, once, at parse time.
+    """
 
     stream_path: Path | None
     synth: SynthConfig | None
     method: dict
+    members: tuple[MemberSpec, ...]
     method_id: str
     seed: int
     first_fit_size: int
@@ -125,17 +129,19 @@ def _derive_method_id(method: dict) -> str:
     raise ConfigError(f"unknown method type {kind!r}")
 
 
-def _int_field(data: dict, key: str, default: int) -> int:
-    try:
-        return int(data.get(key, default))
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be an integer, got {data[key]!r}") from None
+def _int_field(data: dict, key: str, default: int, least: int = 1) -> int:
+    value = data.get(key, default)
+    if not _is_number(value, integral=True) or value < least:
+        raise ConfigError(f"{key} must be an integer of at least {least}, got {value!r}")
+    return value
 
 
 def parse_config(data: dict) -> ExperimentConfig:
     if "method" not in data or "stream" not in data:
         raise ConfigError("experiment config needs 'stream' and 'method' sections")
-    stream = data["stream"]
+    stream, method = data["stream"], data["method"]
+    if not isinstance(stream, dict) or not isinstance(method, dict):
+        raise ConfigError("the 'stream' and 'method' sections must be JSON objects")
     stream_path = None
     synth = None
     if "path" in stream:
@@ -144,15 +150,15 @@ def parse_config(data: dict) -> ExperimentConfig:
         synth = config_from_dict(SynthConfig, stream["synthetic"])
     else:
         raise ConfigError("stream section needs 'path' or 'synthetic'")
-    method = data["method"]
     if method.get("type") not in ("online", "batch", "ensemble"):
         raise ConfigError("method.type must be 'online', 'batch' or 'ensemble'")
     return ExperimentConfig(
         stream_path=stream_path,
         synth=synth,
         method=method,
+        members=build_member_specs(method),
         method_id=data.get("method_id") or _derive_method_id(method),
-        seed=_int_field(data, "seed", 0),
+        seed=_int_field(data, "seed", 0, least=0),
         first_fit_size=_int_field(data, "first_fit_size", 2500),
         shadow_eval_size=_int_field(data, "shadow_eval_size", 500),
         score_window=_int_field(data, "score_window", 500),
@@ -229,7 +235,7 @@ def build_member_specs(method: dict) -> tuple[MemberSpec, ...]:
 
 def build_ensemble(schema: Schema, config: ExperimentConfig) -> HybridEnsemble:
     ensemble_config = EnsembleConfig(
-        members=build_member_specs(config.method),
+        members=config.members,
         combiner=config.method.get("combiner", "wv") if config.method["type"] == "ensemble" else "wv",
         first_fit_size=config.first_fit_size,
         shadow_eval_size=config.shadow_eval_size,
@@ -296,11 +302,10 @@ def _open_stream(config: ExperimentConfig) -> tuple[Schema, Iterator[Instance]]:
 def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) -> RunReport:
     """Execute one configured experiment end to end.
 
-    The method section is validated before any stream processing, so a bad
-    strategy or algorithm name fails fast.
+    ``parse_config`` has already resolved the method section, so a bad
+    strategy fails before the stream is opened.
     """
     start = time.perf_counter()
-    build_member_specs(config.method)
     schema, instances = _open_stream(config)
     ensemble = build_ensemble(schema, config)
     result = run_stream(ensemble, instances, trace_every=config.trace_every)

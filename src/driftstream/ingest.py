@@ -138,12 +138,16 @@ def stream_schema(path: str | Path) -> Schema:
         raise DataError(f"stream file not found: {path}") from None
     if not first.startswith(SCHEMA_PREFIX):
         raise DataError(f"{path}: missing schema manifest line")
-    manifest = json.loads(first[len(SCHEMA_PREFIX):])
-    return Schema(
-        feature_names=tuple(f["name"] for f in manifest["features"]),
-        feature_kinds=tuple(FeatureKind(f["kind"]) for f in manifest["features"]),
-        class_labels=tuple(manifest["classes"]),
-    )
+    try:
+        manifest = json.loads(first[len(SCHEMA_PREFIX):])
+        features = manifest["features"]
+        return Schema(
+            feature_names=tuple(f["name"] for f in features),
+            feature_kinds=tuple(FeatureKind(f["kind"]) for f in features),
+            class_labels=tuple(manifest["classes"]),
+        )
+    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        raise DataError(f"{path}: malformed schema manifest: {type(exc).__name__}: {exc}") from None
 
 
 def replay(path: str | Path) -> Iterator[Instance]:
@@ -220,9 +224,14 @@ def preprocess_csv(raw_path: str | Path, config: IngestConfig, out_path: str | P
     col_index = {name: i for i, name in enumerate(header)}
     if config.target_column not in col_index:
         raise ConfigError(f"target column {config.target_column!r} not found in {raw_path}")
-    for name in config.datetime_columns:
-        if name not in col_index:
-            raise ConfigError(f"datetime column {name!r} not found in {raw_path}")
+    for role, names in (
+        ("datetime", config.datetime_columns),
+        ("drop", config.drop_columns),
+        ("categorical", config.categorical_columns),
+    ):
+        for name in names:
+            if name not in col_index:
+                raise ConfigError(f"{role} column {name!r} not found in {raw_path}")
 
     target_i = col_index[config.target_column]
     rows = [r for r in rows if r[target_i].strip() != ""]

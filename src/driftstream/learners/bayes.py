@@ -1,6 +1,8 @@
 """Gaussian naive Bayes, in online (Welford) and batch (two-pass) form.
 
-Both variants compute the same scores in the same float operations, so fitting
+The online model keeps its class and global statistics in ``RunningMoments``,
+the running-moments summary that Hoeffding-tree leaves and the online logistic
+scaler use too. Both variants compute the same scores in the same float operations, so fitting
 the batch model on a prefix of a stream is numerically equivalent to running
 the online model over the same prefix. The online model scores one row at a
 time with ``_gaussian_nb_scores``; the batch model scores a whole block at once
@@ -62,43 +64,32 @@ class OnlineGaussianNB(OnlineClassifier):
 
     def __init__(self, schema: Schema) -> None:
         super().__init__(schema)
-        k, d = schema.n_classes, schema.n_features
-        self.class_counts = np.zeros(k, dtype=np.int64)
-        self._means = np.zeros((k, d))
-        self._m2 = np.zeros((k, d))
-        self._variances = np.zeros((k, d))  # m2 / (n - 1) per class, 0 below two rows
-        self._global = RunningMoments(d)
+        self._classes = RunningMoments(schema.n_features, schema.n_classes)
+        self._global = RunningMoments(schema.n_features)
 
     def learn_one(self, x: np.ndarray, y: int) -> None:
         self._check_x(x)
         self._check_y(y)
         x = np.asarray(x, dtype=float)
-        self.class_counts[y] += 1
-        n = self.class_counts[y]
-        delta = x - self._means[y]
-        self._means[y] += delta / n
-        self._m2[y] += delta * (x - self._means[y])
-        if n >= 2:
-            self._variances[y] = self._m2[y] / (n - 1)
+        self._classes.update(x, y)
         self._global.update(x)
 
+    @property
+    def class_counts(self) -> np.ndarray:
+        return self._classes.counts.copy()
+
     def class_means(self) -> np.ndarray:
-        return self._means.copy()
+        return self._classes.mean.copy()
 
     def class_variances(self) -> np.ndarray:
-        return self._variances.copy()
+        return self._classes.var.copy()
 
     def predict(self, x: np.ndarray) -> int:
         self._check_x(x)
-        if self.class_counts.sum() == 0:
+        c = self._classes
+        if c.counts.sum() == 0:
             return 0
-        scores = _gaussian_nb_scores(
-            np.asarray(x, dtype=float),
-            self.class_counts,
-            self._means,
-            self._variances,
-            self._global.variance(),
-        )
+        scores = _gaussian_nb_scores(np.asarray(x, dtype=float), c.counts, c.mean, c.var, self._global.var[0])
         return argmax_tiebreak(scores)
 
 

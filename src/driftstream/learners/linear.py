@@ -1,7 +1,7 @@
 """Logistic regression: online multinomial SGD and a batch gradient-descent fit.
 
-The online learner standardizes features with running moments updated before
-each gradient step (scale, then learn), uses a shared learning rate for the
+The online learner standardizes features with a one-class ``RunningMoments``
+updated before each gradient step (scale, then learn), uses a shared learning rate for the
 weights and a separate one for the intercept, applies L2 at strength 1.0 and
 clips gradient coordinates at 1e12. The multinomial softmax form generalizes
 the binary learner to the multi-class streams this package targets.
@@ -75,12 +75,12 @@ class OnlineLogisticRegression(OnlineClassifier):
         self._scaler = RunningMoments(d)
 
     def _standardize(self, x: np.ndarray) -> np.ndarray:
-        if self._scaler.count == 0:
+        if self._scaler.counts[0] == 0:
             return np.zeros_like(x, dtype=float)
-        std = self._scaler.std()
+        std = np.sqrt(self._scaler.var[0])
         out = np.zeros_like(x, dtype=float)
         nz = std > 0
-        out[nz] = (x[nz] - self._scaler.mean[nz]) / std[nz]
+        out[nz] = (x[nz] - self._scaler.mean[0][nz]) / std[nz]
         return out
 
     def predict(self, x: np.ndarray) -> int:

@@ -1,4 +1,8 @@
-"""Running first and second moments (Welford's recurrence)."""
+"""Running per-class first and second moments: the package's one copy of Welford's recurrence.
+
+Online Gaussian naive Bayes keeps its class and global statistics in it, every
+Hoeffding-tree leaf is one, and online logistic regression scales with one.
+"""
 
 from __future__ import annotations
 
@@ -6,29 +10,27 @@ import numpy as np
 
 
 class RunningMoments:
-    """Incremental mean and variance over vectors of a fixed dimension.
+    """Incremental mean and variance of vectors of a fixed dimension, one row per class.
 
-    Variance uses the n - 1 denominator and is reported as zero until two
-    observations have been seen.
+    Row ``c`` of ``counts``, ``mean``, ``m2`` and ``var`` summarises the vectors
+    seen with class ``c``; ``var`` is ``m2 / (n - 1)``, kept as state and zero
+    until the class has two rows. Global moments are the one-class case.
     """
 
-    __slots__ = ("count", "mean", "m2")
+    __slots__ = ("counts", "mean", "m2", "var")
 
-    def __init__(self, dim: int) -> None:
-        self.count = 0
-        self.mean = np.zeros(dim)
-        self.m2 = np.zeros(dim)
+    def __init__(self, dim: int, n_classes: int = 1) -> None:
+        self.counts = np.zeros(n_classes, dtype=np.int64)
+        self.mean = np.zeros((n_classes, dim))
+        self.m2 = np.zeros((n_classes, dim))
+        self.var = np.zeros((n_classes, dim))
 
-    def update(self, x: np.ndarray) -> None:
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (x - self.mean)
-
-    def variance(self) -> np.ndarray:
-        if self.count < 2:
-            return np.zeros_like(self.m2)
-        return self.m2 / (self.count - 1)
-
-    def std(self) -> np.ndarray:
-        return np.sqrt(self.variance())
+    def update(self, x: np.ndarray, y: int = 0) -> None:
+        self.counts[y] += 1
+        n = self.counts[y]
+        mean, m2 = self.mean[y], self.m2[y]  # row views, updated in place
+        delta = x - mean
+        mean += delta / n
+        m2 += delta * (x - mean)
+        if n >= 2:
+            np.divide(m2, n - 1, out=self.var[y])

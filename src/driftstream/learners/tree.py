@@ -1,10 +1,10 @@
 """Incremental decision tree with Hoeffding-bound split decisions.
 
-Leaves keep per-(feature, class) Gaussian summaries, so memory per leaf is
-bounded and split candidates come from quantiles of the leaf's pooled
-distribution rather than exhaustive value histograms. Leaf prediction is
-majority class until ``nb_threshold`` instances have been seen, then naive
-Bayes over the leaf statistics.
+Each leaf is a ``RunningMoments`` with a row per class, the Gaussian summary
+online naive Bayes keeps, so memory per leaf is bounded and split candidates
+come from quantiles of the leaf's pooled distribution rather than exhaustive
+value histograms. Leaf prediction is majority class until ``nb_threshold``
+instances have been seen, then naive Bayes over the leaf's means and variances.
 """
 
 from __future__ import annotations
@@ -15,10 +15,8 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from ..core import OnlineClassifier, Schema, argmax_tiebreak
-from .bayes import _gaussian_nb_scores
-
-#: Variance floor scale for the per-leaf Gaussian summaries.
-_VAR_FLOOR_SCALE = 1e-9
+from .bayes import _floored, _gaussian_nb_scores
+from .moments import RunningMoments
 
 
 def hoeffding_bound(range_r: float, delta: float, n: int) -> float:
@@ -39,35 +37,21 @@ def _entropy_bits(counts: np.ndarray, axis: int = 0) -> np.ndarray:
     return terms.sum(axis=axis)
 
 
-class _Leaf:
-    __slots__ = ("counts", "mean", "m2", "n_since_check", "fallback_label")
+class _Leaf(RunningMoments):
+    """Per-class moments of the rows routed here, plus split bookkeeping."""
+
+    __slots__ = ("n_since_check", "fallback_label")
 
     def __init__(self, n_classes: int, n_features: int, fallback_label: int) -> None:
-        self.counts = np.zeros(n_classes, dtype=np.int64)
-        self.mean = np.zeros((n_classes, n_features))
-        self.m2 = np.zeros((n_classes, n_features))
+        super().__init__(n_features, n_classes)
         self.n_since_check = 0
         self.fallback_label = fallback_label
 
-    def update(self, x: np.ndarray, y: int) -> None:
-        self.counts[y] += 1
-        n = self.counts[y]
-        delta = x - self.mean[y]
-        self.mean[y] += delta / n
-        self.m2[y] += delta * (x - self.mean[y])
-        self.n_since_check += 1
-
-    def class_variances(self) -> np.ndarray:
-        counts = self.counts[:, None]
-        return np.where(counts >= 2, self.m2 / np.maximum(counts - 1, 1), 0.0)
-
-    def pooled_moments(self) -> tuple[np.ndarray, np.ndarray]:
-        """Mixture mean and variance per feature across the leaf's classes."""
-        n = self.counts.sum()
-        w = self.counts / n
+    def pooled_variance(self) -> np.ndarray:
+        """Mixture variance per feature across the leaf's classes."""
+        w = self.counts / self.counts.sum()
         mean = w @ self.mean
-        second = w @ (self.class_variances() + self.mean**2)
-        return mean, np.maximum(second - mean**2, 0.0)
+        return np.maximum(w @ (self.var + self.mean**2) - mean**2, 0.0)
 
 
 class _SplitNode:
@@ -131,6 +115,7 @@ class HoeffdingTreeClassifier(OnlineClassifier):
         x = np.asarray(x, dtype=float)
         leaf, parent, side = self._route(x)
         leaf.update(x, y)
+        leaf.n_since_check += 1
         if leaf.n_since_check >= self.grace_period:
             self._attempt_split(leaf, parent, side)
             leaf.n_since_check = 0
@@ -140,14 +125,13 @@ class HoeffdingTreeClassifier(OnlineClassifier):
         present = np.nonzero(leaf.counts)[0]
         n = leaf.counts.sum()
         mu = leaf.mean[present, feature]
-        var = leaf.class_variances()[present, feature]
+        var = leaf.var[present, feature]
         w = leaf.counts[present] / n
         pooled_mean = float(w @ mu)
         pooled_var = float(max(w @ (var + mu**2) - pooled_mean**2, 0.0))
         if pooled_var <= 0.0:
             return 0.0, 0.0
-        floor = _VAR_FLOOR_SCALE * (pooled_var + 1e-12)
-        sigma = np.sqrt(np.maximum(var, floor))
+        sigma = np.sqrt(_floored(var, pooled_var))
         thresholds = pooled_mean + math.sqrt(pooled_var) * self._quantiles
         frac_left = ndtr((thresholds[None, :] - mu[:, None]) / sigma[:, None])
         left = leaf.counts[present][:, None] * frac_left
@@ -203,6 +187,5 @@ class HoeffdingTreeClassifier(OnlineClassifier):
             return leaf.fallback_label
         if n < self.nb_threshold:
             return argmax_tiebreak(leaf.counts)
-        _, pooled_var = leaf.pooled_moments()
-        scores = _gaussian_nb_scores(x, leaf.counts, leaf.mean, leaf.class_variances(), pooled_var)
+        scores = _gaussian_nb_scores(x, leaf.counts, leaf.mean, leaf.var, leaf.pooled_variance())
         return argmax_tiebreak(scores)

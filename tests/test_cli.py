@@ -304,3 +304,68 @@ def test_seed_flag_on_a_config_that_is_not_an_object_exits_1(tmp_path, command, 
     path = write_json(tmp_path / "list.json", [1, 2])
     assert main([command, "--config", path, "--out", str(tmp_path / "r"), "--seed", "3"]) == 1
     assert "expected a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    ['{"features": [', '{"features": [{"name": "f0", "kind": "ordinal"}], "classes": ["a"]}', '{"classes": ["a"]}', "[]"],
+    ids=["invalid-json", "unknown-kind", "no-features", "json-list"],
+)
+def test_run_malformed_schema_manifest_exits_2(tmp_path, manifest, capsys):
+    stream = tmp_path / "s.dsv"
+    stream.write_text(f"#schema {manifest}\nf0,target\n1.0,a\n")
+    config = experiment_config(tmp_path, stream, {"type": "online", "algorithm": "gnb"})
+    assert main(["run", "--config", config, "--out", str(tmp_path / "r"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert str(stream) in err and "malformed schema manifest" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("field, name", [("drop_columns", "ID"), ("categorical_columns", "colour")])
+def test_preprocess_unknown_column_name_exits_1(tmp_path, field, name, capsys):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("id,color,v,target\n1,red,1,x\n2,blue,2,y\n")
+    config = write_json(tmp_path / "ing.json", {"input": str(raw), "target_column": "target", field: [name]})
+    out = tmp_path / "stream.dsv"
+    assert main(["preprocess", "--config", config, "--out", str(out)]) == 1
+    assert repr(name) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "strategy, extra, named",
+    [
+        ({"id": "S4", "s": "100"}, {}, "window_size"),
+        ({"id": "S4", "theta": None}, {}, "threshold"),
+        ({"id": "S4", "alpha": "x"}, {}, "perf_tolerance"),
+        ({"id": "S4", "s": 2.5}, {}, "window_size"),
+        ("S4", {"trace_every": 0}, "trace_every"),
+        ("S4", {"score_window": 2.7}, "score_window"),
+        ("S4", {"seed": -1}, "seed"),
+    ],
+    ids=[
+        "string-window",
+        "null-threshold",
+        "string-tolerance",
+        "float-window",
+        "zero-trace-every",
+        "float-score-window",
+        "negative-seed",
+    ],
+)
+def test_run_config_value_of_the_wrong_type_exits_1_before_the_stream(tmp_path, strategy, extra, named, capsys):
+    # The stream file does not exist: opening it first would exit 2.
+    method = {"type": "batch", "algorithm": "gnb", "strategy": strategy}
+    config = experiment_config(tmp_path, tmp_path / "missing.dsv", method, **extra)
+    assert main(["run", "--config", config, "--out", str(tmp_path / "r"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert named in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("section", ["stream", "method"])
+def test_run_section_that_is_not_an_object_exits_1(tmp_path, section, capsys):
+    data = {"stream": {"path": str(tmp_path / "s.dsv")}, "method": {"type": "online", "algorithm": "gnb"}}
+    data[section] = "path"
+    config = write_json(tmp_path / "run.json", data)
+    assert main(["run", "--config", config, "--out", str(tmp_path / "r"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert f"'{section}'" in err and "internal error" not in err

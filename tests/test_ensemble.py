@@ -462,6 +462,18 @@ def test_instance_of_the_wrong_width_rejected():
         ensemble.process_instance(Instance(np.array([0.0, 1.0, 2.0]), 0, 0))
 
 
+def test_a_row_of_the_wrong_width_does_not_advance_the_stream():
+    config = EnsembleConfig(members=(online_spec(),), seed=0)
+    ensemble = HybridEnsemble(SCHEMA, config)
+    rows = encoded_stream(2)
+    ensemble.lookahead(rows)
+    with pytest.raises(SchemaError, match="instance 0 has 3 features"):
+        ensemble.process_instance(Instance(np.array([0.0, 1.0, 2.0]), 0, 0))  # not read ahead
+    with pytest.raises(SchemaError, match="instance 1 has 1 features"):
+        ensemble.lookahead([rows[0], Instance(np.array([0.0]), 0, 1)])
+    assert [ensemble.process_instance(inst).seq for inst in rows] == [0, 1]
+
+
 def test_out_of_order_instances_rejected():
     config = EnsembleConfig(members=(online_spec(),), seed=0)
     ensemble = HybridEnsemble(SCHEMA, config)

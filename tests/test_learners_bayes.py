@@ -26,8 +26,8 @@ def test_welford_matches_two_pass(values):
     for v in values:
         moments.update(np.array([v]))
     arr = np.asarray(values)
-    assert moments.mean[0] == pytest.approx(arr.mean(), rel=1e-9, abs=1e-9)
-    assert moments.variance()[0] == pytest.approx(arr.var(ddof=1), rel=1e-6, abs=1e-6)
+    assert moments.mean[0, 0] == pytest.approx(arr.mean(), rel=1e-9, abs=1e-9)
+    assert moments.var[0, 0] == pytest.approx(arr.var(ddof=1), rel=1e-6, abs=1e-6)
 
 
 def test_batch_online_equivalence_small():
@@ -159,10 +159,10 @@ def test_batch_predict_labels_rejects_a_block_of_the_wrong_width():
         model.predict_labels(np.ones((4, 3)))
 
 
-def old_class_variances(model):
-    """OnlineGaussianNB.class_variances as it was before the variances were kept as state."""
-    counts = model.class_counts[:, None]
-    return np.where(counts >= 2, model._m2 / np.maximum(counts - 1, 1), 0.0)
+def old_variances(moments):
+    """``RunningMoments.var`` rebuilt from ``m2``, as the variances were before they were kept as state."""
+    counts = moments.counts[:, None]
+    return np.where(counts >= 2, moments.m2 / np.maximum(counts - 1, 1), 0.0)
 
 
 def test_online_cached_variances_equal_the_rebuilt_variances_over_a_drifting_stream():
@@ -175,10 +175,10 @@ def test_online_cached_variances_equal_the_rebuilt_variances_over_a_drifting_str
     probes = np.round(rng.normal(size=(5, d)) * 2, 1)
     for inst in before + after:
         model.learn_one(inst.x, inst.y)
-        variances = old_class_variances(model)
+        variances = old_variances(model._classes)
         assert np.array_equal(model.class_variances(), variances)
         if inst.seq % 50 == 0:
             for x in probes:
-                old = _gaussian_nb_scores(x, model.class_counts, model._means, variances, model._global.variance())
+                old = _gaussian_nb_scores(x, model.class_counts, model.class_means(), variances, old_variances(model._global)[0])
                 assert model.predict(x) == argmax_tiebreak(old)
     assert model.class_counts.min() >= 2

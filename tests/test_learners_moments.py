@@ -1,0 +1,308 @@
+"""The online learners over ``RunningMoments`` against verbatim copies of their earlier code.
+
+Online Gaussian NB, the Hoeffding tree's leaves and the online logistic
+scaler each kept their own running moments before they shared
+``RunningMoments``. The copies below are that earlier code, kept as the
+reference: over a drifting stream every prediction and every final statistic
+must be equal, float for float.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from scipy.special import ndtr
+
+from driftstream.core import FeatureKind, OnlineClassifier, Schema, argmax_tiebreak
+from driftstream.learners import (
+    HoeffdingTreeClassifier,
+    OnlineGaussianNB,
+    OnlineLogisticRegression,
+    RunningMoments,
+)
+from driftstream.learners.bayes import _gaussian_nb_scores
+from driftstream.learners.tree import _entropy_bits, _SplitNode, hoeffding_bound
+
+from conftest import gaussian_instances
+
+
+class _OldRunningMoments:
+    """Incremental mean and variance over vectors of a fixed dimension.
+
+    Variance uses the n - 1 denominator and is reported as zero until two
+    observations have been seen.
+    """
+
+    __slots__ = ("count", "mean", "m2")
+
+    def __init__(self, dim: int) -> None:
+        self.count = 0
+        self.mean = np.zeros(dim)
+        self.m2 = np.zeros(dim)
+
+    def update(self, x: np.ndarray) -> None:
+        self.count += 1
+        delta = x - self.mean
+        self.mean += delta / self.count
+        self.m2 += delta * (x - self.mean)
+
+    def variance(self) -> np.ndarray:
+        if self.count < 2:
+            return np.zeros_like(self.m2)
+        return self.m2 / (self.count - 1)
+
+    def std(self) -> np.ndarray:
+        return np.sqrt(self.variance())
+
+
+class _OldOnlineGaussianNB(OnlineClassifier):
+    """Gaussian naive Bayes updated one instance at a time."""
+
+    def __init__(self, schema: Schema) -> None:
+        super().__init__(schema)
+        k, d = schema.n_classes, schema.n_features
+        self.class_counts = np.zeros(k, dtype=np.int64)
+        self._means = np.zeros((k, d))
+        self._m2 = np.zeros((k, d))
+        self._variances = np.zeros((k, d))  # m2 / (n - 1) per class, 0 below two rows
+        self._global = _OldRunningMoments(d)
+
+    def learn_one(self, x: np.ndarray, y: int) -> None:
+        self._check_x(x)
+        self._check_y(y)
+        x = np.asarray(x, dtype=float)
+        self.class_counts[y] += 1
+        n = self.class_counts[y]
+        delta = x - self._means[y]
+        self._means[y] += delta / n
+        self._m2[y] += delta * (x - self._means[y])
+        if n >= 2:
+            self._variances[y] = self._m2[y] / (n - 1)
+        self._global.update(x)
+
+    def predict(self, x: np.ndarray) -> int:
+        self._check_x(x)
+        if self.class_counts.sum() == 0:
+            return 0
+        scores = _gaussian_nb_scores(
+            np.asarray(x, dtype=float),
+            self.class_counts,
+            self._means,
+            self._variances,
+            self._global.variance(),
+        )
+        return argmax_tiebreak(scores)
+
+
+_VAR_FLOOR_SCALE = 1e-9
+
+
+class _OldLeaf:
+    __slots__ = ("counts", "mean", "m2", "n_since_check", "fallback_label")
+
+    def __init__(self, n_classes: int, n_features: int, fallback_label: int) -> None:
+        self.counts = np.zeros(n_classes, dtype=np.int64)
+        self.mean = np.zeros((n_classes, n_features))
+        self.m2 = np.zeros((n_classes, n_features))
+        self.n_since_check = 0
+        self.fallback_label = fallback_label
+
+    def update(self, x: np.ndarray, y: int) -> None:
+        self.counts[y] += 1
+        n = self.counts[y]
+        delta = x - self.mean[y]
+        self.mean[y] += delta / n
+        self.m2[y] += delta * (x - self.mean[y])
+        self.n_since_check += 1
+
+    def class_variances(self) -> np.ndarray:
+        counts = self.counts[:, None]
+        return np.where(counts >= 2, self.m2 / np.maximum(counts - 1, 1), 0.0)
+
+    def pooled_moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Mixture mean and variance per feature across the leaf's classes."""
+        n = self.counts.sum()
+        w = self.counts / n
+        mean = w @ self.mean
+        second = w @ (self.class_variances() + self.mean**2)
+        return mean, np.maximum(second - mean**2, 0.0)
+
+
+class _OldHoeffdingTree(HoeffdingTreeClassifier):
+    """The earlier leaf, learn, split-search and predict code; routing is shared."""
+
+    def __init__(self, schema: Schema, **params) -> None:
+        super().__init__(schema, **params)
+        self._root = _OldLeaf(schema.n_classes, schema.n_features, 0)
+
+    def learn_one(self, x: np.ndarray, y: int) -> None:
+        self._check_x(x)
+        self._check_y(y)
+        x = np.asarray(x, dtype=float)
+        leaf, parent, side = self._route(x)
+        leaf.update(x, y)
+        if leaf.n_since_check >= self.grace_period:
+            self._attempt_split(leaf, parent, side)
+            leaf.n_since_check = 0
+
+    def _candidate_gains(self, leaf: _OldLeaf, feature: int) -> tuple[float, float]:
+        """Best information gain (bits) and threshold for one feature."""
+        present = np.nonzero(leaf.counts)[0]
+        n = leaf.counts.sum()
+        mu = leaf.mean[present, feature]
+        var = leaf.class_variances()[present, feature]
+        w = leaf.counts[present] / n
+        pooled_mean = float(w @ mu)
+        pooled_var = float(max(w @ (var + mu**2) - pooled_mean**2, 0.0))
+        if pooled_var <= 0.0:
+            return 0.0, 0.0
+        floor = _VAR_FLOOR_SCALE * (pooled_var + 1e-12)
+        sigma = np.sqrt(np.maximum(var, floor))
+        thresholds = pooled_mean + math.sqrt(pooled_var) * self._quantiles
+        frac_left = ndtr((thresholds[None, :] - mu[:, None]) / sigma[:, None])
+        left = leaf.counts[present][:, None] * frac_left
+        right = leaf.counts[present][:, None] - left
+        nl = left.sum(axis=0)
+        nr = right.sum(axis=0)
+        parent_entropy = _entropy_bits(leaf.counts[present])
+        child = (nl * _entropy_bits(left) + nr * _entropy_bits(right)) / n
+        gains = parent_entropy - child
+        best = int(np.argmax(gains))
+        return float(gains[best]), float(thresholds[best])
+
+    def _attempt_split(self, leaf: _OldLeaf, parent: _SplitNode | None, side: int) -> None:
+        present = np.count_nonzero(leaf.counts)
+        if present < 2:
+            return
+        n = int(leaf.counts.sum())
+        d = self.schema.n_features
+        gains = np.zeros(d)
+        thresholds = np.zeros(d)
+        for j in range(d):
+            gains[j], thresholds[j] = self._candidate_gains(leaf, j)
+        best = int(np.argmax(gains))
+        g1 = gains[best]
+        others = np.delete(gains, best)
+        g2 = float(others.max()) if others.size else 0.0
+        radius = hoeffding_bound(math.log2(max(2, present)), self.delta, n)
+        if g1 <= 1e-12:
+            return
+        if g1 - g2 > radius or radius < self.tie_threshold:
+            fallback = argmax_tiebreak(leaf.counts)
+            node = _SplitNode(
+                best,
+                thresholds[best],
+                _OldLeaf(self.schema.n_classes, d, fallback),
+                _OldLeaf(self.schema.n_classes, d, fallback),
+            )
+            if parent is None:
+                self._root = node
+            elif side == 0:
+                parent.left = node
+            else:
+                parent.right = node
+            self._n_nodes += 2
+
+    def predict(self, x: np.ndarray) -> int:
+        self._check_x(x)
+        x = np.asarray(x, dtype=float)
+        leaf, _, _ = self._route(x)
+        n = int(leaf.counts.sum())
+        if n == 0:
+            # Untrained root (0) or empty child after a split (the parent's majority).
+            return leaf.fallback_label
+        if n < self.nb_threshold:
+            return argmax_tiebreak(leaf.counts)
+        _, pooled_var = leaf.pooled_moments()
+        scores = _gaussian_nb_scores(x, leaf.counts, leaf.mean, leaf.class_variances(), pooled_var)
+        return argmax_tiebreak(scores)
+
+
+class _OldOnlineLogisticRegression(OnlineLogisticRegression):
+    """The earlier scaler and ``_standardize``; the gradient step is shared."""
+
+    def __init__(self, schema: Schema) -> None:
+        super().__init__(schema)
+        self._scaler = _OldRunningMoments(schema.n_features)
+
+    def _standardize(self, x: np.ndarray) -> np.ndarray:
+        if self._scaler.count == 0:
+            return np.zeros_like(x, dtype=float)
+        std = self._scaler.std()
+        out = np.zeros_like(x, dtype=float)
+        nz = std > 0
+        out[nz] = (x[nz] - self._scaler.mean[nz]) / std[nz]
+        return out
+
+
+def _leaves(node):
+    if isinstance(node, _SplitNode):
+        return _leaves(node.left) + _leaves(node.right)
+    return [node]
+
+
+def _drifting_stream(d: int, k: int = 4, n: int = 1200):
+    """``n`` rows of classes 0..k-2, then ``n`` rows of all k classes about moved means; column 0 is constant."""
+    rng = np.random.default_rng(d)
+    before = gaussian_instances(rng.normal(size=(k - 1, d)) * 2, n, seed=1)
+    after = gaussian_instances(rng.normal(size=(k, d)) * 2, n, seed=2, start_seq=n)
+    for inst in before + after:
+        inst.x[0] = 2.5
+    return before + after
+
+
+@pytest.mark.parametrize("d", [8, 68])
+def test_online_learners_equal_their_earlier_code_over_a_drifting_stream(d):
+    k = 4
+    schema = Schema(
+        feature_names=tuple(f"f{i}" for i in range(d)),
+        feature_kinds=(FeatureKind.NUMERIC,) * d,
+        class_labels=tuple(f"c{i}" for i in range(k)),
+    )
+    pairs = [
+        (OnlineGaussianNB(schema), _OldOnlineGaussianNB(schema)),
+        (HoeffdingTreeClassifier(schema, grace_period=30), _OldHoeffdingTree(schema, grace_period=30)),
+        (OnlineLogisticRegression(schema), _OldOnlineLogisticRegression(schema)),
+    ]
+    stream = _drifting_stream(d, k)
+    assert all(inst.y < k - 1 for inst in stream[:1200]) and any(inst.y == k - 1 for inst in stream[1200:])
+    for inst in stream:
+        for new, old in pairs:
+            assert new.predict(inst.x) == old.predict(inst.x), (type(new).__name__, inst.seq)
+            new.learn_one(inst.x, inst.y)
+            old.learn_one(inst.x, inst.y)
+
+    (gnb, old_gnb), (tree, old_tree), (olr, old_olr) = pairs
+    assert np.array_equal(gnb.class_counts, old_gnb.class_counts)
+    assert np.array_equal(gnb.class_means(), old_gnb._means)
+    assert np.array_equal(gnb.class_variances(), old_gnb._variances)
+    assert np.array_equal(gnb._global.var[0], old_gnb._global.variance())
+
+    assert tree.n_nodes == old_tree.n_nodes > 1
+    leaves, old_leaves = _leaves(tree._root), _leaves(old_tree._root)
+    assert len(leaves) == len(old_leaves)
+    for leaf, old_leaf in zip(leaves, old_leaves):
+        assert np.array_equal(leaf.counts, old_leaf.counts)
+        assert np.array_equal(leaf.mean, old_leaf.mean)
+        assert np.array_equal(leaf.var, old_leaf.class_variances())
+        assert leaf.fallback_label == old_leaf.fallback_label
+
+    assert np.array_equal(olr.W, old_olr.W) and np.array_equal(olr.b, old_olr.b)
+    assert np.array_equal(olr._scaler.var[0], old_olr._scaler.variance())
+
+
+def test_running_moments_rows_equal_one_summary_per_class():
+    rng = np.random.default_rng(4)
+    X = np.round(rng.normal(size=(300, 5)) * 3, 2)
+    y = rng.integers(0, 3, size=300)
+    joint = RunningMoments(5, 3)
+    apart = [_OldRunningMoments(5) for _ in range(3)]
+    for x, c in zip(X, y):
+        joint.update(x, c)
+        apart[c].update(x)
+    for c, old in enumerate(apart):
+        assert joint.counts[c] == old.count
+        assert np.array_equal(joint.mean[c], old.mean) and np.array_equal(joint.m2[c], old.m2)
+        assert np.array_equal(joint.var[c], old.variance())

@@ -154,5 +154,5 @@ def test_leaf_stats_track_welford():
     for v in (1.0, 3.0):
         leaf.update(np.array([v]), 0)
     assert leaf.mean[0, 0] == pytest.approx(2.0)
-    assert leaf.class_variances()[0, 0] == pytest.approx(2.0)
+    assert leaf.var[0, 0] == pytest.approx(2.0)
     assert leaf.counts.tolist() == [2, 0]
