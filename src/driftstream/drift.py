@@ -61,7 +61,8 @@ class DriftStrategy:
             ("threshold", "a number", _is_number(self.threshold)),
             ("perf_tolerance", "a number", _is_number(self.perf_tolerance)),
             ("window_size", "an integer", _is_number(self.window_size, integral=True)),
-            ("first_fit_size", "an integer or null", self.first_fit_size is None or _is_number(self.first_fit_size, True)),
+            ("first_fit_size", "an integer or null",
+             self.first_fit_size is None or _is_number(self.first_fit_size, integral=True)),
         ):
             if not ok:
                 raise ConfigError(f"strategy {self.id!r}: {name} must be {expected}, got {getattr(self, name)!r}")

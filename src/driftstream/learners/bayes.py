@@ -1,14 +1,14 @@
 """Gaussian naive Bayes, in online (Welford) and batch (two-pass) form.
 
 The online model keeps its class and global statistics in ``RunningMoments``,
-the running-moments summary that Hoeffding-tree leaves and the online logistic
-scaler use too. Both variants compute the same scores in the same float operations, so fitting
-the batch model on a prefix of a stream is numerically equivalent to running
-the online model over the same prefix. The online model scores one row at a
-time with ``_gaussian_nb_scores``; the batch model scores a whole block at once
-over a (rows x seen classes x features) array, with the parts that depend only
-on the fit (floored variances, log prior, ``log(2 pi var)``) computed in
-``fit``. Every block score equals the per-row score bit for bit.
+as Hoeffding-tree leaves and the online logistic scaler do. Both variants
+compute the same scores in the same float operations, so fitting the batch
+model on a prefix of a stream is numerically equivalent to running the online
+model over the same prefix. The online model scores one row at a time with
+``_gaussian_nb_scores``; the batch model scores a whole block at once over a
+(rows x seen classes x features) array, with the parts that depend only on the
+fit (floored variances, log prior, ``log(2 pi var)``) computed in ``fit``.
+Every block score equals the per-row score bit for bit.
 """
 
 from __future__ import annotations

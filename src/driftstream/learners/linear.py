@@ -1,10 +1,11 @@
 """Logistic regression: online multinomial SGD and a batch gradient-descent fit.
 
 The online learner standardizes features with a one-class ``RunningMoments``
-updated before each gradient step (scale, then learn), uses a shared learning rate for the
-weights and a separate one for the intercept, applies L2 at strength 1.0 and
-clips gradient coordinates at 1e12. The multinomial softmax form generalizes
-the binary learner to the multi-class streams this package targets.
+updated before each gradient step (scale, then learn), uses a shared learning
+rate for the weights and a separate one for the intercept, applies L2 at
+strength 1.0 and clips gradient coordinates at 1e12. The multinomial softmax
+form generalizes the binary learner to the multi-class streams this package
+targets.
 """
 
 from __future__ import annotations
