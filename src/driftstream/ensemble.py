@@ -48,7 +48,7 @@ import numpy as np
 from .core import ConfigError, Instance, Schema, SchemaError, argmax_tiebreak
 from .drift import LAST_WINDOW, DriftStrategy, Trigger, WindowPair, check_windows
 from .evaluation import ConfusionMatrix, f1_from_pairs
-from .learners import make_batch_classifier, make_online_classifier
+from .learners import BATCH_LEARNERS, ONLINE_LEARNERS, make_batch_classifier, make_online_classifier
 
 logger = logging.getLogger(__name__)
 
@@ -74,6 +74,9 @@ class MemberSpec:
     def __post_init__(self) -> None:
         if self.kind not in (ONLINE, BATCH):
             raise ConfigError(f"unknown member kind {self.kind!r}")
+        learners = ONLINE_LEARNERS if self.kind == ONLINE else BATCH_LEARNERS
+        if not isinstance(self.algorithm, str) or self.algorithm not in learners:
+            raise ConfigError(f"unknown {self.kind} algorithm {self.algorithm!r}, expected one of {tuple(learners)}")
         if self.kind == BATCH and self.strategy is None:
             raise ConfigError(f"batch member {self.id!r} needs a drift strategy")
         if self.kind == ONLINE and self.strategy is not None:

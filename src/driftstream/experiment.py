@@ -32,6 +32,7 @@ from .ensemble import (
     MemberSpec,
     ONLINE,
     ReplacementEvent,
+    WEIGHTED_VOTE,
 )
 from .evaluation import PrequentialState, RunReport
 from .ingest import SynthConfig, config_from_dict, replay, stream_schema, synthetic_instances
@@ -77,25 +78,17 @@ def resolve_strategy(entry) -> DriftStrategy:
         raise ConfigError(f"incomplete strategy {sid!r}: {exc}") from None
 
 
-@dataclass
-class ExperimentConfig:
-    """Parsed experiment description; ``raw`` backs the config digest.
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig(EnsembleConfig):
+    """A parsed experiment: the ensemble, plus its stream, run id and trace interval.
 
-    ``members`` is ``method`` resolved into member specs, once, at parse time.
+    ``raw`` is the config as read; it backs the config digest.
     """
 
-    stream_path: Path | None
-    synth: SynthConfig | None
-    method: dict
-    members: tuple[MemberSpec, ...]
+    stream_path: Path | None = None
+    synth: SynthConfig | None = None
     method_id: str
-    seed: int
-    first_fit_size: int
-    shadow_eval_size: int
-    score_window: int
-    cache_cap: int
-    shadow_metric: str
-    trace_every: int
+    trace_every: int = 1000
     raw: dict = field(repr=False, default_factory=dict)
 
     @property
@@ -108,64 +101,62 @@ class ExperimentConfig:
         return hashlib.sha256(json.dumps(self.raw, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def _derive_method_id(method: dict) -> str:
-    kind = method.get("type")
+def _derive_method_id(kind: str, members: tuple[MemberSpec, ...], combiner: str) -> str:
     if kind == "online":
-        name = method["algorithm"]
-        return ONLINE_DISPLAY.get(name, name.upper())
+        return ONLINE_DISPLAY[members[0].algorithm]
     if kind == "batch":
-        strategy = method["strategy"]
-        sid = strategy if isinstance(strategy, str) else strategy.get("id", "custom")
-        return f"{method['algorithm'].upper()}-{sid}"
-    if kind == "ensemble":
-        combiner = method.get("combiner", "wv").upper()
-        has_batch = method.get("strategies") is None or bool(method["strategies"])
-        has_online = method.get("online_members") is None or bool(method["online_members"])
-        if has_batch and has_online:
-            return f"{combiner}-{method['batch_algorithm'].upper()}"
-        if has_batch:
-            return f"{combiner}-BATCH"
-        return f"{combiner}-ONLINE"
-    raise ConfigError(f"unknown method type {kind!r}")
+        return f"{members[0].algorithm.upper()}-{members[0].strategy.id}"
+    batch = [m for m in members if m.kind == BATCH]
+    makeup = "online" if not batch else "batch" if len(batch) == len(members) else batch[0].algorithm
+    return f"{combiner}-{makeup}".upper()
 
 
-def _int_field(data: dict, key: str, default: int, least: int = 1) -> int:
-    value = data.get(key, default)
+#: Integer options and the least value each allows; the defaults are ``ExperimentConfig``'s.
+_INT_FIELDS = {
+    "seed": 0,
+    "first_fit_size": 1,
+    "shadow_eval_size": 1,
+    "score_window": 1,
+    "cache_cap": 1,
+    "trace_every": 1,
+}
+
+
+def _int_field(data: dict, key: str, least: int) -> int:
+    value = data[key]
     if not _is_number(value, integral=True) or value < least:
         raise ConfigError(f"{key} must be an integer of at least {least}, got {value!r}")
     return value
 
 
 def parse_config(data: dict) -> ExperimentConfig:
+    """Check and resolve a whole experiment config, before any stream is opened."""
     if "method" not in data or "stream" not in data:
         raise ConfigError("experiment config needs 'stream' and 'method' sections")
     stream, method = data["stream"], data["method"]
     if not isinstance(stream, dict) or not isinstance(method, dict):
         raise ConfigError("the 'stream' and 'method' sections must be JSON objects")
-    stream_path = None
-    synth = None
     if "path" in stream:
-        stream_path = Path(stream["path"])
+        source = {"stream_path": Path(stream["path"])}
     elif "synthetic" in stream:
-        synth = config_from_dict(SynthConfig, stream["synthetic"])
+        source = {"synth": config_from_dict(SynthConfig, stream["synthetic"])}
     else:
         raise ConfigError("stream section needs 'path' or 'synthetic'")
-    if method.get("type") not in ("online", "batch", "ensemble"):
+    kind = method.get("type")
+    if kind not in ("online", "batch", "ensemble"):
         raise ConfigError("method.type must be 'online', 'batch' or 'ensemble'")
+    members = build_member_specs(method)
+    combiner = method.get("combiner", WEIGHTED_VOTE) if kind == "ensemble" else WEIGHTED_VOTE
+    options = {key: _int_field(data, key, least) for key, least in _INT_FIELDS.items() if key in data}
+    if "shadow_metric" in data:
+        options["shadow_metric"] = data["shadow_metric"]
     return ExperimentConfig(
-        stream_path=stream_path,
-        synth=synth,
-        method=method,
-        members=build_member_specs(method),
-        method_id=data.get("method_id") or _derive_method_id(method),
-        seed=_int_field(data, "seed", 0, least=0),
-        first_fit_size=_int_field(data, "first_fit_size", 2500),
-        shadow_eval_size=_int_field(data, "shadow_eval_size", 500),
-        score_window=_int_field(data, "score_window", 500),
-        cache_cap=_int_field(data, "cache_cap", 200_000),
-        shadow_metric=data.get("shadow_metric", "f1_macro"),
-        trace_every=_int_field(data, "trace_every", 1000),
+        members=members,
+        combiner=combiner,
+        method_id=data.get("method_id") or _derive_method_id(kind, members, combiner),
         raw=data,
+        **source,
+        **options,
     )
 
 
@@ -186,65 +177,38 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return parse_config(load_json(path))
 
 
+def _list_field(method: dict, key: str, default: list) -> list:
+    value = method.get(key)
+    if value is None:
+        return default
+    if not isinstance(value, list):
+        raise ConfigError(f"method.{key} must be a list, got {type(value).__name__}")
+    return value
+
+
+def _batch_spec(name, strategy_entry, params: dict) -> MemberSpec:
+    strategy = resolve_strategy(strategy_entry)
+    return MemberSpec(id=f"{name}-{strategy.id}", kind=BATCH, algorithm=name, strategy=strategy, params=params)
+
+
 def build_member_specs(method: dict) -> tuple[MemberSpec, ...]:
     kind = method["type"]
     if kind == "online":
-        name = method["algorithm"]
+        name = method.get("algorithm")
         return (MemberSpec(id=name, kind=ONLINE, algorithm=name, params=method.get("params", {})),)
     if kind == "batch":
-        strategy = resolve_strategy(method["strategy"])
-        name = method["algorithm"]
-        return (
-            MemberSpec(
-                id=f"{name}-{strategy.id}",
-                kind=BATCH,
-                algorithm=name,
-                strategy=strategy,
-                params=method.get("params", {}),
-            ),
-        )
-    specs: list[MemberSpec] = []
+        return (_batch_spec(method.get("algorithm"), method.get("strategy"), method.get("params", {})),)
     # Absent keys take the canonical seven-member layout; explicit empty
     # lists select the batch-only / online-only variants.
-    strategy_entries = method.get("strategies")
-    if strategy_entries is None:
-        strategy_entries = ["S4", "S5", "S6", "S7"]
-    online_names = method.get("online_members")
-    if online_names is None:
-        online_names = ["gnb", "hoeffding", "logreg"]
-    strategies = [resolve_strategy(e) for e in strategy_entries]
+    strategies = _list_field(method, "strategies", ["S4", "S5", "S6", "S7"])
+    online_names = _list_field(method, "online_members", ["gnb", "hoeffding", "logreg"])
     if strategies and "batch_algorithm" not in method:
         raise ConfigError("ensemble with batch strategies needs 'batch_algorithm'")
-    for strategy in strategies:
-        name = method["batch_algorithm"]
-        specs.append(
-            MemberSpec(
-                id=f"{name}-{strategy.id}",
-                kind=BATCH,
-                algorithm=name,
-                strategy=strategy,
-                params=method.get("batch_params", {}),
-            )
-        )
-    for name in online_names:
-        specs.append(MemberSpec(id=name, kind=ONLINE, algorithm=name, params={}))
+    specs = [_batch_spec(method["batch_algorithm"], entry, method.get("batch_params", {})) for entry in strategies]
+    specs += [MemberSpec(id=name, kind=ONLINE, algorithm=name) for name in online_names]
     if not specs:
         raise ConfigError("ensemble method defines no members")
     return tuple(specs)
-
-
-def build_ensemble(schema: Schema, config: ExperimentConfig) -> HybridEnsemble:
-    ensemble_config = EnsembleConfig(
-        members=config.members,
-        combiner=config.method.get("combiner", "wv") if config.method["type"] == "ensemble" else "wv",
-        first_fit_size=config.first_fit_size,
-        shadow_eval_size=config.shadow_eval_size,
-        score_window=config.score_window,
-        seed=config.seed,
-        cache_cap=config.cache_cap,
-        shadow_metric=config.shadow_metric,
-    )
-    return HybridEnsemble(schema, ensemble_config)
 
 
 @dataclass
@@ -302,12 +266,12 @@ def _open_stream(config: ExperimentConfig) -> tuple[Schema, Iterator[Instance]]:
 def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) -> RunReport:
     """Execute one configured experiment end to end.
 
-    ``parse_config`` has already resolved the method section, so a bad
-    strategy fails before the stream is opened.
+    ``parse_config`` has already checked the whole config, so a bad one
+    fails before the stream is opened.
     """
     start = time.perf_counter()
     schema, instances = _open_stream(config)
-    ensemble = build_ensemble(schema, config)
+    ensemble = HybridEnsemble(schema, config)
     result = run_stream(ensemble, instances, trace_every=config.trace_every)
     wall = time.perf_counter() - start
     report = RunReport(

@@ -233,13 +233,15 @@ def preprocess_csv(raw_path: str | Path, config: IngestConfig, out_path: str | P
             if name not in col_index:
                 raise ConfigError(f"{role} column {name!r} not found in {raw_path}")
 
-    target_i = col_index[config.target_column]
-    rows = [r for r in rows if r[target_i].strip() != ""]
-    if not rows:
-        raise DataError(f"{raw_path}: no rows with a target value remain")
+    # Rows are numbered by their place among the file's data rows, dropped ones included.
     for number, row in enumerate(rows, start=1):
         if len(row) != len(header):
             raise DataError(f"{raw_path}: row {number}: expected {len(header)} fields, got {len(row)}")
+    target_i = col_index[config.target_column]
+    numbered = [(n, r) for n, r in enumerate(rows, start=1) if r[target_i].strip() != ""]
+    rows = [r for _, r in numbered]
+    if not rows:
+        raise DataError(f"{raw_path}: no rows with a target value remain")
 
     excluded = set(config.drop_columns) | set(config.datetime_columns) | {config.target_column}
     feature_columns = [name for name in header if name not in excluded]
@@ -273,9 +275,7 @@ def preprocess_csv(raw_path: str | Path, config: IngestConfig, out_path: str | P
         if not np.isfinite(values).all():
             i = col_index[name]
             number, raw = next(
-                (n, r[i])
-                for n, r in enumerate(rows, start=1)
-                if not _is_missing_numeric(r[i]) and not np.isfinite(float(r[i]))
+                (n, r[i]) for n, r in numbered if not _is_missing_numeric(r[i]) and not np.isfinite(float(r[i]))
             )
             raise DataError(f"{raw_path}: row {number}: column {name!r} has non-finite value {raw!r}")
         modes[name] = _numeric_mode(values)

@@ -5,22 +5,18 @@ from __future__ import annotations
 from ..core import ConfigError, Schema
 from .bayes import BatchGaussianNB, OnlineGaussianNB
 from .cart import CartClassifier, RandomForestClassifier
-from .linear import (
-    BatchLogisticRegression,
-    OnlineLogisticConfig,
-    OnlineLogisticRegression,
-    softmax_loss_and_gradient,
-)
+from .linear import BatchLogisticRegression, OnlineLogisticRegression, softmax_loss_and_gradient
 from .moments import RunningMoments
 from .tree import HoeffdingTreeClassifier, hoeffding_bound
 
 __all__ = [
+    "BATCH_LEARNERS",
+    "ONLINE_LEARNERS",
     "BatchGaussianNB",
     "BatchLogisticRegression",
     "CartClassifier",
     "HoeffdingTreeClassifier",
     "OnlineGaussianNB",
-    "OnlineLogisticConfig",
     "OnlineLogisticRegression",
     "RandomForestClassifier",
     "RunningMoments",
@@ -30,35 +26,32 @@ __all__ = [
     "softmax_loss_and_gradient",
 ]
 
-ONLINE_ALGORITHMS = ("gnb", "hoeffding", "logreg")
-BATCH_ALGORITHMS = ("gnb", "logreg", "cart", "rf")
+#: Learner classes by config name, one table per member kind.
+ONLINE_LEARNERS = {
+    "gnb": OnlineGaussianNB,
+    "hoeffding": HoeffdingTreeClassifier,
+    "logreg": OnlineLogisticRegression,
+}
+BATCH_LEARNERS = {
+    "gnb": BatchGaussianNB,
+    "logreg": BatchLogisticRegression,
+    "cart": CartClassifier,
+    "rf": RandomForestClassifier,
+}
+
+
+def _build(learners: dict, kind: str, name: str, schema: Schema, params: dict, **fixed):
+    try:
+        return learners[name](schema, **fixed, **params)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{kind} algorithm {name!r}: invalid params: {exc}") from None
 
 
 def make_online_classifier(name: str, schema: Schema, params: dict | None = None):
-    params = dict(params or {})
-    try:
-        if name == "gnb":
-            return OnlineGaussianNB(schema, **params)
-        if name == "hoeffding":
-            return HoeffdingTreeClassifier(schema, **params)
-        if name == "logreg":
-            return OnlineLogisticRegression(schema, OnlineLogisticConfig(**params))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"online algorithm {name!r}: invalid params: {exc}") from None
-    raise ConfigError(f"unknown online algorithm {name!r}, expected one of {ONLINE_ALGORITHMS}")
+    """A new online learner; ``name`` is a key of ``ONLINE_LEARNERS``."""
+    return _build(ONLINE_LEARNERS, "online", name, schema, params or {})
 
 
 def make_batch_classifier(name: str, schema: Schema, seed: int, params: dict | None = None):
-    params = dict(params or {})
-    try:
-        if name == "gnb":
-            return BatchGaussianNB(schema, seed=seed, **params)
-        if name == "logreg":
-            return BatchLogisticRegression(schema, seed=seed, **params)
-        if name == "cart":
-            return CartClassifier(schema, seed=seed, **params)
-        if name == "rf":
-            return RandomForestClassifier(schema, seed=seed, **params)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"batch algorithm {name!r}: invalid params: {exc}") from None
-    raise ConfigError(f"unknown batch algorithm {name!r}, expected one of {BATCH_ALGORITHMS}")
+    """A new batch learner; ``name`` is a key of ``BATCH_LEARNERS``."""
+    return _build(BATCH_LEARNERS, "batch", name, schema, params or {}, seed=seed)

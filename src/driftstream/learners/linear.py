@@ -3,14 +3,12 @@
 The online learner standardizes features with a one-class ``RunningMoments``
 updated before each gradient step (scale, then learn), uses a shared learning
 rate for the weights and a separate one for the intercept, applies L2 at
-strength 1.0 and clips gradient coordinates at 1e12. The multinomial softmax
-form generalizes the binary learner to the multi-class streams this package
-targets.
+strength ``l2`` and clips gradient coordinates at ``gradient_clip``. The
+multinomial softmax form generalizes the binary learner to the multi-class
+streams this package targets.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,19 +20,6 @@ from ..core import (
     argmax_tiebreak,
 )
 from .moments import RunningMoments
-
-
-@dataclass(frozen=True)
-class OnlineLogisticConfig:
-    learning_rate: float = 0.005
-    l2: float = 1.0
-    intercept_lr: float = 0.01
-    gradient_clip: float = 1e12
-
-    def __post_init__(self) -> None:
-        for name in ("learning_rate", "l2", "intercept_lr", "gradient_clip"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -67,9 +52,20 @@ def softmax_loss_and_gradient(
 class OnlineLogisticRegression(OnlineClassifier):
     """Multinomial logistic regression trained by per-instance SGD."""
 
-    def __init__(self, schema: Schema, config: OnlineLogisticConfig | None = None) -> None:
+    def __init__(
+        self,
+        schema: Schema,
+        learning_rate: float = 0.005,
+        l2: float = 1.0,
+        intercept_lr: float = 0.01,
+        gradient_clip: float = 1e12,
+    ) -> None:
         super().__init__(schema)
-        self.config = config or OnlineLogisticConfig()
+        self.learning_rate, self.l2 = learning_rate, l2
+        self.intercept_lr, self.gradient_clip = intercept_lr, gradient_clip
+        for name in ("learning_rate", "l2", "intercept_lr", "gradient_clip"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
         d, k = schema.n_features, schema.n_classes
         self.W = np.zeros((d, k))
         self.b = np.zeros(k)
@@ -96,12 +92,12 @@ class OnlineLogisticRegression(OnlineClassifier):
         # Scaler sees the instance before the gradient step.
         self._scaler.update(x)
         x_std = self._standardize(x)
-        cfg = self.config
-        _, dW, g = _softmax_gradient(self.W, self.b, x_std, y, cfg.l2)
-        np.clip(dW, -cfg.gradient_clip, cfg.gradient_clip, out=dW)
-        g = np.clip(g, -cfg.gradient_clip, cfg.gradient_clip)
-        self.W -= cfg.learning_rate * dW
-        self.b -= cfg.intercept_lr * g
+        clip = self.gradient_clip
+        _, dW, g = _softmax_gradient(self.W, self.b, x_std, y, self.l2)
+        np.clip(dW, -clip, clip, out=dW)
+        g = np.clip(g, -clip, clip)
+        self.W -= self.learning_rate * dW
+        self.b -= self.intercept_lr * g
 
 
 class BatchLogisticRegression(BatchClassifier):
@@ -133,7 +129,6 @@ class BatchLogisticRegression(BatchClassifier):
         self.b = np.zeros(k)
         self._mean = np.zeros(d)
         self._std = np.ones(d)
-        self._fitted = False
 
     def _loss_and_grad(self, X: np.ndarray, Y: np.ndarray, W: np.ndarray, b: np.ndarray):
         z = X @ W + b
@@ -174,7 +169,6 @@ class BatchLogisticRegression(BatchClassifier):
                 continue
             W, b, loss, dW, db = new_W, new_b, new_loss, new_dW, new_db
         self.W, self.b = W, b
-        self._fitted = True
 
     def predict(self, x: np.ndarray) -> int:
         self._check_x(x)

@@ -252,6 +252,26 @@ def test_preprocess_infinite_numeric_value_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a,b,target\n1,2,x\n3\n4,5,y\n", "row 2: expected 3 fields, got 1"),
+        ("a,target\n1,x\n2,\ninf,y\n", "row 3: column 'a' has non-finite value 'inf'"),
+    ],
+    ids=["short-row-before-the-target", "row-after-a-dropped-one"],
+)
+def test_preprocess_row_errors_name_the_data_row_exit_2(tmp_path, text, message, capsys):
+    # Rows are numbered among the file's data rows, those dropped for a missing target included.
+    raw = tmp_path / "raw.csv"
+    raw.write_text(text)
+    config = write_json(tmp_path / "ing.json", {"input": str(raw), "target_column": "target"})
+    out = tmp_path / "stream.dsv"
+    assert main(["preprocess", "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "internal error" not in err
+    assert not out.exists()
+
+
 def test_generate_and_preprocess_unknown_key_exit_1(tmp_path, raw_csv):
     synth = write_json(tmp_path / "synth.json", {**SYNTHETIC, "drift_kinds": "abrupt"})
     assert main(["generate", "--config", synth, "--out", str(tmp_path / "s.dsv")]) == 1
@@ -331,16 +351,22 @@ def test_preprocess_unknown_column_name_exits_1(tmp_path, field, name, capsys):
     assert not out.exists()
 
 
+GNB_S4 = {"type": "batch", "algorithm": "gnb", "strategy": "S4"}
+GNB_ENSEMBLE = {"type": "ensemble", "batch_algorithm": "gnb"}
+
+
 @pytest.mark.parametrize(
-    "strategy, extra, named",
+    "method, extra, named",
     [
-        ({"id": "S4", "s": "100"}, {}, "window_size"),
-        ({"id": "S4", "theta": None}, {}, "threshold"),
-        ({"id": "S4", "alpha": "x"}, {}, "perf_tolerance"),
-        ({"id": "S4", "s": 2.5}, {}, "window_size"),
-        ("S4", {"trace_every": 0}, "trace_every"),
-        ("S4", {"score_window": 2.7}, "score_window"),
-        ("S4", {"seed": -1}, "seed"),
+        ({**GNB_S4, "strategy": {"id": "S4", "s": "100"}}, {}, "window_size"),
+        ({**GNB_S4, "strategy": {"id": "S4", "theta": None}}, {}, "threshold"),
+        ({**GNB_S4, "strategy": {"id": "S4", "alpha": "x"}}, {}, "perf_tolerance"),
+        ({**GNB_S4, "strategy": {"id": "S4", "s": 2.5}}, {}, "window_size"),
+        (GNB_S4, {"trace_every": 0}, "trace_every"),
+        (GNB_S4, {"score_window": 2.7}, "score_window"),
+        (GNB_S4, {"seed": -1}, "seed"),
+        ({**GNB_ENSEMBLE, "strategies": "S4"}, {}, "method.strategies must be a list"),
+        ({**GNB_ENSEMBLE, "online_members": "gnb"}, {}, "method.online_members must be a list"),
     ],
     ids=[
         "string-window",
@@ -350,15 +376,42 @@ def test_preprocess_unknown_column_name_exits_1(tmp_path, field, name, capsys):
         "zero-trace-every",
         "float-score-window",
         "negative-seed",
+        "string-strategies",
+        "string-online-members",
     ],
 )
-def test_run_config_value_of_the_wrong_type_exits_1_before_the_stream(tmp_path, strategy, extra, named, capsys):
+def test_run_config_value_of_the_wrong_type_exits_1_before_the_stream(tmp_path, method, extra, named, capsys):
     # The stream file does not exist: opening it first would exit 2.
-    method = {"type": "batch", "algorithm": "gnb", "strategy": strategy}
     config = experiment_config(tmp_path, tmp_path / "missing.dsv", method, **extra)
     assert main(["run", "--config", config, "--out", str(tmp_path / "r"), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert named in err and "internal error" not in err
+
+
+@pytest.mark.parametrize(
+    "method, named",
+    [
+        ({**GNB_ENSEMBLE, "combiner": "xx"}, "unknown combiner 'xx'"),
+        ({"type": "online", "algorithm": "gnbx"}, "unknown online algorithm 'gnbx'"),
+        ({**GNB_S4, "algorithm": "rff"}, "unknown batch algorithm 'rff'"),
+        ({**GNB_ENSEMBLE, "batch_algorithm": "rff"}, "unknown batch algorithm 'rff'"),
+        ({**GNB_ENSEMBLE, "online_members": ["gnb", "ht"]}, "unknown online algorithm 'ht'"),
+        ({"type": "online"}, "unknown online algorithm None"),
+    ],
+    ids=[
+        "combiner",
+        "online-algorithm",
+        "batch-algorithm",
+        "ensemble-batch-algorithm",
+        "ensemble-online-member",
+        "missing-online-algorithm",
+    ],
+)
+def test_run_unknown_combiner_or_learner_exits_1_before_the_stream(tmp_path, method, named, capsys):
+    config = experiment_config(tmp_path, tmp_path / "missing.dsv", method)
+    assert main(["run", "--config", config, "--out", str(tmp_path / "r"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert named in err and "stream file not found" not in err and "internal error" not in err
 
 
 @pytest.mark.parametrize("section", ["stream", "method"])

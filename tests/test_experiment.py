@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +97,30 @@ def test_method_id_derivation():
         == "WV-BATCH"
     )
     assert method_id({"type": "ensemble", "strategies": [], "combiner": "ds"}) == "DS-ONLINE"
+
+
+def _benchmark_script():
+    path = Path(__file__).parents[1] / "scripts" / "run_drift_benchmark.py"
+    spec = importlib.util.spec_from_file_location("run_drift_benchmark", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("quick", [True, False])
+def test_benchmark_script_configs_parse_to_their_method_ids(quick):
+    # The script names each run by its key; the derived id must agree.
+    for method_id, spec in _benchmark_script().method_specs(quick).items():
+        config = parse_config({"stream": {"path": "x.dsv"}, "seed": 42, **spec})
+        assert config.method_id == method_id
+
+
+def test_parse_config_leaves_unset_options_at_the_ensemble_defaults():
+    config = parse_config({"stream": {"path": "x"}, "method": {"type": "online", "algorithm": "gnb"}})
+    assert isinstance(config, EnsembleConfig)
+    options = (config.combiner, config.seed, config.first_fit_size, config.shadow_eval_size, config.score_window)
+    assert options == ("wv", 0, 2500, 500, 500)
+    assert (config.cache_cap, config.shadow_metric, config.trace_every) == (200_000, "f1_macro", 1000)
 
 
 def test_explicit_method_id_wins():

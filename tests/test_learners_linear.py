@@ -4,7 +4,6 @@ import pytest
 from driftstream.core import FeatureKind, Schema
 from driftstream.learners import (
     BatchLogisticRegression,
-    OnlineLogisticConfig,
     OnlineLogisticRegression,
     softmax_loss_and_gradient,
 )
@@ -121,7 +120,7 @@ def test_one_sgd_step_moves_other_predictions_boundedly():
 
 def test_config_rejects_negative_values():
     with pytest.raises(ValueError):
-        OnlineLogisticConfig(learning_rate=-0.1)
+        OnlineLogisticRegression(make_schema(2, 2), learning_rate=-0.1)
 
 
 def test_batch_lr_standardization_makes_scale_irrelevant():

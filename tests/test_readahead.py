@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from driftstream.core import BatchClassifier, Instance
-from driftstream.ensemble import DriftEvent, ReplacementEvent
-from driftstream.experiment import build_ensemble, parse_config
+from driftstream.ensemble import DriftEvent, HybridEnsemble, ReplacementEvent
+from driftstream.experiment import parse_config
 from driftstream.ingest import synthetic_instances
 from driftstream.learners import BatchGaussianNB, RandomForestClassifier
 
@@ -42,7 +42,7 @@ def golden():
 
 def drive(config, schema, instances, block_size=None, until=None):
     """The StepResults of a run up to seq ``until``; ``block_size`` None processes rows without read-ahead."""
-    ensemble = build_ensemble(schema, config)
+    ensemble = HybridEnsemble(schema, config)
     steps = []
     size = block_size or 1
     for start in range(0, len(instances), size):
@@ -142,7 +142,7 @@ class _FailingBlocks(BatchClassifier):
 def test_failed_block_predict_answers_zero_and_fills_no_cache(golden, monkeypatch, caplog):
     config, schema, instances = golden
     monkeypatch.setattr("driftstream.ensemble.make_batch_classifier", lambda *a, **k: _FailingBlocks(schema))
-    ensemble = build_ensemble(schema, config)
+    ensemble = HybridEnsemble(schema, config)
     n = config.first_fit_size
     ensemble.lookahead(instances[:n + 5])
     with caplog.at_level(logging.WARNING):
