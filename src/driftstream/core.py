@@ -7,6 +7,7 @@ schema plus a fixed seed pins the full output trace of any model.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -91,6 +92,11 @@ class Instance:
     x: np.ndarray
     y: int
     seq: int
+
+
+def is_number(value, integral: bool = False) -> bool:
+    """An int (``integral``) or real number that is not a bool, as JSON configs spell them."""
+    return isinstance(value, numbers.Integral if integral else numbers.Real) and not isinstance(value, bool)
 
 
 def argmax_tiebreak(values: Sequence[float] | np.ndarray) -> int:

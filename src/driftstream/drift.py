@@ -14,22 +14,16 @@ trigger marks the pair as drifted.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, FeatureKind, Schema
+from .core import ConfigError, FeatureKind, Schema, is_number
 from .evaluation import f1_from_pairs
 from .stattests import P_VALUE, chi_squared, js_divergence, ks_two_sample, wasserstein_1d, z_proportion
 
 SINCE_LAST_REPLACEMENT = "since_last_replacement"
 LAST_WINDOW = "last_window"
-
-
-def _is_number(value, integral: bool = False) -> bool:
-    """An int (``integral``) or real number that is not a bool, as JSON configs spell them."""
-    return isinstance(value, numbers.Integral if integral else numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -58,11 +52,11 @@ class DriftStrategy:
             ("monitor_features", "true or false", isinstance(self.monitor_features, bool)),
             ("monitor_target", "true or false", isinstance(self.monitor_target, bool)),
             ("monitor_performance", "true or false", isinstance(self.monitor_performance, bool)),
-            ("threshold", "a number", _is_number(self.threshold)),
-            ("perf_tolerance", "a number", _is_number(self.perf_tolerance)),
-            ("window_size", "an integer", _is_number(self.window_size, integral=True)),
+            ("threshold", "a number", is_number(self.threshold)),
+            ("perf_tolerance", "a number", is_number(self.perf_tolerance)),
+            ("window_size", "an integer", is_number(self.window_size, integral=True)),
             ("first_fit_size", "an integer or null",
-             self.first_fit_size is None or _is_number(self.first_fit_size, integral=True)),
+             self.first_fit_size is None or is_number(self.first_fit_size, integral=True)),
         ):
             if not ok:
                 raise ConfigError(f"strategy {self.id!r}: {name} must be {expected}, got {getattr(self, name)!r}")

@@ -39,6 +39,7 @@ learn, fit or check that raises is skipped for that instance. Both are logged.
 
 from __future__ import annotations
 
+import inspect
 import logging
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -77,6 +78,13 @@ class MemberSpec:
         learners = ONLINE_LEARNERS if self.kind == ONLINE else BATCH_LEARNERS
         if not isinstance(self.algorithm, str) or self.algorithm not in learners:
             raise ConfigError(f"unknown {self.kind} algorithm {self.algorithm!r}, expected one of {tuple(learners)}")
+        if not isinstance(self.params, dict):
+            raise ConfigError(f"{self.kind} algorithm {self.algorithm!r}: params must be an object")
+        fixed = {"schema", "seed"} if self.kind == BATCH else {"schema"}  # passed by the member, not the config
+        allowed = set(inspect.signature(learners[self.algorithm]).parameters) - fixed
+        if unknown := sorted(set(self.params) - allowed):
+            raise ConfigError(f"{self.kind} algorithm {self.algorithm!r}: unknown params {unknown}, "
+                              f"expected some of {sorted(allowed)}")
         if self.kind == BATCH and self.strategy is None:
             raise ConfigError(f"batch member {self.id!r} needs a drift strategy")
         if self.kind == ONLINE and self.strategy is not None:

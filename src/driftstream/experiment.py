@@ -22,8 +22,8 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .core import ConfigError, Instance, Schema
-from .drift import DriftStrategy, _is_number, strategy_catalog
+from .core import ConfigError, Instance, Schema, is_number
+from .drift import DriftStrategy, strategy_catalog
 from .ensemble import (
     BATCH,
     DriftEvent,
@@ -124,7 +124,7 @@ _INT_FIELDS = {
 
 def _int_field(data: dict, key: str, least: int) -> int:
     value = data[key]
-    if not _is_number(value, integral=True) or value < least:
+    if not is_number(value, integral=True) or value < least:
         raise ConfigError(f"{key} must be an integer of at least {least}, got {value!r}")
     return value
 

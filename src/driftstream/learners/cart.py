@@ -4,13 +4,32 @@ Trees use Gini impurity, midpoint thresholds between consecutive distinct
 values, unlimited depth, a minimum of two samples to split and a
 deterministic first-best tie-break. Nodes are stored in flat arrays.
 
-Fitting searches each splitting node with one fixed set of array operations
-over all of its candidate features: one stable ``argsort`` of the (features x
-rows) value block, one ``cumsum`` of the sorted one-hot labels that gives the
-left class counts of every cut, the Gini of every cut, and one ``argmin``, whose
-first minimum in (feature, cut) order is the first best split. A node's class
-counts are handed down from its parent (the left child takes the counts at the
-chosen cut, the right child the rest), so a leaf costs no array operation.
+A fit grows all of its trees in lockstep; a CART fit is the one-tree case
+and a forest fit the n-tree case. Each tree keeps its own depth-first stack
+and random generator, so it opens its nodes, and draws their candidate
+features, in the order it would if grown alone. At each step every tree with
+an open node (as many as ``_SEARCH_CELLS`` holds) contributes that node, and
+one segmented pass over the whole batch finds the first best split of each:
+
+- A segment is one (node, candidate feature) pair. One ``argsort`` of the
+  integer keys ``segment * n + rank`` orders every segment by value, where
+  ``rank`` is the dense rank of a value in its feature, taken once per fit.
+  The order among equal values is free: no cut falls between them, and the
+  left class counts at a cut and both child row sets depend on values only.
+- One running ``cumsum`` per class over the batch, less each segment's base,
+  gives the left (and right) class counts of every cut as exact integers.
+  Only cuts between distinct values are kept.
+- Each cut's Gini takes the float operations, in the same order, of a
+  search over one node's contiguous (cuts x classes) counts, as in the
+  per-node reference the tests keep, so the floats are the same.
+- ``np.minimum.reduceat`` and the first hit at or after each node's first
+  cut give the node's first minimum in (feature, cut) order: its first best
+  split. A node searched in feature chunks keeps the first best chunk (a
+  strict ``<``), which is the same split.
+
+A node's class counts are handed down from its parent (the left child takes
+the counts at the chosen cut, the right child the rest), so a leaf costs no
+array operation.
 
 Prediction lays the trees end to end in one node layout (``_FlatTrees``):
 node ids are global across trees, and a leaf routes to itself with feature 0
@@ -25,13 +44,175 @@ import math
 
 import numpy as np
 
-from ..core import BatchClassifier, DataError, Schema
+from ..core import BatchClassifier, DataError, Schema, is_number
 
 
-#: The most (features x rows x classes) cells one split search holds per
-#: temporary array (8 MiB of floats); a node wider than that searches its
-#: candidate features a chunk at a time, keeping the first best split.
-_SEARCH_CELLS = 1 << 20
+#: The most (rows x candidate features x classes) cells one split search
+#: batch holds per class-major array. A node wider than that on its own is
+#: searched a chunk of features at a time, keeping the first best split.
+_SEARCH_CELLS = 1 << 15
+
+
+def _class_sum(a: np.ndarray) -> np.ndarray:
+    """Sum a (classes x cuts) array over classes as a sum of each cut's contiguous class values does.
+
+    numpy adds fewer than 8 contiguous values in order, as an axis-0 sum
+    adds rows, and 8 or more pairwise, which only a class-last copy repeats.
+    """
+    return a.sum(axis=0) if len(a) < 8 else np.ascontiguousarray(a.T).sum(axis=1)
+
+
+def _search(
+    parts: list[tuple[np.ndarray, np.ndarray]], Xt: np.ndarray, ranks: np.ndarray, y: np.ndarray, k: int
+) -> list[tuple | None]:
+    """The first best split of each part ``(rows, candidate features)`` of an open node, in one pass.
+
+    A part's result is None when no cut separates two distinct values, else
+    ``(impurity, feature, threshold, left rows, right rows, left class counts)``.
+    """
+    n = Xt.shape[1]
+    sizes = np.array([rows.size for rows, _ in parts])
+    widths = np.array([feats.size for _, feats in parts])
+    seg_feature = np.concatenate([feats for _, feats in parts])
+    seg_len = np.repeat(sizes, widths)
+    seg_end = np.cumsum(seg_len)
+    seg_start = seg_end - seg_len
+    segment = np.repeat(np.arange(seg_feature.size), seg_len)
+    rows = np.concatenate([rows for rows, feats in parts for _ in range(feats.size)])
+    key = segment * n + ranks.take(seg_feature.take(segment) * n + rows)
+    order = key.argsort()
+    key, rows = key.take(order), rows.take(order)  # each segment keeps its place, sorted by value
+    # A cut at p sends a segment's rows up to p left; none falls between equal values or at a segment's end.
+    is_cut = key[1:] != key[:-1]
+    is_cut[seg_end[:-1] - 1] = False
+    cuts = np.flatnonzero(is_cut)
+    running = np.zeros((k, key.size + 1), dtype=np.int64)
+    np.cumsum(y.take(rows) == np.arange(k)[:, None], axis=1, out=running[:, 1:])
+    seg = segment.take(cuts)
+    at_cut = running.take(cuts + 1, axis=1)
+    lc = at_cut - running.take(seg_start.take(seg), axis=1)  # left class counts of every cut
+    rc = running.take(seg_end.take(seg), axis=1) - at_cut
+    m = seg_len.take(seg)
+    nl = cuts - seg_start.take(seg) + 1.0
+    nr = m - nl
+    gini_l = 1.0 - _class_sum((lc / nl) ** 2)
+    gini_r = 1.0 - _class_sum((rc / nr) ** 2)
+    weighted = (nl * gini_l + nr * gini_r) / m
+
+    # Each part's cuts are weighted[first[i]:first[i + 1]], in (feature, cut) order.
+    first = np.searchsorted(cuts, seg_start.take(np.cumsum(widths) - widths))
+    found = np.flatnonzero(first < np.append(first[1:], cuts.size))
+    best = np.minimum.reduceat(weighted, first.take(found))
+    hits = np.flatnonzero(weighted == best.repeat(np.diff(np.append(first.take(found), cuts.size))))
+    at = hits.take(np.searchsorted(hits, first.take(found)))  # the first minimum of each part
+    p, seg = cuts.take(at), seg.take(at)
+    feature = seg_feature.take(seg)
+    threshold = ((Xt[feature, rows.take(p)] + Xt[feature, rows.take(p + 1)]) / 2.0).tolist()
+    left_counts = lc.take(at, axis=1).T.tolist()
+    results: list[tuple | None] = [None] * len(parts)
+    for i, impurity, p, s, f, thr, counts in zip(
+        found.tolist(), best.tolist(), p.tolist(), seg.tolist(), feature.tolist(), threshold, left_counts
+    ):
+        node_rows = rows[seg_start[s] : seg_end[s]].copy()  # a copy: the children keep only their node's rows alive
+        split = p + 1 - seg_start[s]
+        results[i] = (impurity, f, thr, node_rows[:split], node_rows[split:], counts)
+    return results
+
+
+class _Growth:
+    """One tree being grown: its node lists, depth-first stack, generator and open node.
+
+    The open node is the next one, in depth-first order, that needs a split
+    search. Its candidate features are searched in parts of at most ``step``
+    features, and the first best split over the parts wins.
+    """
+
+    def __init__(self, tree: CartClassifier, rows: np.ndarray, counts: list[int], d: int, k: int) -> None:
+        self.tree, self.d, self.k = tree, d, k
+        self.rng = np.random.default_rng(tree.seed)
+        self.subsample = tree.max_features is not None and tree.max_features < d
+        # Node lists; feature -1 marks a leaf.
+        self.feature, self.threshold, self.left, self.right, self.label = [-1], [0.0], [0], [0], [0]
+        self._nodes = (self.feature, self.threshold, self.left, self.right, self.label)
+        self.depth = 0
+        self.stack: list[tuple[int, np.ndarray, list[int], int]] = [(0, rows, counts, 0)]
+        self._open_next()
+
+    def _open_next(self) -> None:
+        """Pop nodes, leaving as leaves those with nothing to search, until one needs a search."""
+        while self.stack:
+            node_id, rows, counts, depth = self.node = self.stack.pop()
+            self.depth = max(self.depth, depth)
+            m = rows.size
+            self.label[node_id] = label = counts.index(max(counts))  # the first maximum, as argmax_tiebreak
+            if m >= self.tree.min_samples_split and counts[label] < m:
+                if self.subsample:
+                    self.feats = np.sort(self.rng.choice(self.d, size=self.tree.max_features, replace=False))
+                else:
+                    self.feats = np.arange(self.d)
+                self.step = max(1, _SEARCH_CELLS // (m * self.k))
+                self.best, self.split = math.inf, None
+                self._next_part(0)
+                return
+        self.node = None
+
+    def _next_part(self, lo: int) -> None:
+        self.lo = lo
+        feats = self.feats[lo : lo + self.step]
+        self.part = (self.node[1], feats)
+        self.cells = self.node[1].size * feats.size * self.k
+
+    def take(self, result: tuple | None) -> None:
+        """Keep a part's split if strictly better; after the last part, split the node and open the next."""
+        if result is not None and result[0] < self.best:
+            self.best, self.split = result[0], result[1:]
+        if self.lo + self.step < self.feats.size:
+            self._next_part(self.lo + self.step)
+            return
+        node_id, _, counts, depth = self.node
+        if self.split is not None:
+            self.feature[node_id], self.threshold[node_id], left_rows, right_rows, left_counts = self.split
+            self.left[node_id] = lid = len(self.feature)
+            self.right[node_id] = rid = lid + 1
+            for nodes, blank in zip(self._nodes, (-1, 0.0, 0, 0, 0)):
+                nodes += (blank, blank)
+            # Push right first so the left subtree is built first (stable rng order).
+            self.stack.append((rid, right_rows, [c - l for c, l in zip(counts, left_counts)], depth + 1))
+            self.stack.append((lid, left_rows, left_counts, depth + 1))
+        self._open_next()
+
+    def finish(self) -> None:
+        tree = self.tree
+        tree.feature = np.array(self.feature, dtype=np.int32)
+        tree.threshold = np.array(self.threshold)
+        tree.left = np.array(self.left, dtype=np.int32)
+        tree.right = np.array(self.right, dtype=np.int32)
+        tree.label = np.array(self.label, dtype=np.int32)
+        tree.depth = self.depth
+        tree._flat = _FlatTrees([tree])
+
+
+def _grow(trees: list[CartClassifier], X: np.ndarray, y: np.ndarray, row_sets: list[np.ndarray]) -> None:
+    """Fit ``trees[i]`` on the rows ``row_sets[i]`` (int32 ids) of ``(X, y)``, growing all the trees in lockstep."""
+    d = X.shape[1]
+    k = trees[0].schema.n_classes
+    Xt = np.ascontiguousarray(X.T)
+    ranks = np.concatenate([np.unique(column, return_inverse=True)[1] for column in Xt])  # feature-major, as Xt
+    growths = [
+        _Growth(tree, rows, np.bincount(y[rows], minlength=k).tolist(), d, k) for tree, rows in zip(trees, row_sets)
+    ]
+    growing = [g for g in growths if g.node is not None]
+    while growing:
+        batch, cells = [], 0
+        for g in growing:
+            if not batch or cells + g.cells <= _SEARCH_CELLS:
+                batch.append(g)
+                cells += g.cells
+        for g, result in zip(batch, _search([g.part for g in batch], Xt, ranks, y, k)):
+            g.take(result)
+        growing = [g for g in growing if g.node is not None]
+    for g in growths:
+        g.finish()
 
 
 class _FlatTrees:
@@ -99,6 +280,10 @@ class CartClassifier(BatchClassifier):
         min_samples_split: int = 2,
     ) -> None:
         super().__init__(schema)
+        if max_features is not None and not (is_number(max_features, integral=True) and max_features >= 1):
+            raise ValueError(f"max_features must be null or an integer of at least 1, got {max_features!r}")
+        if not (is_number(min_samples_split, integral=True) and min_samples_split >= 2):
+            raise ValueError(f"min_samples_split must be an integer of at least 2, got {min_samples_split!r}")
         self.seed = seed
         self.max_features = max_features
         self.min_samples_split = min_samples_split
@@ -115,73 +300,7 @@ class CartClassifier(BatchClassifier):
         y = np.asarray(y, dtype=int)
         if X.size == 0:
             raise DataError("empty training batch")
-        rng = np.random.default_rng(self.seed)
-        n, d = X.shape
-        k = self.schema.n_classes
-        subsample = self.max_features is not None and self.max_features < d
-        root_counts = np.bincount(y, minlength=k).tolist()
-        Xt = np.ascontiguousarray(X.T)
-        onehot = np.zeros((n, k))
-        onehot[np.arange(n), y] = 1.0
-        sizes = np.arange(1, n, dtype=float)  # rows left of each cut
-        feature: list[int] = []
-        threshold: list[float] = []
-        left: list[int] = []
-        right: list[int] = []
-        label: list[int] = []
-        self.depth = 0
-
-        def new_node() -> int:
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(0)
-            right.append(0)
-            label.append(0)
-            return len(feature) - 1
-
-        stack: list[tuple[int, np.ndarray, list[int], int]] = [(new_node(), np.arange(n), root_counts, 0)]
-        while stack:
-            node_id, rows, counts, depth = stack.pop()
-            self.depth = max(self.depth, depth)
-            m = rows.size
-            label[node_id] = counts.index(max(counts))  # the first maximum, as argmax_tiebreak
-            if m < self.min_samples_split or counts[label[node_id]] == m:
-                continue
-            feats = np.sort(rng.choice(d, size=self.max_features, replace=False)) if subsample else np.arange(d)
-            total = np.array(counts, dtype=float)
-            nl = sizes[: m - 1]
-            nr = m - nl
-            best = math.inf
-            step = max(1, _SEARCH_CELLS // (m * k))
-            for lo in range(0, feats.size, step):
-                fs = feats[lo : lo + step, None]
-                srows = rows[Xt[fs, rows].argsort(axis=1, kind="stable")]
-                xs = Xt[fs, srows]
-                lc = onehot[srows[:, :-1]].cumsum(axis=1)  # left class counts of every cut
-                gini_l = 1.0 - ((lc / nl[:, None]) ** 2).sum(axis=2)
-                gini_r = 1.0 - (((total - lc) / nr[:, None]) ** 2).sum(axis=2)
-                # No cut between equal values; argmin takes the first minimum in (feature, cut) order.
-                weighted = np.where(xs[:, 1:] > xs[:, :-1], (nl * gini_l + nr * gini_r) / m, np.inf)
-                f, j = divmod(int(weighted.argmin()), m - 1)
-                if weighted[f, j] < best:
-                    best = weighted[f, j]
-                    thr = float((xs[f, j] + xs[f, j + 1]) / 2.0)
-                    split = (int(fs[f, 0]), thr, srows[f], j + 1, lc[f, j].astype(np.int64).tolist())
-            if best == math.inf:
-                continue
-            feature[node_id], threshold[node_id], sorted_rows, pos, left_counts = split
-            left[node_id] = lid = new_node()
-            right[node_id] = rid = new_node()
-            # Push right first so the left subtree is built first (stable rng order).
-            stack.append((rid, sorted_rows[pos:], [c - l for c, l in zip(counts, left_counts)], depth + 1))
-            stack.append((lid, sorted_rows[:pos], left_counts, depth + 1))
-
-        self.feature = np.array(feature, dtype=np.int32)
-        self.threshold = np.array(threshold)
-        self.left = np.array(left, dtype=np.int32)
-        self.right = np.array(right, dtype=np.int32)
-        self.label = np.array(label, dtype=np.int32)
-        self._flat = _FlatTrees([self])
+        _grow([self], X, y, [np.arange(len(X), dtype=np.int32)])
 
     def predict(self, x: np.ndarray) -> int:
         self._check_x(x)
@@ -197,9 +316,11 @@ class CartClassifier(BatchClassifier):
 class RandomForestClassifier(BatchClassifier):
     """Bagging over CART trees with per-split feature subsampling.
 
-    Per-tree seeds are fixed up front from the forest seed, so the fitted
-    forest is identical however tree construction is scheduled. The predicted
-    label is a majority vote over trees, ties resolved by class order.
+    Per-tree seeds and bootstrap rows are fixed up front from the forest
+    seed, so the fitted forest is identical however tree construction is
+    scheduled: the trees grow in lockstep, each as it would alone. The
+    predicted label is a majority vote over trees, ties resolved by class
+    order.
     """
 
     def __init__(
@@ -211,6 +332,12 @@ class RandomForestClassifier(BatchClassifier):
         max_features: int | str | None = "sqrt",
     ) -> None:
         super().__init__(schema)
+        if not (is_number(n_trees, integral=True) and n_trees >= 1):
+            raise ValueError(f"n_trees must be an integer of at least 1, got {n_trees!r}")
+        if not isinstance(bootstrap, bool):
+            raise ValueError(f"bootstrap must be true or false, got {bootstrap!r}")
+        if max_features not in (None, "sqrt") and not (is_number(max_features, integral=True) and max_features >= 1):
+            raise ValueError(f"max_features must be null, \"sqrt\" or an integer of at least 1, got {max_features!r}")
         self.seed = seed
         self.n_trees = n_trees
         self.bootstrap = bootstrap
@@ -231,13 +358,12 @@ class RandomForestClassifier(BatchClassifier):
         n, d = X.shape
         seeds = np.random.SeedSequence(self.seed).generate_state(2 * self.n_trees)
         mf = self._resolve_max_features(d)
-        self.trees = []
+        self.trees, rows = [], []
         for i in range(self.n_trees):
-            boot_rng = np.random.default_rng(int(seeds[2 * i]))
-            idx = boot_rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
-            tree = CartClassifier(self.schema, seed=int(seeds[2 * i + 1]), max_features=mf)
-            tree.fit(X[idx], y[idx])
-            self.trees.append(tree)
+            idx = np.random.default_rng(int(seeds[2 * i])).integers(0, n, size=n) if self.bootstrap else np.arange(n)
+            rows.append(idx.astype(np.int32))
+            self.trees.append(CartClassifier(self.schema, seed=int(seeds[2 * i + 1]), max_features=mf))
+        _grow(self.trees, X, y, rows)
         self._flat = _FlatTrees(self.trees)
 
     def predict(self, x: np.ndarray) -> int:

@@ -159,6 +159,8 @@ def test_run_bad_config_exits_1(tmp_path):
 
 
 SYNTHETIC = {"n_instances": 100, "n_features": 2, "n_classes": 2}
+RF_S4 = {"type": "batch", "algorithm": "rf", "strategy": "S4"}
+CART_S4 = {"type": "batch", "algorithm": "cart", "strategy": "S4"}
 
 
 @pytest.mark.parametrize(
@@ -182,8 +184,29 @@ def test_run_malformed_config_exits_1(tmp_path, config, capsys):
         ({"type": "online", "algorithm": "hoeffding", "params": {"grace": 1}}, {}, "'hoeffding'"),
         ({"type": "online", "algorithm": "gnb", "params": {"var_smoothing": 1e-9}}, {}, "'gnb'"),
         ({"type": "batch", "algorithm": "cart", "strategy": "S2"}, {"shadow_metric": "acuracy"}, "'acuracy'"),
+        ({**RF_S4, "params": {"n_trees": 0}}, {}, "n_trees"),
+        ({**RF_S4, "params": {"n_trees": True}}, {}, "n_trees"),
+        ({**RF_S4, "params": {"max_features": "log2"}}, {}, "max_features"),
+        ({**RF_S4, "params": {"max_features": 0}}, {}, "max_features"),
+        ({**RF_S4, "params": {"bootstrap": "no"}}, {}, "bootstrap"),
+        ({**CART_S4, "params": {"min_samples_split": 0}}, {}, "min_samples_split"),
+        ({**CART_S4, "params": {"min_samples_split": 2.0}}, {}, "min_samples_split"),
+        ({**CART_S4, "params": {"max_features": "sqrt"}}, {}, "max_features"),
     ],
-    ids=["unknown-rf-param", "unknown-hoeffding-param", "unknown-gnb-param", "shadow-metric-typo"],
+    ids=[
+        "unknown-rf-param",
+        "unknown-hoeffding-param",
+        "unknown-gnb-param",
+        "shadow-metric-typo",
+        "rf-zero-trees",
+        "rf-boolean-trees",
+        "rf-log2-features",
+        "rf-zero-features",
+        "rf-string-bootstrap",
+        "cart-zero-min-split",
+        "cart-float-min-split",
+        "cart-sqrt-features",
+    ],
 )
 def test_run_invalid_method_options_exit_1_before_the_stream(tmp_path, synth_config, method, extra, named, capsys):
     stream = tmp_path / "s.dsv"
@@ -397,6 +420,11 @@ def test_run_config_value_of_the_wrong_type_exits_1_before_the_stream(tmp_path, 
         ({**GNB_ENSEMBLE, "batch_algorithm": "rff"}, "unknown batch algorithm 'rff'"),
         ({**GNB_ENSEMBLE, "online_members": ["gnb", "ht"]}, "unknown online algorithm 'ht'"),
         ({"type": "online"}, "unknown online algorithm None"),
+        ({"type": "online", "algorithm": "gnb", "params": {"var_smoothing": 1}}, "unknown params ['var_smoothing']"),
+        ({**GNB_S4, "algorithm": "rf", "params": {"n_tres": 5}}, "unknown params ['n_tres']"),
+        ({**GNB_S4, "algorithm": "rf", "params": {"seed": 5}}, "unknown params ['seed']"),
+        ({**GNB_ENSEMBLE, "batch_params": {"max_depth": 3}}, "unknown params ['max_depth']"),
+        ({**GNB_S4, "params": [1]}, "params must be an object"),
     ],
     ids=[
         "combiner",
@@ -405,6 +433,11 @@ def test_run_config_value_of_the_wrong_type_exits_1_before_the_stream(tmp_path, 
         "ensemble-batch-algorithm",
         "ensemble-online-member",
         "missing-online-algorithm",
+        "unknown-online-param",
+        "unknown-batch-param",
+        "batch-seed-param",
+        "unknown-ensemble-batch-param",
+        "params-not-an-object",
     ],
 )
 def test_run_unknown_combiner_or_learner_exits_1_before_the_stream(tmp_path, method, named, capsys):

@@ -430,19 +430,71 @@ def test_chunked_split_search_builds_the_reference_tree(monkeypatch):
         fit_both(schema, X, y, seed=seed, max_features=4)
 
 
-def test_forest_trees_equal_reference_trees(monkeypatch):
+def reference_forest(schema, X, y, n_trees, seed, max_features):
+    """One ReferenceCart per tree, on bootstrap rows and with seeds drawn the way the forest draws them."""
+    n = len(X)
+    seeds = np.random.SeedSequence(seed).generate_state(2 * n_trees)
+    trees = []
+    for i in range(n_trees):
+        rows = np.random.default_rng(int(seeds[2 * i])).integers(0, n, size=n)
+        tree = ReferenceCart(schema, seed=int(seeds[2 * i + 1]), max_features=max_features)
+        tree.fit(X[rows], y[rows])
+        trees.append(tree)
+    return trees
+
+
+def assert_same_forest(forest, reference_trees):
+    for tree, ref in zip(forest.trees, reference_trees, strict=True):
+        assert_same_tree(tree, ref)
+
+
+def test_forest_trees_equal_reference_trees():
     rng = np.random.default_rng(21)
     schema = make_schema(6, 5)
     X, y = awkward_batch(rng, 400, 6, 5)
     X = np.hstack([X[:, :3], rng.normal(size=(400, 3))])
     forest = RandomForestClassifier(schema, n_trees=10, seed=4)
     forest.fit(X, y)
-    monkeypatch.setattr(cart_module, "CartClassifier", ReferenceCart)
-    reference = RandomForestClassifier(schema, n_trees=10, seed=4)
-    reference.fit(X, y)
-    assert all(isinstance(t, ReferenceCart) for t in reference.trees)
-    for tree, ref in zip(forest.trees, reference.trees, strict=True):
-        assert_same_tree(tree, ref)
+    assert_same_forest(forest, reference_forest(schema, X, y, 10, 4, max_features=2))  # "sqrt" of 6 features
+
+
+def forest_trees(forest):
+    names = ("feature", "threshold", "left", "right", "label")
+    return [tuple(getattr(tree, name).tolist() for name in names) for tree in forest.trees]
+
+
+def test_search_schedule_does_not_change_the_forest(monkeypatch):
+    # Batches of one node part at a time, the default batches, and all open nodes in one batch.
+    rng = np.random.default_rng(31)
+    schema = make_schema(6, 4)
+    X, y = awkward_batch(rng, 300, 6, 4)
+    X = np.hstack([X[:, :4], rng.normal(size=(300, 2))])
+    forests = {}
+    for cells in (60, cart_module._SEARCH_CELLS, 1 << 30):
+        monkeypatch.setattr(cart_module, "_SEARCH_CELLS", cells)
+        for max_features in (None, 2, "sqrt"):
+            forest = RandomForestClassifier(schema, n_trees=8, seed=5, max_features=max_features)
+            forest.fit(X, y)
+            forests.setdefault(max_features, []).append(forest_trees(forest))
+    for fits in forests.values():
+        assert fits[0] == fits[1] == fits[2]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=120),
+    k=st.integers(min_value=2, max_value=12),
+    max_features=st.sampled_from([None, 2]),
+)
+def test_tie_heavy_fits_build_the_reference_trees(seed, n, k, max_features):
+    rng = np.random.default_rng(seed)
+    schema = make_schema(6, k)
+    X, y = awkward_batch(rng, n, 6, k)
+    fit_both(schema, X, y, seed=seed % 1000, max_features=max_features)
+    forest = RandomForestClassifier(schema, n_trees=4, seed=seed % 1000, max_features=max_features)
+    forest.fit(X, y)
+    assert_same_forest(forest, reference_forest(schema, X, y, 4, seed % 1000, max_features))
 
 
 @pytest.mark.parametrize("seed", range(4))
