@@ -26,13 +26,7 @@ from .ensemble import (
     compute_weights,
 )
 from .evaluation import ConfusionMatrix, PrequentialState, RankedMethod, RunReport, f1_macro, ranking
-from .experiment import (
-    ExperimentConfig,
-    load_config,
-    parse_config,
-    run_experiment,
-    run_stream,
-)
+from .experiment import ExperimentConfig, parse_config, run_experiment, run_stream
 from .ingest import IngestConfig, SynthConfig, generate_synthetic, preprocess_csv, replay, stream_schema
 
 __version__ = "0.1.0"
@@ -66,7 +60,6 @@ __all__ = [
     "compute_weights",
     "f1_macro",
     "generate_synthetic",
-    "load_config",
     "parse_config",
     "preprocess_csv",
     "ranking",

@@ -64,6 +64,8 @@ class DriftStrategy:
             raise ConfigError("perf_tolerance must lie in (0, 1)")
         if self.window_size < 2:
             raise ConfigError("window_size must be at least 2")
+        if self.first_fit_size is not None and self.first_fit_size < 1:
+            raise ConfigError(f"strategy {self.id!r}: first_fit_size must be at least 1, got {self.first_fit_size!r}")
         if (self.monitor_features or self.monitor_target) and self.threshold <= 0:
             raise ConfigError("threshold must be positive when statistical monitors are on")
         if self.retrain_scope not in (SINCE_LAST_REPLACEMENT, LAST_WINDOW):

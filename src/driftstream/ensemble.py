@@ -49,7 +49,7 @@ import numpy as np
 from .core import ConfigError, Instance, Schema, SchemaError, argmax_tiebreak
 from .drift import LAST_WINDOW, DriftStrategy, Trigger, WindowPair, check_windows
 from .evaluation import ConfusionMatrix, f1_from_pairs
-from .learners import BATCH_LEARNERS, ONLINE_LEARNERS, make_batch_classifier, make_online_classifier
+from .learners import BATCH_LEARNERS, ONLINE_LEARNERS
 
 logger = logging.getLogger(__name__)
 
@@ -75,7 +75,7 @@ class MemberSpec:
     def __post_init__(self) -> None:
         if self.kind not in (ONLINE, BATCH):
             raise ConfigError(f"unknown member kind {self.kind!r}")
-        learners = ONLINE_LEARNERS if self.kind == ONLINE else BATCH_LEARNERS
+        learners = self.learners
         if not isinstance(self.algorithm, str) or self.algorithm not in learners:
             raise ConfigError(f"unknown {self.kind} algorithm {self.algorithm!r}, expected one of {tuple(learners)}")
         if not isinstance(self.params, dict):
@@ -89,6 +89,18 @@ class MemberSpec:
             raise ConfigError(f"batch member {self.id!r} needs a drift strategy")
         if self.kind == ONLINE and self.strategy is not None:
             raise ConfigError(f"online member {self.id!r} must not carry a drift strategy")
+
+    @property
+    def learners(self) -> dict:
+        """The learner table of this member's kind."""
+        return ONLINE_LEARNERS if self.kind == ONLINE else BATCH_LEARNERS
+
+    def new_model(self, schema: Schema, **fixed):
+        """A new learner for this slot; ``fixed`` holds what the member passes, a batch member's ``seed``."""
+        try:
+            return self.learners[self.algorithm](schema, **fixed, **self.params)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{self.kind} algorithm {self.algorithm!r}: invalid params: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -263,7 +275,7 @@ class OnlineMember:
 
     def __init__(self, spec: MemberSpec, schema: Schema) -> None:
         self.spec = spec
-        self.model = make_online_classifier(spec.algorithm, schema, spec.params)
+        self.model = spec.new_model(schema)
 
     def predict(self, inst: Instance, block: np.ndarray, i: int) -> int:
         return self.model.predict(inst.x)
@@ -290,16 +302,15 @@ class Member:
         self.history = history
         self.index = index  # this member's row of history.labels
         self.strategy = spec.strategy
-        self.incumbent = FrozenModel(self.new_model())  # fails here, before the stream starts, on bad params
+        # A bad param fails here, before the stream starts.
+        self.incumbent = FrozenModel(spec.new_model(schema, seed=seed))
         self.fitted = False
         self.shadow: _Shadow | None = None
-        self.first_fit_size = self.strategy.first_fit_size or config.first_fit_size
+        own = self.strategy.first_fit_size
+        self.first_fit_size = config.first_fit_size if own is None else own
         self.cache_start = 0
         self.cache_limit = config.cache_cap
         self._cache_warned = False
-
-    def new_model(self):
-        return make_batch_classifier(self.spec.algorithm, self.schema, self.seed, self.spec.params)
 
     def predict(self, inst: Instance, block: np.ndarray, i: int) -> int:
         if not self.fitted:  # warm-up: the majority class so far
@@ -366,7 +377,7 @@ class Member:
         )
 
     def _retrain(self, seq: int, triggers: tuple[Trigger, ...], events: list) -> None:
-        model = self.new_model()
+        model = self.spec.new_model(self.schema, seed=self.seed)
         model.fit(*self._cache_arrays())
         self.shadow = _Shadow(FrozenModel(model), started_at=seq)
         events.append(DriftEvent(seq=seq, member_id=self.spec.id, triggers=triggers))

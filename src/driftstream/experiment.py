@@ -22,7 +22,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .core import ConfigError, Instance, Schema, is_number
+from .core import ConfigError, DataError, Instance, Schema, is_number
 from .drift import DriftStrategy, strategy_catalog
 from .ensemble import (
     BATCH,
@@ -173,10 +173,6 @@ def load_json(path: str | Path) -> dict:
     return data
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
-    return parse_config(load_json(path))
-
-
 def _list_field(method: dict, key: str, default: list) -> list:
     value = method.get(key)
     if value is None:
@@ -246,7 +242,7 @@ def run_stream(
             if n % trace_every == 0:
                 trace.append((n, float(metrics.windowed_f1()), float(metrics.cumulative_f1())))
     if n == 0:
-        raise ConfigError("stream produced no instances")
+        raise DataError("stream produced no instances")
     return RunResult(
         final_f1=metrics.cumulative_f1(),
         trace=trace,

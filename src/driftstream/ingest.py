@@ -129,6 +129,11 @@ def write_stream(
     return path
 
 
+def _undecodable(path: Path, exc: UnicodeDecodeError) -> DataError:
+    bad = exc.object[exc.start:exc.end]
+    return DataError(f"{path}: bytes {bad!r} are not {exc.encoding} text ({exc.reason})")
+
+
 def stream_schema(path: str | Path) -> Schema:
     """Read only the embedded schema manifest of a canonical stream file."""
     try:
@@ -136,6 +141,8 @@ def stream_schema(path: str | Path) -> Schema:
             first = fh.readline()
     except FileNotFoundError:
         raise DataError(f"stream file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from None
     if not first.startswith(SCHEMA_PREFIX):
         raise DataError(f"{path}: missing schema manifest line")
     try:
@@ -154,8 +161,9 @@ def replay(path: str | Path) -> Iterator[Instance]:
     """Yield the stored instances in order, with seq equal to row position.
 
     Memory use is constant in the stream length. Malformed rows, including
-    rows with a nan or infinite feature value, raise a DataError naming the
-    offending row.
+    rows with a nan or infinite feature value or a field longer than the csv
+    module's limit, raise a DataError naming the offending row; bytes that
+    do not decode raise one naming the file.
     """
     path = Path(path)
     schema = stream_schema(path)
@@ -164,27 +172,29 @@ def replay(path: str | Path) -> Iterator[Instance]:
     with path.open(newline="") as fh:
         fh.readline()  # manifest
         reader = csv.reader(fh)
-        try:
-            next(reader)  # header row
-        except StopIteration:
-            return
         seq = 0
-        for row_number, row in enumerate(reader, start=3):
-            if not row:
-                continue
-            if len(row) != n_features + 1:
-                raise DataError(f"{path}: row {row_number}: expected {n_features + 1} fields, got {len(row)}")
-            try:
-                x = np.array([float(v) for v in row[:-1]])
-            except ValueError as exc:
-                raise DataError(f"{path}: row {row_number}: {exc}") from None
-            if not np.isfinite(x).all():
-                raise DataError(f"{path}: row {row_number}: non-finite feature value")
-            label = row[-1]
-            if label not in label_index:
-                raise DataError(f"{path}: row {row_number}: unknown class label {label!r}")
-            yield Instance(x=x, y=label_index[label], seq=seq)
-            seq += 1
+        try:
+            next(reader, None)  # header row
+            for row_number, row in enumerate(reader, start=3):
+                if not row:
+                    continue
+                if len(row) != n_features + 1:
+                    raise DataError(f"{path}: row {row_number}: expected {n_features + 1} fields, got {len(row)}")
+                try:
+                    x = np.array([float(v) for v in row[:-1]])
+                except ValueError as exc:
+                    raise DataError(f"{path}: row {row_number}: {exc}") from None
+                if not np.isfinite(x).all():
+                    raise DataError(f"{path}: row {row_number}: non-finite feature value")
+                label = row[-1]
+                if label not in label_index:
+                    raise DataError(f"{path}: row {row_number}: unknown class label {label!r}")
+                yield Instance(x=x, y=label_index[label], seq=seq)
+                seq += 1
+        except UnicodeDecodeError as exc:
+            raise _undecodable(path, exc) from None
+        except csv.Error as exc:
+            raise DataError(f"{path}: row {reader.line_num + 1}: {exc}") from None
 
 
 def _is_missing_numeric(value: str) -> bool:
@@ -201,15 +211,20 @@ def _read_csv_rows(path: Path) -> tuple[list[str], list[list[str]]]:
     if not path.exists():
         raise DataError(f"input file not found: {path}")
     with path.open(newline="") as fh:
-        first = fh.readline()
-        if not first.startswith(SCHEMA_PREFIX):
-            fh.seek(0)
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        return header, [row for row in reader if row]
+            manifest = fh.readline().startswith(SCHEMA_PREFIX)
+            if not manifest:
+                fh.seek(0)
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = [row for row in reader if row]
+        except UnicodeDecodeError as exc:
+            raise _undecodable(path, exc) from None
+        except csv.Error as exc:
+            raise DataError(f"{path}: line {reader.line_num + manifest}: {exc}") from None
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    return header, rows
 
 
 def preprocess_csv(raw_path: str | Path, config: IngestConfig, out_path: str | Path) -> tuple[Schema, Path]:

@@ -1,6 +1,6 @@
-"""Logistic regression: online multinomial SGD and a batch gradient-descent fit.
+"""Online multinomial logistic regression trained by SGD.
 
-The online learner standardizes features with a one-class ``RunningMoments``
+The learner standardizes features with a one-class ``RunningMoments``
 updated before each gradient step (scale, then learn), uses a shared learning
 rate for the weights and a separate one for the intercept, applies L2 at
 strength ``l2`` and clips gradient coordinates at ``gradient_clip``. The
@@ -12,13 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import (
-    BatchClassifier,
-    DataError,
-    OnlineClassifier,
-    Schema,
-    argmax_tiebreak,
-)
+from ..core import OnlineClassifier, Schema, argmax_tiebreak
 from .moments import RunningMoments
 
 
@@ -99,79 +93,3 @@ class OnlineLogisticRegression(OnlineClassifier):
         self.W -= self.learning_rate * dW
         self.b -= self.intercept_lr * g
 
-
-class BatchLogisticRegression(BatchClassifier):
-    """Multinomial logistic regression fit by full-batch gradient descent.
-
-    The training batch is standardized first and the fitted moments are
-    reused at prediction time. Descent runs for at most ``max_iter``
-    iterations or until the gradient infinity-norm drops below ``tol``; the
-    step size halves whenever a step would increase the loss, which keeps the
-    procedure deterministic without line-search machinery.
-    """
-
-    def __init__(
-        self,
-        schema: Schema,
-        seed: int | None = None,
-        l2: float = 1e-4,
-        learning_rate: float = 0.5,
-        max_iter: int = 200,
-        tol: float = 1e-6,
-    ) -> None:
-        super().__init__(schema)
-        self.l2 = l2
-        self.learning_rate = learning_rate
-        self.max_iter = max_iter
-        self.tol = tol
-        d, k = schema.n_features, schema.n_classes
-        self.W = np.zeros((d, k))
-        self.b = np.zeros(k)
-        self._mean = np.zeros(d)
-        self._std = np.ones(d)
-
-    def _loss_and_grad(self, X: np.ndarray, Y: np.ndarray, W: np.ndarray, b: np.ndarray):
-        z = X @ W + b
-        z -= z.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        probs = e / e.sum(axis=1, keepdims=True)
-        n = X.shape[0]
-        ll = -np.mean(np.log(np.maximum(probs[np.arange(n), Y], 1e-300)))
-        loss = ll + 0.5 * self.l2 * float(np.sum(W * W))
-        G = probs
-        G[np.arange(n), Y] -= 1.0
-        dW = X.T @ G / n + self.l2 * W
-        db = G.sum(axis=0) / n
-        return loss, dW, db
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> None:
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=int)
-        if X.size == 0:
-            raise DataError("empty training batch")
-        self._mean = X.mean(axis=0)
-        std = X.std(axis=0, ddof=1) if X.shape[0] >= 2 else np.zeros(X.shape[1])
-        self._std = np.where(std > 0, std, 1.0)
-        Xs = (X - self._mean) / self._std
-        d, k = self.schema.n_features, self.schema.n_classes
-        W = np.zeros((d, k))
-        b = np.zeros(k)
-        lr = self.learning_rate
-        loss, dW, db = self._loss_and_grad(Xs, y, W, b)
-        for _ in range(self.max_iter):
-            if max(np.abs(dW).max(), np.abs(db).max()) < self.tol:
-                break
-            new_W = W - lr * dW
-            new_b = b - lr * db
-            new_loss, new_dW, new_db = self._loss_and_grad(Xs, y, new_W, new_b)
-            if new_loss > loss:
-                lr *= 0.5
-                continue
-            W, b, loss, dW, db = new_W, new_b, new_loss, new_dW, new_db
-        self.W, self.b = W, b
-
-    def predict(self, x: np.ndarray) -> int:
-        self._check_x(x)
-        x_std = (np.asarray(x, dtype=float) - self._mean) / self._std
-        scores = _softmax(x_std @ self.W + self.b)
-        return argmax_tiebreak(scores)

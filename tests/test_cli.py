@@ -1,6 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftstream.cli import main
 
@@ -278,15 +282,18 @@ def test_preprocess_infinite_numeric_value_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("a,b,target\n1,2,x\n3\n4,5,y\n", "row 2: expected 3 fields, got 1"),
-        ("a,target\n1,x\n2,\ninf,y\n", "row 3: column 'a' has non-finite value 'inf'"),
+        (b"a,b,target\n1,2,x\n3\n4,5,y\n", "row 2: expected 3 fields, got 1"),
+        (b"a,target\n1,x\n2,\ninf,y\n", "row 3: column 'a' has non-finite value 'inf'"),
+        (b"a,target\n1,x\n2\xff,y\n", "bytes b'\\xff' are not utf-8 text"),
+        (b"a,target\n1,x\n" + b"2" * 200_000 + b",y\n", "line 3: field larger than field limit"),
     ],
-    ids=["short-row-before-the-target", "row-after-a-dropped-one"],
+    ids=["short-row-before-the-target", "row-after-a-dropped-one", "undecodable-byte", "over-long-field"],
 )
 def test_preprocess_row_errors_name_the_data_row_exit_2(tmp_path, text, message, capsys):
-    # Rows are numbered among the file's data rows, those dropped for a missing target included.
+    # Rows are numbered among the file's data rows, those dropped for a missing target included;
+    # a field the csv reader refuses is named by its file line.
     raw = tmp_path / "raw.csv"
-    raw.write_text(text)
+    raw.write_bytes(text)
     config = write_json(tmp_path / "ing.json", {"input": str(raw), "target_column": "target"})
     out = tmp_path / "stream.dsv"
     assert main(["preprocess", "--config", config, "--out", str(out)]) == 2
@@ -363,6 +370,57 @@ def test_run_malformed_schema_manifest_exits_2(tmp_path, manifest, capsys):
     assert str(stream) in err and "malformed schema manifest" in err and "internal error" not in err
 
 
+STREAM_HEAD = (
+    b'#schema {"features": [{"name": "f0", "kind": "numeric"}, {"name": "f1", "kind": "numeric"}], '
+    b'"classes": ["a", "b"]}\nf0,f1,target\n'
+)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (b"", "stream produced no instances"),
+        (b"\n\n", "stream produced no instances"),
+        (b"1.0,2.0,a\n2.0\xff,1.0,b\n", "bytes b'\\xff' are not utf-8 text"),
+        (b"1.0,2.0,a\n2.0,1.0,b\n" + b"3" * 200_000 + b",1.0,a\n", "row 5: field larger than field limit"),
+    ],
+    ids=["no-rows", "blank-rows", "undecodable-byte", "over-long-field"],
+)
+def test_run_stream_without_readable_rows_exits_2(tmp_path, rows, message, capsys):
+    stream = tmp_path / "s.dsv"
+    stream.write_bytes(STREAM_HEAD + rows)
+    config = experiment_config(tmp_path, stream, {"type": "online", "algorithm": "gnb"})
+    out_dir = tmp_path / "r"
+    assert main(["run", "--config", config, "--out", str(out_dir), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "internal error" not in err
+    assert not out_dir.exists()
+
+
+FEATURE_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: repr(v).encode()),
+    st.sampled_from([b"nan", b"-inf", b"1e999", b"x", b"", b'"', b"\xff", b"\xc3", b"1" * 100_000, b"9" * 200_000]),
+)
+LABEL_CELLS = st.sampled_from([b"a", b"b", b"c", b"", b"\xe9", b"b" * 200_000])
+ROWS = st.lists(
+    st.builds(lambda features, label: b",".join([*features, label]), st.lists(FEATURE_CELLS, max_size=3), LABEL_CELLS),
+    max_size=20,
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(rows=ROWS)
+def test_run_on_generated_stream_rows_exits_0_or_2(rows):
+    # Rows after a valid manifest and header either run or fail as data errors, never as internal ones.
+    with tempfile.TemporaryDirectory() as tmp:
+        stream = Path(tmp) / "s.dsv"
+        stream.write_bytes(STREAM_HEAD + b"".join(row + b"\n" for row in rows))
+        config = write_json(
+            Path(tmp) / "run.json", {"stream": {"path": str(stream)}, "method": {"type": "online", "algorithm": "gnb"}}
+        )
+        assert main(["run", "--config", config, "--out", str(Path(tmp) / "r"), "--quiet"]) in (0, 2)
+
+
 @pytest.mark.parametrize("field, name", [("drop_columns", "ID"), ("categorical_columns", "colour")])
 def test_preprocess_unknown_column_name_exits_1(tmp_path, field, name, capsys):
     raw = tmp_path / "raw.csv"
@@ -388,6 +446,8 @@ GNB_ENSEMBLE = {"type": "ensemble", "batch_algorithm": "gnb"}
         (GNB_S4, {"trace_every": 0}, "trace_every"),
         (GNB_S4, {"score_window": 2.7}, "score_window"),
         (GNB_S4, {"seed": -1}, "seed"),
+        ({**GNB_S4, "strategy": {"id": "B2", "first_fit_size": -5}}, {}, "first_fit_size"),
+        ({**GNB_S4, "strategy": {"id": "B2", "first_fit_size": 0}}, {}, "first_fit_size"),
         ({**GNB_ENSEMBLE, "strategies": "S4"}, {}, "method.strategies must be a list"),
         ({**GNB_ENSEMBLE, "online_members": "gnb"}, {}, "method.online_members must be a list"),
     ],
@@ -399,6 +459,8 @@ GNB_ENSEMBLE = {"type": "ensemble", "batch_algorithm": "gnb"}
         "zero-trace-every",
         "float-score-window",
         "negative-seed",
+        "negative-strategy-first-fit",
+        "zero-strategy-first-fit",
         "string-strategies",
         "string-online-members",
     ],
@@ -417,6 +479,7 @@ def test_run_config_value_of_the_wrong_type_exits_1_before_the_stream(tmp_path, 
         ({**GNB_ENSEMBLE, "combiner": "xx"}, "unknown combiner 'xx'"),
         ({"type": "online", "algorithm": "gnbx"}, "unknown online algorithm 'gnbx'"),
         ({**GNB_S4, "algorithm": "rff"}, "unknown batch algorithm 'rff'"),
+        ({**GNB_S4, "algorithm": "logreg"}, "unknown batch algorithm 'logreg'"),
         ({**GNB_ENSEMBLE, "batch_algorithm": "rff"}, "unknown batch algorithm 'rff'"),
         ({**GNB_ENSEMBLE, "online_members": ["gnb", "ht"]}, "unknown online algorithm 'ht'"),
         ({"type": "online"}, "unknown online algorithm None"),
@@ -430,6 +493,7 @@ def test_run_config_value_of_the_wrong_type_exits_1_before_the_stream(tmp_path, 
         "combiner",
         "online-algorithm",
         "batch-algorithm",
+        "batch-logreg",
         "ensemble-batch-algorithm",
         "ensemble-online-member",
         "missing-online-algorithm",

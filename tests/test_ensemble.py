@@ -16,7 +16,7 @@ from driftstream.ensemble import (
     combine_votes,
     compute_weights,
 )
-from driftstream.learners import OnlineGaussianNB
+from driftstream.learners import BATCH_LEARNERS, OnlineGaussianNB
 
 from conftest import gaussian_instances
 
@@ -76,16 +76,16 @@ class SpyBatchModel(BatchClassifier):
 
 
 def install_spies(monkeypatch, behaviours):
-    """Route batch-model creation through spies; returns the created list."""
+    """Route the creation of batch ``cart`` models through spies; returns the created list."""
     created = []
 
-    def factory(name, schema, seed, params=None):
+    def factory(schema, seed):
         behaviour = behaviours[len(created)] if len(created) < len(behaviours) else "oracle"
         model = SpyBatchModel(schema, behaviour)
         created.append(model)
         return model
 
-    monkeypatch.setattr("driftstream.ensemble.make_batch_classifier", factory)
+    monkeypatch.setitem(BATCH_LEARNERS, "cart", factory)
     return created
 
 
@@ -546,9 +546,7 @@ def run_flaky_member(monkeypatch, models, check, n):
     """One batch member (warm-up 50, checks every 50 rows from row 100, shadows judged over 20)
     on ``n`` rows, each labelled on its own. Returns the steps, the member and the failure count."""
     models = list(models)
-    monkeypatch.setattr(
-        "driftstream.ensemble.make_batch_classifier", lambda *a, **k: models.pop(0) if models else FlakySpy()
-    )
+    monkeypatch.setitem(BATCH_LEARNERS, "cart", lambda schema, seed: models.pop(0) if models else FlakySpy())
     monkeypatch.setattr("driftstream.ensemble.check_windows", check)
     config = EnsembleConfig(
         members=(batch_spec(perf_strategy(window_size=50)),), first_fit_size=50, shadow_eval_size=20, seed=0

@@ -10,7 +10,7 @@ from driftstream.drift import LAST_WINDOW, SINCE_LAST_REPLACEMENT
 from driftstream.ensemble import EnsembleConfig, HybridEnsemble, MemberSpec
 from driftstream.experiment import (
     build_member_specs,
-    load_config,
+    load_json,
     parse_config,
     resolve_strategy,
     run_stream,
@@ -150,21 +150,21 @@ def test_parse_config_validation():
 
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
-        load_config(tmp_path / "nope.json")
+        load_json(tmp_path / "nope.json")
 
 
 def test_load_config_bad_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     with pytest.raises(ConfigError, match="invalid JSON"):
-        load_config(path)
+        load_json(path)
 
 
 def test_load_config_not_an_object(tmp_path):
     path = tmp_path / "list.json"
     path.write_text("[1, 2]")
     with pytest.raises(ConfigError, match="expected a JSON object, got list"):
-        load_config(path)
+        load_json(path)
 
 
 def test_shadow_metric_accuracy_mode():

@@ -2,11 +2,7 @@ import numpy as np
 import pytest
 
 from driftstream.core import FeatureKind, Schema
-from driftstream.learners import (
-    BatchLogisticRegression,
-    OnlineLogisticRegression,
-    softmax_loss_and_gradient,
-)
+from driftstream.learners import OnlineLogisticRegression, softmax_loss_and_gradient
 
 from conftest import gaussian_instances
 
@@ -121,43 +117,3 @@ def test_one_sgd_step_moves_other_predictions_boundedly():
 def test_config_rejects_negative_values():
     with pytest.raises(ValueError):
         OnlineLogisticRegression(make_schema(2, 2), learning_rate=-0.1)
-
-
-def test_batch_lr_standardization_makes_scale_irrelevant():
-    schema = make_schema(3, 3)
-    instances = gaussian_instances(np.array([[0, 0, 0], [3, 1, -1], [-2, 2, 2]]), 400, seed=17)
-    X = np.stack([i.x for i in instances])
-    y = np.array([i.y for i in instances])
-
-    def labels(scale):
-        model = BatchLogisticRegression(schema)
-        model.fit(X * scale, y)
-        return [model.predict(x * scale) for x in X]
-
-    assert labels(1.0) == labels(100.0)
-
-
-def test_batch_lr_learns_separable_data():
-    schema = make_schema(2, 2)
-    rng = np.random.default_rng(3)
-    X0 = rng.normal(loc=(-2, 0), scale=0.5, size=(100, 2))
-    X1 = rng.normal(loc=(2, 0), scale=0.5, size=(100, 2))
-    X = np.vstack([X0, X1])
-    y = np.array([0] * 100 + [1] * 100)
-    model = BatchLogisticRegression(schema)
-    model.fit(X, y)
-    preds = [model.predict(x) for x in X]
-    assert np.mean(np.array(preds) == y) > 0.98
-
-
-def test_batch_lr_deterministic():
-    schema = make_schema(2, 3)
-    instances = gaussian_instances(np.array([[0, 0], [2, 2], [-2, 2]]), 200, seed=19)
-    X = np.stack([i.x for i in instances])
-    y = np.array([i.y for i in instances])
-    a = BatchLogisticRegression(schema)
-    a.fit(X, y)
-    b = BatchLogisticRegression(schema)
-    b.fit(X, y)
-    assert np.array_equal(a.W, b.W)
-    assert np.array_equal(a.b, b.b)

@@ -18,7 +18,7 @@ from driftstream.core import BatchClassifier, Instance
 from driftstream.ensemble import DriftEvent, HybridEnsemble, ReplacementEvent
 from driftstream.experiment import parse_config
 from driftstream.ingest import synthetic_instances
-from driftstream.learners import BatchGaussianNB, RandomForestClassifier
+from driftstream.learners import BATCH_LEARNERS, BatchGaussianNB, RandomForestClassifier
 
 from test_golden import run_config
 
@@ -141,7 +141,7 @@ class _FailingBlocks(BatchClassifier):
 
 def test_failed_block_predict_answers_zero_and_fills_no_cache(golden, monkeypatch, caplog):
     config, schema, instances = golden
-    monkeypatch.setattr("driftstream.ensemble.make_batch_classifier", lambda *a, **k: _FailingBlocks(schema))
+    monkeypatch.setitem(BATCH_LEARNERS, "rf", lambda schema, seed, **params: _FailingBlocks(schema))
     ensemble = HybridEnsemble(schema, config)
     n = config.first_fit_size
     ensemble.lookahead(instances[:n + 5])
