@@ -32,6 +32,11 @@ def _refuse_existing(path: Path, force: bool) -> None:
         raise ConfigError(f"{path} already exists, pass --force to overwrite")
 
 
+def _refuse_missing_dir(path: Path) -> None:
+    if not path.parent.is_dir():
+        raise ConfigError(f"cannot write {path}: {path.parent} is not a directory")
+
+
 def cmd_preprocess(args) -> int:
     data = load_json(args.config)
     if "input" not in data:
@@ -40,6 +45,7 @@ def cmd_preprocess(args) -> int:
     config = config_from_dict(IngestConfig, data)
     out = Path(args.out)
     _refuse_existing(out, args.force)
+    _refuse_missing_dir(out)
     schema, path = preprocess_csv(raw_path, config, out)
     with path.open() as fh:
         n_rows = sum(1 for _ in fh) - 2  # manifest + header
@@ -54,6 +60,7 @@ def cmd_generate(args) -> int:
     config = config_from_dict(SynthConfig, data)
     out = Path(args.out)
     _refuse_existing(out, args.force)
+    _refuse_missing_dir(out)
     schema, path = generate_synthetic(config, out)
     _say(args, f"wrote {path}: {config.n_instances} instances, {schema.n_features} features, {schema.n_classes} classes")
     return EXIT_OK

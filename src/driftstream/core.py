@@ -101,7 +101,7 @@ def is_number(value, integral: bool = False) -> bool:
 
 def argmax_tiebreak(values: Sequence[float] | np.ndarray) -> int:
     """Index of the maximum, ties resolved toward the lowest index."""
-    return int(np.argmax(values))
+    return int(np.asarray(values).argmax())
 
 
 class Classifier:

@@ -310,7 +310,7 @@ def write_run_artifacts(out_dir: Path, report: RunReport, events: list) -> None:
 
 
 def read_run_dir(run_dir: Path) -> RunReport:
-    data = json.loads((run_dir / "report.json").read_text())
+    """The run's report and windowed trace; a report.json that is not a run report raises a DataError naming it."""
     trace = []
     trace_path = run_dir / "trace.csv"
     if trace_path.exists():
@@ -319,4 +319,8 @@ def read_run_dir(run_dir: Path) -> RunReport:
             next(reader, None)
             for row in reader:
                 trace.append((int(row[0]), float(row[1]), float(row[2])))
-    return RunReport.from_json_dict(data, trace=trace)
+    report_path = run_dir / "report.json"
+    try:
+        return RunReport.from_json_dict(json.loads(report_path.read_text()), trace=trace)
+    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        raise DataError(f"{report_path}: not a run report: {type(exc).__name__}: {exc}") from None

@@ -141,6 +141,8 @@ def stream_schema(path: str | Path) -> Schema:
             first = fh.readline()
     except FileNotFoundError:
         raise DataError(f"stream file not found: {path}") from None
+    except (IsADirectoryError, PermissionError) as exc:
+        raise DataError(f"cannot read stream file {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise _undecodable(path, exc) from None
     if not first.startswith(SCHEMA_PREFIX):

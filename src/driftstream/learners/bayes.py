@@ -38,6 +38,12 @@ def _floored(variances: np.ndarray, global_variance: np.ndarray) -> np.ndarray:
     return np.maximum(variances, floor)
 
 
+def _log_joint(x: np.ndarray, counts: np.ndarray, total: int, means: np.ndarray, var: np.ndarray) -> np.ndarray:
+    """Log prior plus Gaussian log-likelihood of ``x`` for each given (seen) class."""
+    diff = x - means
+    return np.log(counts / total) + -0.5 * (np.log(2.0 * np.pi * var) + diff * diff / var).sum(axis=1)
+
+
 def _gaussian_nb_scores(
     x: np.ndarray,
     class_counts: np.ndarray,
@@ -45,17 +51,17 @@ def _gaussian_nb_scores(
     variances: np.ndarray,
     global_variance: np.ndarray,
 ) -> np.ndarray:
-    """Posterior class probabilities from per-(class, feature) Gaussians."""
+    """Posterior class probabilities from per-(class, feature) Gaussians; an unseen class scores 0."""
     total = class_counts.sum()
-    seen = class_counts > 0
     var = _floored(variances, global_variance)
-    log_joint = np.full(class_counts.shape[0], -np.inf)
-    log_prior = np.log(class_counts[seen] / total)
-    diff = x[None, :] - means[seen]
-    log_lik = -0.5 * np.sum(np.log(2.0 * np.pi * var[seen]) + diff * diff / var[seen], axis=1)
-    log_joint[seen] = log_prior + log_lik
-    shifted = log_joint - log_joint.max()
-    scores = np.exp(shifted)
+    if np.count_nonzero(class_counts) == len(class_counts):
+        log_joint = _log_joint(x, class_counts, total, means, var)
+    else:
+        seen = class_counts > 0
+        log_joint = np.full(class_counts.shape[0], -np.inf)
+        log_joint[seen] = _log_joint(x, class_counts[seen], total, means[seen], var[seen])
+    log_joint -= log_joint.max()
+    scores = np.exp(log_joint, out=log_joint)
     return scores / scores.sum()
 
 
@@ -87,7 +93,7 @@ class OnlineGaussianNB(OnlineClassifier):
     def predict(self, x: np.ndarray) -> int:
         self._check_x(x)
         c = self._classes
-        if c.counts.sum() == 0:
+        if not np.count_nonzero(c.counts):
             return 0
         scores = _gaussian_nb_scores(np.asarray(x, dtype=float), c.counts, c.mean, c.var, self._global.var[0])
         return argmax_tiebreak(scores)

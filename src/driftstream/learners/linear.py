@@ -27,7 +27,7 @@ def _softmax_gradient(W: np.ndarray, b: np.ndarray, x: np.ndarray, y: int, l2: f
     probs = _softmax(x @ W + b)
     g = probs.copy()
     g[y] -= 1.0
-    dW = np.outer(x, g) + l2 * W
+    dW = x[:, None] * g + l2 * W
     return probs, dW, g
 
 
@@ -69,10 +69,7 @@ class OnlineLogisticRegression(OnlineClassifier):
         if self._scaler.counts[0] == 0:
             return np.zeros_like(x, dtype=float)
         std = np.sqrt(self._scaler.var[0])
-        out = np.zeros_like(x, dtype=float)
-        nz = std > 0
-        out[nz] = (x[nz] - self._scaler.mean[0][nz]) / std[nz]
-        return out
+        return np.divide(x - self._scaler.mean[0], std, out=np.zeros(len(x)), where=std > 0)
 
     def predict(self, x: np.ndarray) -> int:
         self._check_x(x)
@@ -88,8 +85,8 @@ class OnlineLogisticRegression(OnlineClassifier):
         x_std = self._standardize(x)
         clip = self.gradient_clip
         _, dW, g = _softmax_gradient(self.W, self.b, x_std, y, self.l2)
-        np.clip(dW, -clip, clip, out=dW)
-        g = np.clip(g, -clip, clip)
+        np.minimum(np.maximum(dW, -clip, out=dW), clip, out=dW)
+        np.minimum(np.maximum(g, -clip, out=g), clip, out=g)
         self.W -= self.learning_rate * dW
         self.b -= self.intercept_lr * g
 

@@ -3,8 +3,12 @@
 Each leaf is a ``RunningMoments`` with a row per class, the Gaussian summary
 online naive Bayes keeps, so memory per leaf is bounded and split candidates
 come from quantiles of the leaf's pooled distribution rather than exhaustive
-value histograms. Leaf prediction is majority class until ``nb_threshold``
-instances have been seen, then naive Bayes over the leaf's means and variances.
+value histograms. A split attempt scores every candidate of every feature in
+one (present classes x features x candidates) pass, ``_split_gains``, as
+VFDT and MOA's Gaussian attribute observer score every candidate of every
+attribute; its floats equal those of scoring each feature on its own. Leaf
+prediction is majority class until ``nb_threshold`` instances have been seen,
+then naive Bayes over the leaf's means and variances.
 """
 
 from __future__ import annotations
@@ -52,6 +56,48 @@ class _Leaf(RunningMoments):
         w = self.counts / self.counts.sum()
         mean = w @ self.mean
         return np.maximum(w @ (self.var + self.mean**2) - mean**2, 0.0)
+
+
+def _split_gains(leaf: _Leaf, quantiles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best information gain (bits) and its threshold for every feature.
+
+    A feature's candidates are its pooled mean plus its pooled standard
+    deviation times ``quantiles``. The arrays are (present classes x features x
+    candidates), so every sum over classes is an axis-0 sum in the order one
+    feature alone takes. A feature whose pooled variance is <= 0 keeps gain
+    and threshold 0.0.
+    """
+    present = np.flatnonzero(leaf.counts)
+    counts = leaf.counts[present]
+    n = counts.sum()
+    mu = leaf.mean[present]
+    var = leaf.var[present]
+    w = counts / n
+    # One BLAS dot per feature over a contiguous row, as ``w @ mu[:, j]`` takes it;
+    # ``w @ mu`` (one gemv) and ``einsum`` round differently.
+    pooled_mean = np.vecdot(np.ascontiguousarray(mu.T), w)
+    second = np.vecdot(np.ascontiguousarray((var + mu**2).T), w)
+    # Squares of Python floats (libm pow): numpy's ``**2`` multiplies and can round differently.
+    pooled_var = np.maximum(second - [m**2 for m in pooled_mean.tolist()], 0.0)
+    gains = np.zeros(leaf.mean.shape[1])
+    thresholds = np.zeros(leaf.mean.shape[1])
+    scored = np.flatnonzero(~(pooled_var <= 0.0))
+    pooled_var = pooled_var[scored]
+    mu, var = mu[:, scored], var[:, scored]
+    sigma = np.sqrt(_floored(var, pooled_var))
+    candidates = pooled_mean[scored, None] + np.sqrt(pooled_var)[:, None] * quantiles
+    frac_left = ndtr((candidates - mu[:, :, None]) / sigma[:, :, None])
+    left = counts[:, None, None] * frac_left
+    right = counts[:, None, None] - left
+    nl = left.sum(axis=0)
+    nr = right.sum(axis=0)
+    child = (nl * _entropy_bits(left) + nr * _entropy_bits(right)) / n
+    candidate_gains = _entropy_bits(counts) - child
+    best = candidate_gains.argmax(axis=1)
+    rows = np.arange(scored.size)
+    gains[scored] = candidate_gains[rows, best]
+    thresholds[scored] = candidates[rows, best]
+    return gains, thresholds
 
 
 class _SplitNode:
@@ -120,40 +166,13 @@ class HoeffdingTreeClassifier(OnlineClassifier):
             self._attempt_split(leaf, parent, side)
             leaf.n_since_check = 0
 
-    def _candidate_gains(self, leaf: _Leaf, feature: int) -> tuple[float, float]:
-        """Best information gain (bits) and threshold for one feature."""
-        present = np.nonzero(leaf.counts)[0]
-        n = leaf.counts.sum()
-        mu = leaf.mean[present, feature]
-        var = leaf.var[present, feature]
-        w = leaf.counts[present] / n
-        pooled_mean = float(w @ mu)
-        pooled_var = float(max(w @ (var + mu**2) - pooled_mean**2, 0.0))
-        if pooled_var <= 0.0:
-            return 0.0, 0.0
-        sigma = np.sqrt(_floored(var, pooled_var))
-        thresholds = pooled_mean + math.sqrt(pooled_var) * self._quantiles
-        frac_left = ndtr((thresholds[None, :] - mu[:, None]) / sigma[:, None])
-        left = leaf.counts[present][:, None] * frac_left
-        right = leaf.counts[present][:, None] - left
-        nl = left.sum(axis=0)
-        nr = right.sum(axis=0)
-        parent_entropy = _entropy_bits(leaf.counts[present])
-        child = (nl * _entropy_bits(left) + nr * _entropy_bits(right)) / n
-        gains = parent_entropy - child
-        best = int(np.argmax(gains))
-        return float(gains[best]), float(thresholds[best])
-
     def _attempt_split(self, leaf: _Leaf, parent: _SplitNode | None, side: int) -> None:
         present = np.count_nonzero(leaf.counts)
         if present < 2:
             return
         n = int(leaf.counts.sum())
         d = self.schema.n_features
-        gains = np.zeros(d)
-        thresholds = np.zeros(d)
-        for j in range(d):
-            gains[j], thresholds[j] = self._candidate_gains(leaf, j)
+        gains, thresholds = _split_gains(leaf, self._quantiles)
         best = int(np.argmax(gains))
         g1 = gains[best]
         others = np.delete(gains, best)

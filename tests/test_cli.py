@@ -519,3 +519,44 @@ def test_run_section_that_is_not_an_object_exits_1(tmp_path, section, capsys):
     assert main(["run", "--config", config, "--out", str(tmp_path / "r"), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert f"'{section}'" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize(
+    "content, reason",
+    [("{not json", "JSONDecodeError"), ('{"run_id": "x"}', "KeyError")],
+    ids=["invalid-json", "missing-key"],
+)
+def test_report_on_a_broken_report_json_exits_2_naming_it(tmp_path, content, reason, capsys):
+    report = tmp_path / "runs" / "x" / "report.json"
+    report.parent.mkdir(parents=True)
+    report.write_text(content)
+    assert main(["report", str(tmp_path / "runs"), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert str(report) in err and reason in err and "internal error" not in err
+
+
+def test_run_on_a_stream_path_that_is_a_directory_exits_2_naming_it(tmp_path, capsys):
+    stream = tmp_path / "streams"
+    stream.mkdir()
+    config = experiment_config(tmp_path, stream, {"type": "online", "algorithm": "gnb"})
+    assert main(["run", "--config", config, "--out", str(tmp_path / "r"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot read stream file {stream}" in err and "internal error" not in err
+
+
+def test_preprocess_into_a_missing_directory_exits_1_before_reading_the_input(tmp_path, capsys):
+    # The input does not exist either: the output directory is checked first.
+    config = write_json(tmp_path / "ing.json", {"input": str(tmp_path / "absent.csv"), "target_column": "target"})
+    out = tmp_path / "nodir" / "s.dsv"
+    assert main(["preprocess", "--config", config, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'nodir'} is not a directory" in err and "internal error" not in err
+    assert not out.parent.exists()
+
+
+def test_generate_into_a_missing_directory_exits_1(tmp_path, synth_config, capsys):
+    out = tmp_path / "nodir" / "s.dsv"
+    assert main(["generate", "--config", synth_config, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'nodir'} is not a directory" in err and "internal error" not in err
+    assert not out.parent.exists()

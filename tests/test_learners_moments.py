@@ -4,7 +4,15 @@ Online Gaussian NB, the Hoeffding tree's leaves and the online logistic
 scaler each kept their own running moments before they shared
 ``RunningMoments``. The copies below are that earlier code, kept as the
 reference: over a drifting stream every prediction and every final statistic
-must be equal, float for float.
+must be equal, float for float. The copies share no scoring, entropy,
+standardizing or gradient code with the package (only routing, the quantile
+grid and the Hoeffding bound), so a later rewrite of that code is compared
+with the code it replaced, not with itself.
+
+The Hoeffding tree once scored each feature's split candidates on its own
+(``_candidate_gains`` below); it now scores all features in one pass, and
+the online naive Bayes scores skip the unseen-class masking once every class
+has been seen. Both are checked against the copies on seeded random inputs.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from driftstream.core import FeatureKind, OnlineClassifier, Schema, argmax_tiebreak
 from driftstream.learners import (
@@ -22,8 +30,8 @@ from driftstream.learners import (
     OnlineLogisticRegression,
     RunningMoments,
 )
-from driftstream.learners.bayes import _gaussian_nb_scores
-from driftstream.learners.tree import _entropy_bits, _SplitNode, hoeffding_bound
+from driftstream.learners import bayes
+from driftstream.learners.tree import _Leaf, _split_gains, _SplitNode, hoeffding_bound
 
 from conftest import gaussian_instances
 
@@ -55,6 +63,83 @@ class _OldRunningMoments:
 
     def std(self) -> np.ndarray:
         return np.sqrt(self.variance())
+
+
+_VAR_FLOOR_SCALE = 1e-9
+
+
+def _floored(variances: np.ndarray, global_variance: np.ndarray) -> np.ndarray:
+    floor = _VAR_FLOOR_SCALE * (global_variance + 1e-12)
+    return np.maximum(variances, floor)
+
+
+def _gaussian_nb_scores(
+    x: np.ndarray,
+    class_counts: np.ndarray,
+    means: np.ndarray,
+    variances: np.ndarray,
+    global_variance: np.ndarray,
+) -> np.ndarray:
+    """Posterior class probabilities from per-(class, feature) Gaussians."""
+    total = class_counts.sum()
+    seen = class_counts > 0
+    var = _floored(variances, global_variance)
+    log_joint = np.full(class_counts.shape[0], -np.inf)
+    log_prior = np.log(class_counts[seen] / total)
+    diff = x[None, :] - means[seen]
+    log_lik = -0.5 * np.sum(np.log(2.0 * np.pi * var[seen]) + diff * diff / var[seen], axis=1)
+    log_joint[seen] = log_prior + log_lik
+    shifted = log_joint - log_joint.max()
+    scores = np.exp(shifted)
+    return scores / scores.sum()
+
+
+def _entropy_bits(counts: np.ndarray, axis: int = 0) -> np.ndarray:
+    totals = counts.sum(axis=axis, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.where(totals > 0, counts / np.where(totals > 0, totals, 1.0), 0.0)
+        terms = np.where(p > 0, -p * np.log2(np.where(p > 0, p, 1.0)), 0.0)
+    return terms.sum(axis=axis)
+
+
+def _softmax(z: np.ndarray) -> np.ndarray:
+    shifted = z - z.max()
+    e = np.exp(shifted)
+    return e / e.sum()
+
+
+def _softmax_gradient(W: np.ndarray, b: np.ndarray, x: np.ndarray, y: int, l2: float) -> tuple[np.ndarray, ...]:
+    """Class probabilities and the exact gradient (dW, db) of the L2-penalized cross-entropy."""
+    probs = _softmax(x @ W + b)
+    g = probs.copy()
+    g[y] -= 1.0
+    dW = np.outer(x, g) + l2 * W
+    return probs, dW, g
+
+
+def _candidate_gains(leaf: _Leaf, feature: int, quantiles: np.ndarray) -> tuple[float, float]:
+    """Best information gain (bits) and threshold for one feature."""
+    present = np.nonzero(leaf.counts)[0]
+    n = leaf.counts.sum()
+    mu = leaf.mean[present, feature]
+    var = leaf.var[present, feature]
+    w = leaf.counts[present] / n
+    pooled_mean = float(w @ mu)
+    pooled_var = float(max(w @ (var + mu**2) - pooled_mean**2, 0.0))
+    if pooled_var <= 0.0:
+        return 0.0, 0.0
+    sigma = np.sqrt(_floored(var, pooled_var))
+    thresholds = pooled_mean + math.sqrt(pooled_var) * quantiles
+    frac_left = ndtr((thresholds[None, :] - mu[:, None]) / sigma[:, None])
+    left = leaf.counts[present][:, None] * frac_left
+    right = leaf.counts[present][:, None] - left
+    nl = left.sum(axis=0)
+    nr = right.sum(axis=0)
+    parent_entropy = _entropy_bits(leaf.counts[present])
+    child = (nl * _entropy_bits(left) + nr * _entropy_bits(right)) / n
+    gains = parent_entropy - child
+    best = int(np.argmax(gains))
+    return float(gains[best]), float(thresholds[best])
 
 
 class _OldOnlineGaussianNB(OnlineClassifier):
@@ -94,9 +179,6 @@ class _OldOnlineGaussianNB(OnlineClassifier):
             self._global.variance(),
         )
         return argmax_tiebreak(scores)
-
-
-_VAR_FLOOR_SCALE = 1e-9
 
 
 class _OldLeaf:
@@ -221,7 +303,7 @@ class _OldHoeffdingTree(HoeffdingTreeClassifier):
 
 
 class _OldOnlineLogisticRegression(OnlineLogisticRegression):
-    """The earlier scaler and ``_standardize``; the gradient step is shared."""
+    """The earlier scaler, ``_standardize``, predict and gradient step; only the parameters are shared."""
 
     def __init__(self, schema: Schema) -> None:
         super().__init__(schema)
@@ -235,6 +317,25 @@ class _OldOnlineLogisticRegression(OnlineLogisticRegression):
         nz = std > 0
         out[nz] = (x[nz] - self._scaler.mean[nz]) / std[nz]
         return out
+
+    def predict(self, x: np.ndarray) -> int:
+        self._check_x(x)
+        scores = _softmax(self._standardize(np.asarray(x, dtype=float)) @ self.W + self.b)
+        return argmax_tiebreak(scores)
+
+    def learn_one(self, x: np.ndarray, y: int) -> None:
+        self._check_x(x)
+        self._check_y(y)
+        x = np.asarray(x, dtype=float)
+        # Scaler sees the instance before the gradient step.
+        self._scaler.update(x)
+        x_std = self._standardize(x)
+        clip = self.gradient_clip
+        _, dW, g = _softmax_gradient(self.W, self.b, x_std, y, self.l2)
+        np.clip(dW, -clip, clip, out=dW)
+        g = np.clip(g, -clip, clip)
+        self.W -= self.learning_rate * dW
+        self.b -= self.intercept_lr * g
 
 
 def _leaves(node):
@@ -306,3 +407,57 @@ def test_running_moments_rows_equal_one_summary_per_class():
         assert joint.counts[c] == old.count
         assert np.array_equal(joint.mean[c], old.mean) and np.array_equal(joint.m2[c], old.m2)
         assert np.array_equal(joint.var[c], old.variance())
+
+
+def _random_leaf(seed: int) -> tuple[_Leaf, np.ndarray]:
+    """A leaf fed rounded rows of 2-12 present classes (0-2 absent), 1-80 features (some constant), and 1-20 quantiles."""
+    rng = np.random.default_rng(seed)
+    present, absent = int(rng.integers(2, 13)), int(rng.integers(0, 3))
+    k, d, decimals = present + absent, int(rng.integers(1, 81)), int(rng.integers(0, 4))
+    n_candidates = int(rng.integers(1, 21))
+    leaf = _Leaf(k, d, 0)
+    centers = rng.normal(size=(k, d)) * rng.uniform(0.1, 3)
+    constant = rng.random(d) < 0.2
+    for c in rng.permutation(k)[:present]:
+        X = np.round(centers[c] + rng.normal(size=(int(rng.integers(1, 40)), d)) * rng.uniform(0.05, 2), decimals)
+        X[:, constant] = 1.5
+        for x in X:
+            leaf.update(x, int(c))
+    return leaf, ndtri(np.arange(1, n_candidates + 1) / (n_candidates + 1))
+
+
+@pytest.mark.parametrize("first_seed", [0, 300, 600, 900])
+def test_split_gains_equal_the_per_feature_search_bit_for_bit(first_seed):
+    for seed in range(first_seed, first_seed + 300):
+        leaf, quantiles = _random_leaf(seed)
+        gains, thresholds = _split_gains(leaf, quantiles)
+        old = [_candidate_gains(leaf, j, quantiles) for j in range(leaf.mean.shape[1])]
+        assert gains.tolist() == [g for g, _ in old], seed
+        assert thresholds.tolist() == [t for _, t in old], seed
+
+
+def test_split_gains_of_a_leaf_with_only_constant_features_are_zero():
+    leaf = _Leaf(3, 4, 0)
+    for c in (0, 1, 2, 1):
+        leaf.update(np.array([1.5, -2.0, 0.0, 7.25]), c)
+    quantiles = ndtri(np.arange(1, 11) / 11)
+    gains, thresholds = _split_gains(leaf, quantiles)
+    assert gains.tolist() == thresholds.tolist() == [0.0] * 4
+    assert [_candidate_gains(leaf, j, quantiles) for j in range(4)] == [(0.0, 0.0)] * 4
+
+
+def test_gaussian_nb_scores_equal_their_earlier_code_bit_for_bit():
+    seen_all = 0
+    for seed in range(3000):
+        rng = np.random.default_rng(seed)
+        k, d, decimals = int(rng.integers(1, 13)), int(rng.integers(1, 81)), int(rng.integers(0, 4))
+        counts = rng.integers(0, 50, size=k) * (rng.random(k) < rng.choice([1.0, 0.7]))
+        counts[rng.integers(k)] += 1
+        means = np.round(rng.normal(size=(k, d)) * 3, decimals)
+        variances = np.round(rng.exponential(size=(k, d)), decimals) * (rng.random((k, d)) < 0.8)
+        global_variance = np.round(rng.exponential(size=d), decimals) * (rng.random(d) < 0.8)
+        x = np.round(rng.normal(size=d) * 3, decimals)
+        args = (x, counts, means, variances, global_variance)
+        assert np.array_equal(bayes._gaussian_nb_scores(*args), _gaussian_nb_scores(*args)), seed
+        seen_all += bool(counts.all())
+    assert 500 < seen_all < 2500
