@@ -310,7 +310,7 @@ def write_run_artifacts(out_dir: Path, report: RunReport, events: list) -> None:
 
 
 def read_run_dir(run_dir: Path) -> RunReport:
-    """The run's report and windowed trace; a report.json that is not a run report raises a DataError naming it."""
+    """The run's report and windowed trace; a malformed report.json or trace.csv raises a DataError naming it."""
     trace = []
     trace_path = run_dir / "trace.csv"
     if trace_path.exists():
@@ -318,9 +318,19 @@ def read_run_dir(run_dir: Path) -> RunReport:
             reader = csv.reader(fh)
             next(reader, None)
             for row in reader:
-                trace.append((int(row[0]), float(row[1]), float(row[2])))
+                try:
+                    trace.append((int(row[0]), float(row[1]), float(row[2])))
+                except (ValueError, IndexError):
+                    expected = "seq,windowed_f1,cumulative_f1"
+                    raise DataError(f"{trace_path}:{reader.line_num}: expected {expected}, got {row}") from None
     report_path = run_dir / "report.json"
     try:
-        return RunReport.from_json_dict(json.loads(report_path.read_text()), trace=trace)
-    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
-        raise DataError(f"{report_path}: not a run report: {type(exc).__name__}: {exc}") from None
+        data = json.loads(report_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{report_path}: invalid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise DataError(f"{report_path}: expected a JSON object, got {type(data).__name__}")
+    try:
+        return RunReport.from_json_dict(data, trace=trace)
+    except KeyError as exc:
+        raise DataError(f"{report_path}: missing key {exc}") from None

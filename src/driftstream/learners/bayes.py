@@ -38,12 +38,6 @@ def _floored(variances: np.ndarray, global_variance: np.ndarray) -> np.ndarray:
     return np.maximum(variances, floor)
 
 
-def _log_joint(x: np.ndarray, counts: np.ndarray, total: int, means: np.ndarray, var: np.ndarray) -> np.ndarray:
-    """Log prior plus Gaussian log-likelihood of ``x`` for each given (seen) class."""
-    diff = x - means
-    return np.log(counts / total) + -0.5 * (np.log(2.0 * np.pi * var) + diff * diff / var).sum(axis=1)
-
-
 def _gaussian_nb_scores(
     x: np.ndarray,
     class_counts: np.ndarray,
@@ -54,12 +48,10 @@ def _gaussian_nb_scores(
     """Posterior class probabilities from per-(class, feature) Gaussians; an unseen class scores 0."""
     total = class_counts.sum()
     var = _floored(variances, global_variance)
-    if np.count_nonzero(class_counts) == len(class_counts):
-        log_joint = _log_joint(x, class_counts, total, means, var)
-    else:
-        seen = class_counts > 0
-        log_joint = np.full(class_counts.shape[0], -np.inf)
-        log_joint[seen] = _log_joint(x, class_counts[seen], total, means[seen], var[seen])
+    diff = x - means
+    with np.errstate(divide="ignore"):  # an unseen class's log prior is -inf
+        log_prior = np.log(class_counts / total)
+    log_joint = log_prior + -0.5 * (np.log(2.0 * np.pi * var) + diff * diff / var).sum(axis=1)
     log_joint -= log_joint.max()
     scores = np.exp(log_joint, out=log_joint)
     return scores / scores.sum()

@@ -58,6 +58,17 @@ class _Leaf(RunningMoments):
         return np.maximum(w @ (self.var + self.mean**2) - mean**2, 0.0)
 
 
+def _column_dots(w: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``w @ a[:, j].copy()`` for every column j of ``a``, bit for bit.
+
+    Stacked vector-vector products take one BLAS dot per column over a
+    contiguous row, as the 1-D product of two contiguous vectors does;
+    ``w @ a`` (one gemv), ``einsum`` and the dot of a strided column round
+    differently.
+    """
+    return (np.ascontiguousarray(a.T)[:, None, :] @ w)[:, 0]
+
+
 def _split_gains(leaf: _Leaf, quantiles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Best information gain (bits) and its threshold for every feature.
 
@@ -73,10 +84,8 @@ def _split_gains(leaf: _Leaf, quantiles: np.ndarray) -> tuple[np.ndarray, np.nda
     mu = leaf.mean[present]
     var = leaf.var[present]
     w = counts / n
-    # One BLAS dot per feature over a contiguous row, as ``w @ mu[:, j]`` takes it;
-    # ``w @ mu`` (one gemv) and ``einsum`` round differently.
-    pooled_mean = np.vecdot(np.ascontiguousarray(mu.T), w)
-    second = np.vecdot(np.ascontiguousarray((var + mu**2).T), w)
+    pooled_mean = _column_dots(w, mu)
+    second = _column_dots(w, var + mu**2)
     # Squares of Python floats (libm pow): numpy's ``**2`` multiplies and can round differently.
     pooled_var = np.maximum(second - [m**2 for m in pooled_mean.tolist()], 0.0)
     gains = np.zeros(leaf.mean.shape[1])

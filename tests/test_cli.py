@@ -523,8 +523,8 @@ def test_run_section_that_is_not_an_object_exits_1(tmp_path, section, capsys):
 
 @pytest.mark.parametrize(
     "content, reason",
-    [("{not json", "JSONDecodeError"), ('{"run_id": "x"}', "KeyError")],
-    ids=["invalid-json", "missing-key"],
+    [("{not json", "invalid JSON"), ('{"run_id": "x"}', "missing key 'stream_id'"), ("[1, 2]", "expected a JSON object")],
+    ids=["invalid-json", "missing-key", "not-an-object"],
 )
 def test_report_on_a_broken_report_json_exits_2_naming_it(tmp_path, content, reason, capsys):
     report = tmp_path / "runs" / "x" / "report.json"
@@ -533,6 +533,19 @@ def test_report_on_a_broken_report_json_exits_2_naming_it(tmp_path, content, rea
     assert main(["report", str(tmp_path / "runs"), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert str(report) in err and reason in err and "internal error" not in err
+
+
+def test_report_on_a_broken_trace_csv_exits_2_naming_it(tmp_path, synth_config, capsys):
+    stream = tmp_path / "s.dsv"
+    assert main(["generate", "--config", synth_config, "--out", str(stream), "--quiet"]) == 0
+    run = tmp_path / "runs" / "gnb"
+    config = experiment_config(tmp_path, stream, {"type": "online", "algorithm": "gnb"})
+    assert main(["run", "--config", config, "--out", str(run), "--quiet"]) == 0
+    trace = run / "trace.csv"
+    trace.write_text("seq,windowed_f1,cumulative_f1\n100,0.5\n")
+    assert main(["report", str(tmp_path / "runs"), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{trace}:2" in err and "internal error" not in err
 
 
 def test_run_on_a_stream_path_that_is_a_directory_exits_2_naming_it(tmp_path, capsys):
