@@ -80,6 +80,9 @@ def cmd_run(args) -> int:
         f"drifts={report.drift_count} replacements={report.replacement_count} "
         f"({report.wall_time_s:.1f}s)",
     )
+    failed = [f"{member} {phase} x{n}" for member, counts in report.failures.items() for phase, n in counts.items() if n]
+    if failed:
+        print(f"warning: swallowed member failures: {', '.join(failed)} (counted in timing.json)", file=sys.stderr)
     return EXIT_OK
 
 

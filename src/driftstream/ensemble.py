@@ -16,11 +16,14 @@ For every stream instance, in order:
    one row at a time;
 2. combination weights are computed from each member's windowed F1 *before*
    this instance is scored, so the weights never depend on the label being
-   predicted;
+   predicted. The ensemble keeps every member's score and recomputes it only
+   when that member's window changes; the weights and the vote are computed
+   on Python floats, adding the scores in member order below 8 members and
+   with numpy's sum from 8 on, which gives numpy's floats to the bit;
 3. the weighted hard vote produces the final prediction;
 4. the label is revealed: the instance, its label and every member's step-1
-   prediction are appended once to the shared ``History``, and member score
-   windows update with the step-1 predictions;
+   prediction are appended once to the shared ``History``, and each member's
+   score window slides over the step-1 prediction in one step;
 5. online members learn the instance;
 6. batch members fit, check and compare on slices of that history: they run
    their drift check every ``window_size`` instances after their first fit,
@@ -34,7 +37,8 @@ their first fit succeeds. It is tried once ``first_fit_size`` instances have
 been collected, and again every ``window_size`` instances while it raises.
 While a shadow is under comparison, new drift verdicts are ignored, so shadow
 evaluations never overlap. A member whose predict raises answers class 0; a
-learn, fit or check that raises is skipped for that instance. Both are logged.
+learn, fit or check that raises is skipped for that instance. Both are logged
+and counted per member and phase (``HybridEnsemble.failures``).
 """
 
 from __future__ import annotations
@@ -158,32 +162,45 @@ def compute_weights(scores: Sequence[float], combiner: str) -> np.ndarray:
 
     Weighted voting normalizes the scores (uniform if all are zero); dynamic
     switching puts all weight on the best-scoring member, ties resolved
-    toward the lowest member index.
+    toward the lowest member index. The scores are added as numpy adds a
+    float array, so the weights are numpy's to the bit: in order below 8
+    scores, pairwise by numpy from 8 on. Builtin ``sum`` would not do, as it
+    compensates from Python 3.12.
     """
-    scores = np.asarray(scores, dtype=float)
-    if np.any(scores < 0):
+    scores = list(scores)
+    if any(s < 0 for s in scores):
         raise ValueError("member scores must be non-negative")
-    n = scores.size
+    n = len(scores)
+    if n == 0:
+        raise ValueError("no member scores to weigh: the ensemble has no members")
     if combiner == DYNAMIC_SWITCH:
-        weights = np.zeros(n)
-        weights[argmax_tiebreak(scores)] = 1.0
-        return weights
+        weights = [0.0] * n
+        weights[scores.index(max(scores))] = 1.0
+        return np.array(weights)
     if combiner == WEIGHTED_VOTE:
-        total = scores.sum()
+        if n < 8:
+            total = 0.0
+            for s in scores:
+                total += s
+        else:
+            total = np.asarray(scores, dtype=float).sum()
         if total <= 0:
             return np.full(n, 1.0 / n)
-        return scores / total
+        return np.array([s / total for s in scores])
     raise ValueError(f"unknown combiner {combiner!r}")
 
 
 def combine_votes(labels: Sequence[int], weights: np.ndarray, n_classes: int) -> int:
-    """Weighted hard vote; argmax over classes with ties to the lowest index."""
+    """Weighted hard vote; argmax over classes with ties to the lowest index.
+
+    Each class's tally adds its members' weights in member order.
+    """
     if len(labels) != len(weights):
         raise ValueError("one weight per member prediction is required")
-    tally = np.zeros(n_classes)
-    for label, weight in zip(labels, weights):
+    tally = [0.0] * n_classes
+    for label, weight in zip(labels, np.asarray(weights).tolist()):
         tally[label] += weight
-    return argmax_tiebreak(tally)
+    return tally.index(max(tally))
 
 
 class History:
@@ -261,13 +278,10 @@ class _Shadow:
     labels: list[int] = field(default_factory=list)  # its predictions for the rows after started_at
 
 
-def _label_or_zero(who: str, label, *args) -> int:
-    """``label(*args)``, or class 0 with a logged warning when it raises."""
-    try:
-        return label(*args)
-    except Exception:
-        logger.warning("member %s failed to predict, falling back to class 0", who, exc_info=True)
-        return 0
+_PREDICT_FAILED = "member %s failed to predict, falling back to class 0"
+
+#: The phases whose swallowed failures a member counts; "learn" covers its fits and drift checks.
+FAILURE_PHASES = ("predict", "shadow_predict", "learn")
 
 
 class OnlineMember:
@@ -276,6 +290,7 @@ class OnlineMember:
     def __init__(self, spec: MemberSpec, schema: Schema) -> None:
         self.spec = spec
         self.model = spec.new_model(schema)
+        self.failures = dict.fromkeys(FAILURE_PHASES, 0)
 
     def predict(self, inst: Instance, block: np.ndarray, i: int) -> int:
         return self.model.predict(inst.x)
@@ -311,6 +326,7 @@ class Member:
         self.cache_start = 0
         self.cache_limit = config.cache_cap
         self._cache_warned = False
+        self.failures = dict.fromkeys(FAILURE_PHASES, 0)
 
     def predict(self, inst: Instance, block: np.ndarray, i: int) -> int:
         if not self.fitted:  # warm-up: the majority class so far
@@ -389,7 +405,13 @@ class Member:
 
     def _shadow_step(self, inst: Instance, events: list, block: np.ndarray, i: int) -> None:
         shadow = self.shadow
-        shadow.labels.append(_label_or_zero(f"{self.spec.id} shadow", shadow.frozen.label, block, i))
+        try:
+            label = shadow.frozen.label(block, i)
+        except Exception:
+            logger.warning(_PREDICT_FAILED, f"{self.spec.id} shadow", exc_info=True)
+            self.failures["shadow_predict"] += 1
+            label = 0
+        shadow.labels.append(label)
         if len(shadow.labels) < self.config.shadow_eval_size:
             return
         history = self.history
@@ -418,6 +440,7 @@ class HybridEnsemble:
         ]
         self._batch = [m for m in self.members if isinstance(m, Member)]
         self.windows = [ConfusionMatrix(schema.n_classes) for _ in self.members]  # score windows, by member index
+        self.scores = [0.0] * len(self.members)  # each window's macro F1, 0.0 while it is empty
         self._next_seq = 0
         self._ahead: list[Instance] = []  # the rows read ahead, and their features
         self._ahead_X = np.empty((0, schema.n_features))
@@ -446,8 +469,17 @@ class HybridEnsemble:
         self._next_seq += 1
         block = self._ahead_X
 
-        member_labels = tuple(_label_or_zero(m.spec.id, m.predict, inst, block, i) for m in self.members)
-        weights = compute_weights([w.f1_macro() if w.total else 0.0 for w in self.windows], self.config.combiner)
+        labels = []
+        for member in self.members:
+            try:
+                label = member.predict(inst, block, i)
+            except Exception:
+                logger.warning(_PREDICT_FAILED, member.spec.id, exc_info=True)
+                member.failures["predict"] += 1
+                label = 0
+            labels.append(label)
+        member_labels = tuple(labels)
+        weights = compute_weights(self.scores, self.config.combiner)
         final = combine_votes(member_labels, weights, self.schema.n_classes)
 
         history = self.history
@@ -455,17 +487,14 @@ class HybridEnsemble:
         if history.end - history.start == len(history.y):
             history.compact(min([history.end - score_window, *(m.first_readable() for m in self._batch)]))
         history.append(inst.x, inst.y, member_labels)
-        leaving = history.end - 1 - score_window - history.start  # block position of the evicted row
-        for index, (window, label) in enumerate(zip(self.windows, member_labels)):
-            window.update(inst.y, label)
-            if history.end > score_window:
-                window.remove(history.y[leaving], history.labels[index, leaving])
+        self._rescore(inst.y, member_labels)
         events: list = []
         for member in self.members:
             try:
                 member.learn(inst, events, block, i)
             except Exception:
                 logger.warning("member %s failed to learn", member.spec.id, exc_info=True)
+                member.failures["learn"] += 1
         return StepResult(
             seq=inst.seq,
             y_true=inst.y,
@@ -474,3 +503,24 @@ class HybridEnsemble:
             weights=weights,
             events=events,
         )
+
+    def _rescore(self, y: int, labels: Sequence[int]) -> None:
+        """Slide each member's score window over the newest row, and rescore the windows that changed."""
+        history, windows, scores = self.history, self.windows, self.scores
+        score_window = self.config.score_window
+        if history.end <= score_window:
+            for index, label in enumerate(labels):
+                windows[index].update(y, label)
+                scores[index] = windows[index].f1_macro()
+            return
+        leaving = history.end - 1 - score_window - history.start  # block position of the evicted row
+        old_y = int(history.y[leaving])
+        for index, (label, old_label) in enumerate(zip(labels, history.labels[:, leaving].tolist())):
+            if label != old_label or y != old_y:  # an equal pair leaves the counts as they are
+                windows[index].slide(y, label, old_y, old_label)
+                scores[index] = windows[index].f1_macro()
+
+    @property
+    def failures(self) -> dict[str, dict[str, int]]:
+        """The swallowed failures so far, per member id and phase (see ``FAILURE_PHASES``)."""
+        return {m.spec.id: dict(m.failures) for m in self.members}

@@ -10,7 +10,7 @@ classes they never saw.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -35,6 +35,17 @@ class ConfusionMatrix:
 
     def remove(self, y_true: int, y_pred: int) -> None:
         self._add(y_true, y_pred, -1)
+
+    def slide(self, y_true: int, y_pred: int, old_true: int, old_pred: int) -> None:
+        """Add the pair ``(y_true, y_pred)`` and remove ``(old_true, old_pred)``, as ``update`` then ``remove``."""
+        self.true_totals[y_true] += 1
+        self.true_totals[old_true] -= 1
+        self.pred_totals[y_pred] += 1
+        self.pred_totals[old_pred] -= 1
+        if y_true == y_pred:
+            self.diag[y_true] += 1
+        if old_true == old_pred:
+            self.diag[old_true] -= 1
 
     def _add(self, y_true: int, y_pred: int, step: int) -> None:
         self.true_totals[y_true] += step
@@ -99,11 +110,12 @@ class PrequentialState:
 
     def update(self, y_true: int, y_pred: int) -> None:
         self.cumulative.update(y_true, y_pred)
-        self.window.update(y_true, y_pred)
-        self._records.append((y_true, y_pred))
-        if len(self._records) > self.window_size:
-            old_t, old_p = self._records.popleft()
-            self.window.remove(old_t, old_p)
+        records = self._records
+        records.append((y_true, y_pred))
+        if len(records) > self.window_size:
+            self.window.slide(y_true, y_pred, *records.popleft())
+        else:
+            self.window.update(y_true, y_pred)
 
     def cumulative_f1(self) -> float:
         return self.cumulative.f1_macro()
@@ -117,7 +129,8 @@ class RunReport:
     """Summary of one experiment run.
 
     ``trace`` holds (seq, windowed_f1, cumulative_f1) rows sampled every
-    ``trace_every`` instances. Wall time is recorded but excluded from the
+    ``trace_every`` instances. Wall time and ``failures`` (the swallowed
+    failures per member id and phase) are recorded but excluded from the
     canonical serialization so that reports from identical configurations are
     byte-identical.
     """
@@ -133,6 +146,7 @@ class RunReport:
     config_digest: str
     n_instances: int
     wall_time_s: float = 0.0
+    failures: dict[str, dict[str, int]] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {

@@ -8,7 +8,8 @@ A run directory always contains the same file names:
   ``trace_every`` instances
 * ``events.csv``    drift and replacement log
   (seq, member, event, source, score)
-* ``timing.json``   wall time, excluded from the canonical report
+* ``timing.json``   wall time and the swallowed member failures, excluded
+  from the canonical report
 """
 
 from __future__ import annotations
@@ -215,6 +216,7 @@ class RunResult:
     drift_count: int
     replacement_count: int
     n_instances: int
+    failures: dict[str, dict[str, int]]
 
 
 def run_stream(
@@ -250,6 +252,7 @@ def run_stream(
         drift_count=sum(isinstance(e, DriftEvent) for e in events),
         replacement_count=sum(isinstance(e, ReplacementEvent) for e in events),
         n_instances=n,
+        failures=ensemble.failures,
     )
 
 
@@ -282,6 +285,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
         config_digest=config.digest(),
         n_instances=result.n_instances,
         wall_time_s=wall,
+        failures=result.failures,
     )
     if out_dir is not None:
         write_run_artifacts(Path(out_dir), report, result.events)
@@ -306,7 +310,8 @@ def write_run_artifacts(out_dir: Path, report: RunReport, events: list) -> None:
                 writer.writerow([event.seq, event.member_id, "drift", source, score])
             elif isinstance(event, ReplacementEvent):
                 writer.writerow([event.seq, event.member_id, "replace", "", ""])
-    (out_dir / "timing.json").write_text(json.dumps({"wall_time_s": report.wall_time_s}) + "\n")
+    timing = {"wall_time_s": report.wall_time_s, "failures": report.failures}
+    (out_dir / "timing.json").write_text(json.dumps(timing) + "\n")
 
 
 def read_run_dir(run_dir: Path) -> RunReport:

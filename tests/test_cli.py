@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftstream.cli import main
+from driftstream.learners import ONLINE_LEARNERS
 
 
 def write_json(path, data):
@@ -82,6 +83,43 @@ def test_generate_and_run_baseline_has_zero_counters(tmp_path, synth_config):
     assert report["method_id"] == "CART-B1"
     assert (out_dir / "trace.csv").exists()
     assert (out_dir / "events.csv").exists()
+
+
+class ZeroStub:
+    """An online learner that answers class 0; when ``fails``, its predict and learn raise instead,
+    and the ensemble's fallback answers class 0 all the same."""
+
+    def __init__(self, schema, fails):
+        self.fails = fails
+
+    def predict(self, x):
+        if self.fails:
+            raise RuntimeError("predict failed on purpose")
+        return 0
+
+    def learn_one(self, x, y):
+        if self.fails:
+            raise RuntimeError("learn failed on purpose")
+
+
+def test_run_counts_swallowed_failures_in_timing_json_and_warns(tmp_path, synth_config, monkeypatch, capsys):
+    stream = tmp_path / "s.dsv"
+    assert main(["generate", "--config", synth_config, "--out", str(stream), "--quiet"]) == 0
+    method = {"type": "ensemble", "strategies": [], "online_members": ["gnb", "zero"]}
+    config = experiment_config(tmp_path, stream, method, trace_every=500)
+    for fails in (False, True):
+        monkeypatch.setitem(ONLINE_LEARNERS, "zero", lambda schema, fails=fails: ZeroStub(schema, fails))
+        capsys.readouterr()
+        assert main(["run", "--config", config, "--out", str(tmp_path / f"fails-{fails}"), "--quiet"]) == 0
+        warned = capsys.readouterr().err
+        assert ("warning: swallowed member failures: zero predict x3000, zero learn x3000" in warned) == fails
+        assert ("warning" in warned) == fails
+    for artifact in ("report.json", "trace.csv", "events.csv"):
+        assert (tmp_path / "fails-True" / artifact).read_bytes() == (tmp_path / "fails-False" / artifact).read_bytes()
+    zero = {"predict": 0, "shadow_predict": 0, "learn": 0}
+    for fails, counts in ((False, zero), (True, {**zero, "predict": 3000, "learn": 3000})):
+        timing = json.loads((tmp_path / f"fails-{fails}" / "timing.json").read_text())
+        assert timing["failures"] == {"gnb": zero, "zero": counts}
 
 
 def test_run_adaptive_ensemble_detects_drift(tmp_path, synth_config):

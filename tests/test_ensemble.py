@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftstream.core import BatchClassifier, ConfigError, FeatureKind, Instance, Schema, SchemaError
+from driftstream.core import BatchClassifier, ConfigError, FeatureKind, Instance, Schema, SchemaError, argmax_tiebreak
 from driftstream.drift import DriftStrategy, DriftVerdict, Trigger
 from driftstream.ensemble import (
+    DYNAMIC_SWITCH,
+    WEIGHTED_VOTE,
     DriftEvent,
     EnsembleConfig,
     HybridEnsemble,
@@ -16,9 +18,11 @@ from driftstream.ensemble import (
     combine_votes,
     compute_weights,
 )
+from driftstream.evaluation import f1_from_pairs
 from driftstream.learners import BATCH_LEARNERS, OnlineGaussianNB
 
 from conftest import gaussian_instances
+from test_readahead import golden_stream, golden_steps
 
 SCHEMA = Schema(
     feature_names=("seq", "hint"),
@@ -151,6 +155,88 @@ def test_combine_votes_tie_takes_lowest_class():
 def test_combine_votes_length_mismatch():
     with pytest.raises(ValueError):
         combine_votes([0, 1], np.array([1.0]), 2)
+
+
+@pytest.mark.parametrize("combiner", ["wv", "ds"])
+def test_weights_of_no_members_raise_a_value_error(combiner):
+    with pytest.raises(ValueError, match="no member scores"):
+        compute_weights([], combiner)
+
+
+def compute_weights_numpy(scores, combiner):
+    """``compute_weights`` before it moved to Python floats, verbatim."""
+    scores = np.asarray(scores, dtype=float)
+    if np.any(scores < 0):
+        raise ValueError("member scores must be non-negative")
+    n = scores.size
+    if combiner == DYNAMIC_SWITCH:
+        weights = np.zeros(n)
+        weights[argmax_tiebreak(scores)] = 1.0
+        return weights
+    if combiner == WEIGHTED_VOTE:
+        total = scores.sum()
+        if total <= 0:
+            return np.full(n, 1.0 / n)
+        return scores / total
+    raise ValueError(f"unknown combiner {combiner!r}")
+
+
+def combine_votes_numpy(labels, weights, n_classes):
+    """``combine_votes`` before it moved to Python floats, verbatim."""
+    if len(labels) != len(weights):
+        raise ValueError("one weight per member prediction is required")
+    tally = np.zeros(n_classes)
+    for label, weight in zip(labels, weights):
+        tally[label] += weight
+    return argmax_tiebreak(tally)
+
+
+def member_scores(rng, n):
+    """Window F1-like scores: arbitrary fractions, all zeros, some zeros, or ties from a small pool."""
+    kind = rng.integers(4)
+    if kind == 0:
+        return (rng.integers(0, 500, n) / rng.integers(1, 500, n)).tolist()
+    if kind == 1:
+        return [0.0] * n
+    if kind == 2:
+        return np.where(rng.random(n) < 0.5, 0.0, rng.random(n)).tolist()
+    return rng.choice([0.0, 1 / 3, 0.5, 2 / 3, 0.7142857142857143, 1.0], n).tolist()
+
+
+def hexes(weights):
+    return [w.hex() for w in weights.tolist()]
+
+
+@pytest.mark.parametrize("combiner", ["wv", "ds"])
+def test_weights_and_vote_are_bit_identical_to_the_numpy_versions(combiner):
+    # 1-12 members crosses numpy's switch to pairwise sums at 8 values.
+    rng = np.random.default_rng(41)
+    for n in range(1, 13):
+        for k in range(2, 13):
+            for _ in range(12):
+                scores = member_scores(rng, n)
+                weights = compute_weights(scores, combiner)
+                assert weights.dtype == np.float64
+                assert hexes(weights) == hexes(compute_weights_numpy(scores, combiner)), scores
+                labels = rng.integers(0, min(k, int(rng.integers(1, 4))), n).tolist()  # duplicate labels
+                for w in (weights, np.full(n, 1.0 / n)):  # the second has only tied votes
+                    assert combine_votes(labels, w, k) == combine_votes_numpy(labels, w, k)
+
+
+@pytest.mark.parametrize("run", ["wv-rf", "ds-gnb"])
+def test_every_step_weighs_the_members_by_their_last_score_window(run):
+    # The kept scores against each member's F1 recomputed from the StepResults before the step.
+    config, schema, _ = golden_stream(run)
+    steps = golden_steps(run)
+    w, k = config.score_window, schema.n_classes
+    for t, step in enumerate(steps):
+        window = steps[max(0, t - w):t]
+        y = [s.y_true for s in window]
+        scores = [
+            f1_from_pairs(y, [s.member_labels[m] for s in window], k) if window else 0.0
+            for m in range(len(config.members))
+        ]
+        assert hexes(step.weights) == hexes(compute_weights(scores, config.combiner)), t
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +585,10 @@ def test_broken_member_falls_back_and_logs(caplog):
     assert step.member_labels[0] == 0  # fallback, not a crash
     assert any("failed to predict" in r.message for r in caplog.records)
     assert any("failed to learn" in r.message for r in caplog.records)
+    assert ensemble.failures == {
+        "gnb": {"predict": 1, "shadow_predict": 0, "learn": 1},
+        "hoeffding": {"predict": 0, "shadow_predict": 0, "learn": 0},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -570,6 +660,7 @@ def test_failed_incumbent_predict_answers_zero(monkeypatch):
     steps, member, failures = run_flaky_member(monkeypatch, [FlakySpy(fail_predicts={1})], never_drift, 60)
     labels = [s.member_labels[0] for s in steps]
     assert failures == 1
+    assert member.failures == {"predict": 1, "shadow_predict": 0, "learn": 0}
     assert labels[50] == 0  # the oracle would answer 50 % 3 = 2
     assert labels[51:] == [seq % 3 for seq in range(51, 60)]
 
@@ -578,6 +669,7 @@ def test_failed_shadow_predict_records_zero(monkeypatch):
     models = [FlakySpy(), FlakySpy(fail_predicts={1})]
     steps, member, failures = run_flaky_member(monkeypatch, models, always_drift, 102)
     assert failures == 1
+    assert member.failures == {"predict": 0, "shadow_predict": 1, "learn": 0}
     assert [e.seq for e in drift_events(steps)] == [99]
     assert member.shadow.labels == [0, 101 % 3]  # the oracle would answer 100 % 3 = 1 first
 
@@ -585,6 +677,7 @@ def test_failed_shadow_predict_records_zero(monkeypatch):
 def test_failed_warm_up_fit_keeps_the_majority_answer(monkeypatch):
     steps, member, failures = run_flaky_member(monkeypatch, [FlakySpy(fail_fits={1})], never_drift, 99)
     assert failures == 1
+    assert member.failures == {"predict": 0, "shadow_predict": 0, "learn": 1}
     assert not member.fitted
     assert [s.member_labels[0] for s in steps[50:]] == [0] * 49  # labels cycle 0, 1, 2: class 0 leads or ties
 
@@ -593,6 +686,7 @@ def test_failed_shadow_fit_leaves_no_shadow_and_no_event(monkeypatch):
     models = [FlakySpy(), FlakySpy(fail_fits={1})]
     steps, member, failures = run_flaky_member(monkeypatch, models, always_drift, 149)
     assert failures == 1
+    assert member.failures == {"predict": 0, "shadow_predict": 0, "learn": 1}
     assert member.shadow is None
     assert drift_events(steps) == []
     assert [s.member_labels[0] for s in steps[50:]] == [seq % 3 for seq in range(50, 149)]
@@ -607,6 +701,7 @@ def test_failed_drift_check_leaves_no_shadow_and_no_event(monkeypatch):
 
     steps, member, failures = run_flaky_member(monkeypatch, [FlakySpy()], check, 149)
     assert failures == 1
+    assert member.failures == {"predict": 0, "shadow_predict": 0, "learn": 1}
     assert member.shadow is None
     assert drift_events(steps) == []
 

@@ -184,6 +184,31 @@ def test_confusion_matrix_f1_is_bit_identical_to_f1_of_its_counts():
             assert cm.f1_macro().hex() == f1_from_pairs(y_true, y_pred, k).hex()
 
 
+def test_slide_equals_update_then_remove():
+    # Random windows sliding one pair at a time; a third of the slides replace a pair with itself.
+    rng = np.random.default_rng(37)
+    for _ in range(40):
+        k = int(rng.integers(1, 8))
+        present = rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False)
+        pairs = [(int(rng.choice(present)), int(rng.choice(present))) for _ in range(int(rng.integers(1, 30)))]
+        slid, stepped = ConfusionMatrix(k), ConfusionMatrix(k)
+        for pair in pairs:
+            slid.update(*pair)
+            stepped.update(*pair)
+        for _ in range(200):
+            old = pairs.pop(0)
+            new = old if rng.random() < 0.33 else (int(rng.choice(present)), int(rng.choice(present)))
+            pairs.append(new)
+            slid.slide(*new, *old)
+            stepped.update(*new)
+            stepped.remove(*old)
+            assert (slid.true_totals, slid.pred_totals, slid.diag, slid.total) == (
+                stepped.true_totals, stepped.pred_totals, stepped.diag, stepped.total
+            )
+            y_true, y_pred = zip(*pairs)
+            assert slid.f1_macro().hex() == stepped.f1_macro().hex() == f1_from_pairs(y_true, y_pred, k).hex()
+
+
 # ---------------------------------------------------------------------------
 # ranking
 
