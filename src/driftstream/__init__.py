@@ -6,6 +6,8 @@ members, and weighted-voting or dynamic-switching prediction combination,
 evaluated prequentially (test-then-train).
 """
 
+import logging
+
 from .core import (
     ConfigError,
     DataError,
@@ -30,6 +32,11 @@ from .experiment import ExperimentConfig, parse_config, run_experiment, run_stre
 from .ingest import IngestConfig, SynthConfig, generate_synthetic, preprocess_csv, replay, stream_schema
 
 __version__ = "0.1.0"
+
+# Swallowed member failures are logged with their tracebacks; without a
+# handler of the package's own, logging's last-resort handler would print
+# each one to stderr when the application configures no logging.
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "ConfigError",

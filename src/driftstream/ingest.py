@@ -6,26 +6,33 @@ Canonical stream file layout (text, debuggable, CSV after the first line):
     <feature names...>,<target name>
     <float>,...,<class label text>
 
-Preprocessing collects categories and imputation statistics in a full first
-pass over the file, encodes categorical columns one-hot (one output column
-per observed category, missing values mapped to a dedicated category first),
-imputes missing numeric values with the whole-file mode and drops rows whose
-target is missing. Re-encoding a canonical file is a byte-level no-op.
+Preprocessing collects categories and imputation statistics over the whole
+file, encodes categorical columns one-hot (one output column per observed
+category, missing values mapped to a dedicated category first), imputes
+missing numeric values with the whole-file mode and drops rows whose target
+is missing. It works a column at a time: each column's distinct texts are
+parsed and encoded once, a categorical text into its whole one-hot block and
+a numeric text into its ``repr``, and each output line joins those pieces
+with the csv-quoted class label. Re-encoding a canonical file is a
+byte-level no-op.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
+import math
 import numbers
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import ConfigError, DataError, FeatureKind, Instance, Schema
+from .core import ConfigError, DataError, FeatureKind, Instance, Schema, SchemaError
 
 SCHEMA_PREFIX = "#schema "
 
@@ -119,13 +126,32 @@ def write_stream(
     target_name: str = "target",
 ) -> Path:
     """Write a canonical stream file; labels are class indices."""
+    label_ends = tuple(map(_csv_row_end, schema.class_labels))
+    lines = (
+        ",".join([*map(repr, map(float, x.tolist() if isinstance(x, np.ndarray) else x)), label_ends[y]])
+        for x, y in zip(rows, labels)
+    )
+    return _write_lines(path, schema, target_name, lines)
+
+
+def _csv_row_end(label: str) -> str:
+    """``label`` as the csv module writes it as the last field of a row, line end included.
+
+    Class labels are never empty, so a label's quoting does not depend on the
+    fields before it, and float ``repr`` fields never need quoting.
+    """
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([label])
+    return buf.getvalue()
+
+
+def _write_lines(path: str | Path, schema: Schema, target_name: str, lines: Iterable[str]) -> Path:
+    """Write the manifest, the header and the data ``lines`` (each ending in a newline)."""
     path = Path(path)
     with path.open("w", newline="") as fh:
         fh.write(_manifest_line(schema, target_name) + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(schema.feature_names) + [target_name])
-        for x, y in zip(rows, labels):
-            writer.writerow([repr(float(v)) for v in x] + [schema.class_labels[y]])
+        csv.writer(fh, lineterminator="\n").writerow([*schema.feature_names, target_name])
+        fh.writelines(lines)
     return path
 
 
@@ -150,13 +176,16 @@ def stream_schema(path: str | Path) -> Schema:
     try:
         manifest = json.loads(first[len(SCHEMA_PREFIX):])
         features = manifest["features"]
-        return Schema(
+        schema = Schema(
             feature_names=tuple(f["name"] for f in features),
             feature_kinds=tuple(FeatureKind(f["kind"]) for f in features),
             class_labels=tuple(manifest["classes"]),
         )
-    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+    except (ValueError, KeyError, TypeError, SchemaError) as exc:  # JSONDecodeError is a ValueError
         raise DataError(f"{path}: malformed schema manifest: {type(exc).__name__}: {exc}") from None
+    if not schema.feature_names:
+        raise DataError(f"{path}: schema manifest lists no features")
+    return schema
 
 
 def replay(path: str | Path) -> Iterator[Instance]:
@@ -262,97 +291,137 @@ def preprocess_csv(raw_path: str | Path, config: IngestConfig, out_path: str | P
 
     excluded = set(config.drop_columns) | set(config.datetime_columns) | {config.target_column}
     feature_columns = [name for name in header if name not in excluded]
+    if not feature_columns:
+        raise DataError(
+            f"{raw_path}: no feature columns remain once the target, datetime and drop columns are removed"
+        )
     categorical = [name for name in feature_columns if name in config.categorical_columns]
+    numeric = [name for name in feature_columns if name not in categorical]
+    columns = list(zip(*rows))  # in file order, like every check below
 
-    # First pass, in file order: category catalogues and numeric imputation
-    # statistics, neither of which depends on the row order.
-    categories: dict[str, list[str]] = {}
-    numeric_values: dict[str, list[float]] = {name: [] for name in feature_columns if name not in categorical}
-    for row in rows:
-        for name in feature_columns:
-            raw = row[col_index[name]]
-            if name in config.categorical_columns:
-                value = raw if raw.strip() != "" else config.missing_category_label
-                categories.setdefault(name, [])
-                if value not in categories[name]:
-                    categories[name].append(value)
-            elif not _is_missing_numeric(raw):
-                try:
-                    numeric_values[name].append(float(raw))
-                except ValueError:
-                    raise DataError(
-                        f"{raw_path}: column {name!r} has non-numeric value {raw!r}; "
-                        "declare it categorical or drop it"
-                    ) from None
-    modes = {}
-    for name, values in numeric_values.items():
-        if not values:
+    # Each distinct text of a numeric column is parsed once (None marks a
+    # missing cell). Distinct texts come in order of first appearance, so a
+    # column's first unparsable text is its first unparsable cell.
+    parsed: dict[str, dict[str, float | None]] = {}
+    first_bad = None  # (row, column position, name, text), the least in row-major order
+    for position, name in enumerate(numeric):
+        column = columns[col_index[name]]
+        parsed[name] = values = {}
+        for text in dict.fromkeys(column):
+            if _is_missing_numeric(text):
+                values[text] = None
+                continue
+            try:
+                values[text] = float(text)
+            except ValueError:
+                bad = (column.index(text), position, name, text)
+                first_bad = bad if first_bad is None else min(first_bad, bad)
+                break
+    if first_bad is not None:
+        _, _, name, text = first_bad
+        raise DataError(
+            f"{raw_path}: column {name!r} has non-numeric value {text!r}; declare it categorical or drop it"
+        )
+
+    # One output piece per distinct text: a float repr, or a whole one-hot block.
+    pieces: dict[str, dict[str, str]] = {}
+    binary: dict[str, bool] = {}
+    for name in numeric:
+        column, values = columns[col_index[name]], parsed[name]
+        present = [v for v in values.values() if v is not None]
+        if not present:
             raise DataError(f"{raw_path}: numeric column {name!r} has no usable values")
-        values = np.asarray(values)
-        if not np.isfinite(values).all():
-            i = col_index[name]
-            number, raw = next(
-                (n, r[i]) for n, r in numbered if not _is_missing_numeric(r[i]) and not np.isfinite(float(r[i]))
-            )
-            raise DataError(f"{raw_path}: row {number}: column {name!r} has non-finite value {raw!r}")
-        modes[name] = _numeric_mode(values)
+        if not all(map(math.isfinite, present)):
+            text = next(t for t, v in values.items() if v is not None and not math.isfinite(v))
+            row = column.index(text)
+            raise DataError(f"{raw_path}: row {numbered[row][0]}: column {name!r} has non-finite value {text!r}")
+        if len(present) < len(values):
+            # The mode over every present cell in file order, not over the distinct
+            # values: which of -0.0 and 0.0 np.unique keeps depends on the cells' order.
+            cells = np.fromiter(map({t: math.nan if v is None else v for t, v in values.items()}.get, column), float)
+            mode = _numeric_mode(cells[~np.isnan(cells)])
+            values = {t: mode if v is None else v for t, v in values.items()}
+        pieces[name] = {t: repr(v) for t, v in values.items()}
+        binary[name] = all(v in (0.0, 1.0) for v in present)  # the mode is one of them
+    categories: dict[str, list[str]] = {}
+    for name in categorical:
+        observed = {
+            t: t if t.strip() != "" else config.missing_category_label
+            for t in dict.fromkeys(columns[col_index[name]])
+        }
+        categories[name] = cats = sorted(dict.fromkeys(observed.values()))
+        pieces[name] = {t: ",".join("1.0" if o == cat else "0.0" for cat in cats) for t, o in observed.items()}
 
+    order = None
     if config.datetime_columns:
-        def sort_key(row: list[str]):
-            keys = []
-            for name in config.datetime_columns:
-                value = row[col_index[name]]
-                if config.datetime_format:
-                    try:
-                        keys.append(datetime.strptime(value, config.datetime_format))
-                    except ValueError as exc:
-                        raise DataError(f"{raw_path}: bad datetime {value!r}: {exc}") from None
-                else:
-                    keys.append(value)
-            return tuple(keys)
-
-        rows.sort(key=sort_key)
+        keys = [columns[col_index[name]] for name in config.datetime_columns]
+        order = _chronological_order(raw_path, keys, config.datetime_format)
 
     # Output column layout: original order, categoricals expanded in place.
+    _check_unique_names(raw_path, feature_columns, categories)
     out_names: list[str] = []
-    encoders: list[tuple[str, str | None]] = []  # (source column, category or None)
+    kinds: list[FeatureKind] = []
     for name in feature_columns:
-        if name in categorical:
-            for cat in sorted(categories[name]):
-                out_names.append(f"{name}={cat}")
-                encoders.append((name, cat))
+        if name in categories:
+            out_names += [f"{name}={cat}" for cat in categories[name]]
+            kinds += [FeatureKind.BINARY] * len(categories[name])
         else:
             out_names.append(name)
-            encoders.append((name, None))
+            kinds.append(FeatureKind.BINARY if binary[name] else FeatureKind.NUMERIC)
 
-    class_labels = sorted({row[target_i] for row in rows})
-    encoded_rows: list[list[float]] = []
-    labels: list[int] = []
-    label_index = {label: i for i, label in enumerate(class_labels)}
-    binary_possible = [True] * len(out_names)
-    for row in rows:
-        values: list[float] = []
-        for j, (name, cat) in enumerate(encoders):
-            raw = row[col_index[name]]
-            if cat is not None:
-                observed = raw if raw.strip() != "" else config.missing_category_label
-                v = 1.0 if observed == cat else 0.0
-            elif _is_missing_numeric(raw):
-                v = modes[name]
-            else:
-                v = float(raw)
-            if v not in (0.0, 1.0):
-                binary_possible[j] = False
-            values.append(v)
-        encoded_rows.append(values)
-        labels.append(label_index[row[target_i]])
-
-    kinds = tuple(
-        FeatureKind.BINARY if binary_possible[j] else FeatureKind.NUMERIC for j in range(len(out_names))
-    )
-    schema = Schema(feature_names=tuple(out_names), feature_kinds=kinds, class_labels=tuple(class_labels))
-    out = write_stream(out_path, schema, encoded_rows, labels, target_name=config.target_column)
+    target = columns[target_i]
+    class_labels = sorted(dict.fromkeys(target))
+    label_ends = dict(zip(class_labels, map(_csv_row_end, class_labels)))
+    encoded = [list(map(pieces[name].__getitem__, columns[col_index[name]])) for name in feature_columns]
+    lines = list(map(",".join, zip(*encoded, map(label_ends.__getitem__, target))))
+    if order is not None:
+        lines = [lines[i] for i in order]
+    schema = Schema(feature_names=tuple(out_names), feature_kinds=tuple(kinds), class_labels=tuple(class_labels))
+    out = _write_lines(out_path, schema, config.target_column, lines)
     return schema, out
+
+
+def _chronological_order(raw_path: Path, columns: list[tuple[str, ...]], datetime_format: str | None) -> list[int]:
+    """Row positions in stable order of the datetime columns' keys.
+
+    With a ``datetime_format`` each distinct text is parsed once; the first
+    unparsable cell in row-major order is the one reported.
+    """
+    keys = columns
+    if datetime_format:
+        keys, first_bad = [], None
+        for position, column in enumerate(columns):
+            parsed = {}
+            for text in dict.fromkeys(column):
+                try:
+                    parsed[text] = datetime.strptime(text, datetime_format)
+                except ValueError as exc:
+                    bad = (column.index(text), position, text, str(exc))
+                    first_bad = bad if first_bad is None else min(first_bad, bad)
+                    break
+            keys.append(list(map(parsed.get, column)))
+        if first_bad is not None:
+            _, _, text, reason = first_bad
+            raise DataError(f"{raw_path}: bad datetime {text!r}: {reason}")
+    row_keys = list(zip(*keys))
+    return sorted(range(len(row_keys)), key=row_keys.__getitem__)
+
+
+def _check_unique_names(raw_path: Path, feature_columns: list[str], categories: dict[str, list[str]]) -> None:
+    """Refuse a header that repeats a feature column, or two columns encoded to one feature name."""
+    repeated = [name for name, n in Counter(feature_columns).items() if n > 1]
+    if repeated:
+        raise DataError(f"{raw_path}: the header repeats feature column {', '.join(map(repr, repeated))}")
+    sources: dict[str, list[str]] = {}
+    for name in feature_columns:
+        if name in categories:
+            for cat in categories[name]:
+                sources.setdefault(f"{name}={cat}", []).append(f"category {cat!r} of column {name!r}")
+        else:
+            sources.setdefault(name, []).append(f"column {name!r}")
+    clashes = [f"{out!r} from {' and '.join(where)}" for out, where in sources.items() if len(where) > 1]
+    if clashes:
+        raise DataError(f"{raw_path}: duplicate feature names: {'; '.join(clashes)}")
 
 
 def _synthetic_parts(config: SynthConfig) -> tuple[Schema, np.ndarray, "Iterator[np.ndarray]"]:

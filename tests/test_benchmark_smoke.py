@@ -14,9 +14,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_rf_b1_gradual_one_second_run_is_correct():
+def _assert_one_second_run_is_correct(workload: str) -> None:
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "rf-b1-gradual", "--seconds", "1"],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", "1"],
         cwd=ROOT,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
@@ -26,3 +26,13 @@ def test_rf_b1_gradual_one_second_run_is_correct():
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0
+
+
+def test_rf_b1_gradual_one_second_run_is_correct():
+    _assert_one_second_run_is_correct("rf-b1-gradual")
+
+
+def test_ds_gnb_wide_one_second_run_is_correct():
+    # Runs `preprocess_csv` through the benchmark's wide-stream check and its
+    # check that every round writes the same stream bytes.
+    _assert_one_second_run_is_correct("ds-gnb-wide")

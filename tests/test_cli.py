@@ -1,4 +1,5 @@
 import json
+import logging
 import tempfile
 from pathlib import Path
 
@@ -103,6 +104,9 @@ class ZeroStub:
 
 
 def test_run_counts_swallowed_failures_in_timing_json_and_warns(tmp_path, synth_config, monkeypatch, capsys):
+    # Keep the package's records from the test runner's root handlers, as in a
+    # `driftstream run` process that configures no logging.
+    monkeypatch.setattr(logging.getLogger("driftstream"), "propagate", False)
     stream = tmp_path / "s.dsv"
     assert main(["generate", "--config", synth_config, "--out", str(stream), "--quiet"]) == 0
     method = {"type": "ensemble", "strategies": [], "online_members": ["gnb", "zero"]}
@@ -114,6 +118,7 @@ def test_run_counts_swallowed_failures_in_timing_json_and_warns(tmp_path, synth_
         warned = capsys.readouterr().err
         assert ("warning: swallowed member failures: zero predict x3000, zero learn x3000" in warned) == fails
         assert ("warning" in warned) == fails
+        assert "Traceback" not in warned
     for artifact in ("report.json", "trace.csv", "events.csv"):
         assert (tmp_path / "fails-True" / artifact).read_bytes() == (tmp_path / "fails-False" / artifact).read_bytes()
     zero = {"predict": 0, "shadow_predict": 0, "learn": 0}
@@ -340,6 +345,56 @@ def test_preprocess_row_errors_name_the_data_row_exit_2(tmp_path, text, message,
     assert not out.exists()
 
 
+def test_preprocess_without_feature_columns_exits_2(tmp_path, capsys):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("id,when,target\n1,2020-01-02,x\n2,2020-01-01,y\n")
+    config = write_json(
+        tmp_path / "ing.json",
+        {"input": str(raw), "target_column": "target", "datetime_columns": ["when"], "drop_columns": ["id"]},
+    )
+    out = tmp_path / "stream.dsv"
+    assert main(["preprocess", "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(raw) in err and "no feature columns" in err
+    assert not out.exists()
+
+
+def test_run_on_a_stream_whose_manifest_lists_no_features_exits_2(tmp_path, capsys):
+    stream = tmp_path / "s.dsv"
+    stream.write_text('#schema {"features": [], "classes": ["x", "y"], "target": "target"}\ntarget\nx\ny\n')
+    config = experiment_config(tmp_path, stream, {"type": "online", "algorithm": "gnb"})
+    out_dir = tmp_path / "r"
+    assert main(["run", "--config", config, "--out", str(out_dir), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert str(stream) in err and "lists no features" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "text, categorical, named",
+    [
+        ("v,w,v,target\n1,2,3,x\n4,5,6,y\n", [], "repeats feature column 'v'"),
+        (
+            "color=red,color,target\n1,red,x\n0,blue,y\n",
+            ["color"],
+            "duplicate feature names: 'color=red' from column 'color=red' and category 'red' of column 'color'",
+        ),
+    ],
+    ids=["repeated-header-name", "numeric-column-named-like-a-one-hot-column"],
+)
+def test_preprocess_clashing_feature_names_exit_2_naming_them(tmp_path, text, categorical, named, capsys):
+    raw = tmp_path / "raw.csv"
+    raw.write_text(text)
+    config = write_json(
+        tmp_path / "ing.json", {"input": str(raw), "target_column": "target", "categorical_columns": categorical}
+    )
+    out = tmp_path / "stream.dsv"
+    assert main(["preprocess", "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(raw) in err and named in err
+    assert not out.exists()
+
+
 def test_generate_and_preprocess_unknown_key_exit_1(tmp_path, raw_csv):
     synth = write_json(tmp_path / "synth.json", {**SYNTHETIC, "drift_kinds": "abrupt"})
     assert main(["generate", "--config", synth, "--out", str(tmp_path / "s.dsv")]) == 1
@@ -396,8 +451,15 @@ def test_seed_flag_on_a_config_that_is_not_an_object_exits_1(tmp_path, command, 
 
 @pytest.mark.parametrize(
     "manifest",
-    ['{"features": [', '{"features": [{"name": "f0", "kind": "ordinal"}], "classes": ["a"]}', '{"classes": ["a"]}', "[]"],
-    ids=["invalid-json", "unknown-kind", "no-features", "json-list"],
+    [
+        '{"features": [',
+        '{"features": [{"name": "f0", "kind": "ordinal"}], "classes": ["a"]}',
+        '{"classes": ["a"]}',
+        "[]",
+        '{"features": [{"name": "f0", "kind": "numeric"}, {"name": "f0", "kind": "numeric"}], "classes": ["a"]}',
+        '{"features": [{"name": "f0", "kind": "numeric"}], "classes": ["a", "a"]}',
+    ],
+    ids=["invalid-json", "unknown-kind", "no-features", "json-list", "repeated-feature", "repeated-class"],
 )
 def test_run_malformed_schema_manifest_exits_2(tmp_path, manifest, capsys):
     stream = tmp_path / "s.dsv"
