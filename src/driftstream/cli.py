@@ -23,7 +23,7 @@ EXIT_INTERNAL = 3
 
 
 def _say(args, message: str) -> None:
-    if not getattr(args, "quiet", False):
+    if not args.quiet:
         print(message)
 
 
@@ -125,35 +125,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Drift-aware stream classification experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--force", action="store_true")
+    common.add_argument("--quiet", action="store_true")
 
-    p = sub.add_parser("preprocess", help="encode a raw CSV into a canonical stream file")
+    p = sub.add_parser("preprocess", parents=[common], help="encode a raw CSV into a canonical stream file")
     p.add_argument("--config", required=True, help="ingest config JSON (input, target_column, ...)")
     p.add_argument("--out", required=True, help="output stream file")
-    p.add_argument("--force", action="store_true")
-    p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_preprocess)
 
-    p = sub.add_parser("generate", help="generate a seeded synthetic drifting stream")
+    p = sub.add_parser("generate", parents=[common], help="generate a seeded synthetic drifting stream")
     p.add_argument("--config", required=True, help="synthetic stream config JSON")
     p.add_argument("--out", required=True, help="output stream file")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--force", action="store_true")
-    p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("run", help="run one configured experiment")
+    p = sub.add_parser("run", parents=[common], help="run one configured experiment")
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--out", required=True, help="output run directory")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--force", action="store_true")
-    p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("report", help="rank methods across a directory of runs")
+    p = sub.add_parser("report", parents=[common], help="rank methods across a directory of runs")
     p.add_argument("runs", help="directory containing run directories")
     p.add_argument("--out", required=True, help="output directory for ranking and merged traces")
-    p.add_argument("--force", action="store_true")
-    p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_report)
     return parser
 

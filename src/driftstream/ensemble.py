@@ -50,7 +50,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ConfigError, Instance, Schema, SchemaError, argmax_tiebreak
+from .core import ConfigError, Instance, Schema, SchemaError, argmax_tiebreak, is_number
 from .drift import LAST_WINDOW, DriftStrategy, Trigger, WindowPair, check_windows
 from .evaluation import ConfusionMatrix, f1_from_pairs
 from .learners import BATCH_LEARNERS, ONLINE_LEARNERS
@@ -118,15 +118,20 @@ class EnsembleConfig:
     cache_cap: int = 200_000
     shadow_metric: str = "f1_macro"
 
+    #: Integer settings and the least value each allows.
+    INT_LEAST = {"seed": 0, "first_fit_size": 1, "shadow_eval_size": 1, "score_window": 1, "cache_cap": 1}
+
     def __post_init__(self) -> None:
+        for key, least in self.INT_LEAST.items():
+            value = getattr(self, key)
+            if not is_number(value, integral=True) or value < least:
+                raise ConfigError(f"{key} must be an integer of at least {least}, got {value!r}")
         if not self.members:
             raise ConfigError("ensemble needs at least one member")
         if self.combiner not in (WEIGHTED_VOTE, DYNAMIC_SWITCH):
             raise ConfigError(f"unknown combiner {self.combiner!r}")
         if self.shadow_metric not in SHADOW_METRICS:
             raise ConfigError(f"unknown shadow_metric {self.shadow_metric!r}, expected one of {SHADOW_METRICS}")
-        if self.shadow_eval_size < 1 or self.score_window < 1 or self.first_fit_size < 1:
-            raise ConfigError("first_fit_size, shadow_eval_size and score_window must be positive")
         if self.first_fit_size > self.cache_cap:
             raise ConfigError("first_fit_size cannot exceed cache_cap")
         ids = [m.id for m in self.members]

@@ -10,7 +10,7 @@ classes they never saw.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -20,7 +20,7 @@ from .core import MetricError
 
 class ConfusionMatrix:
     """The (true, predicted) pairs of a window, kept as the per-class true totals,
-    predicted totals and diagonal and the grand total, as Python ints for ``f1_macro``."""
+    predicted totals and diagonal, as Python ints for ``f1_macro``."""
 
     def __init__(self, n_classes: int) -> None:
         if n_classes < 1:
@@ -28,16 +28,15 @@ class ConfusionMatrix:
         self.true_totals = [0] * n_classes
         self.pred_totals = [0] * n_classes
         self.diag = [0] * n_classes
-        self.total = 0
 
     def update(self, y_true: int, y_pred: int) -> None:
-        self._add(y_true, y_pred, 1)
-
-    def remove(self, y_true: int, y_pred: int) -> None:
-        self._add(y_true, y_pred, -1)
+        self.true_totals[y_true] += 1
+        self.pred_totals[y_pred] += 1
+        if y_true == y_pred:
+            self.diag[y_true] += 1
 
     def slide(self, y_true: int, y_pred: int, old_true: int, old_pred: int) -> None:
-        """Add the pair ``(y_true, y_pred)`` and remove ``(old_true, old_pred)``, as ``update`` then ``remove``."""
+        """Add the pair ``(y_true, y_pred)`` and take the window's oldest pair ``(old_true, old_pred)`` out."""
         self.true_totals[y_true] += 1
         self.true_totals[old_true] -= 1
         self.pred_totals[y_pred] += 1
@@ -46,13 +45,6 @@ class ConfusionMatrix:
             self.diag[y_true] += 1
         if old_true == old_pred:
             self.diag[old_true] -= 1
-
-    def _add(self, y_true: int, y_pred: int, step: int) -> None:
-        self.true_totals[y_true] += step
-        self.pred_totals[y_pred] += step
-        if y_true == y_pred:
-            self.diag[y_true] += step
-        self.total += step
 
     def f1_macro(self) -> float:
         return _f1_from_totals(self.true_totals, self.pred_totals, self.diag)
@@ -149,32 +141,15 @@ class RunReport:
     failures: dict[str, dict[str, int]] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "run_id": self.run_id,
-            "stream_id": self.stream_id,
-            "method_id": self.method_id,
-            "final_f1_macro": self.final_f1_macro,
-            "drift_count": self.drift_count,
-            "replacement_count": self.replacement_count,
-            "seed": self.seed,
-            "config_digest": self.config_digest,
-            "n_instances": self.n_instances,
-        }
+        return {name: getattr(self, name) for name in _REPORT_KEYS}
 
     @classmethod
     def from_json_dict(cls, data: dict, trace: list[tuple[int, float, float]] | None = None) -> "RunReport":
-        return cls(
-            run_id=data["run_id"],
-            stream_id=data["stream_id"],
-            method_id=data["method_id"],
-            final_f1_macro=data["final_f1_macro"],
-            trace=trace or [],
-            drift_count=data["drift_count"],
-            replacement_count=data["replacement_count"],
-            seed=data["seed"],
-            config_digest=data["config_digest"],
-            n_instances=data["n_instances"],
-        )
+        return cls(trace=trace or [], **{name: data[name] for name in _REPORT_KEYS})
+
+
+#: The keys of ``report.json``: every ``RunReport`` field but the trace and the run-to-run ones.
+_REPORT_KEYS = tuple(f.name for f in fields(RunReport) if f.name not in ("trace", "wall_time_s", "failures"))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .core import ConfigError, DataError, Instance, Schema, is_number
+from .core import ConfigError, DataError, Instance, Schema
 from .drift import DriftStrategy, strategy_catalog
 from .ensemble import (
     BATCH,
@@ -92,6 +92,8 @@ class ExperimentConfig(EnsembleConfig):
     trace_every: int = 1000
     raw: dict = field(repr=False, default_factory=dict)
 
+    INT_LEAST = {**EnsembleConfig.INT_LEAST, "trace_every": 1}
+
     @property
     def stream_id(self) -> str:
         if self.stream_path is not None:
@@ -112,24 +114,6 @@ def _derive_method_id(kind: str, members: tuple[MemberSpec, ...], combiner: str)
     return f"{combiner}-{makeup}".upper()
 
 
-#: Integer options and the least value each allows; the defaults are ``ExperimentConfig``'s.
-_INT_FIELDS = {
-    "seed": 0,
-    "first_fit_size": 1,
-    "shadow_eval_size": 1,
-    "score_window": 1,
-    "cache_cap": 1,
-    "trace_every": 1,
-}
-
-
-def _int_field(data: dict, key: str, least: int) -> int:
-    value = data[key]
-    if not is_number(value, integral=True) or value < least:
-        raise ConfigError(f"{key} must be an integer of at least {least}, got {value!r}")
-    return value
-
-
 def parse_config(data: dict) -> ExperimentConfig:
     """Check and resolve a whole experiment config, before any stream is opened."""
     if "method" not in data or "stream" not in data:
@@ -148,9 +132,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError("method.type must be 'online', 'batch' or 'ensemble'")
     members = build_member_specs(method)
     combiner = method.get("combiner", WEIGHTED_VOTE) if kind == "ensemble" else WEIGHTED_VOTE
-    options = {key: _int_field(data, key, least) for key, least in _INT_FIELDS.items() if key in data}
-    if "shadow_metric" in data:
-        options["shadow_metric"] = data["shadow_metric"]
+    options = {key: data[key] for key in (*ExperimentConfig.INT_LEAST, "shadow_metric") if key in data}
     return ExperimentConfig(
         members=members,
         combiner=combiner,

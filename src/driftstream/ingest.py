@@ -60,6 +60,9 @@ class IngestConfig:
     def __post_init__(self) -> None:
         if self.target_column in self.drop_columns:
             raise ConfigError("target_column must not appear in drop_columns")
+        for role, names in (("drop", self.drop_columns), ("datetime", self.datetime_columns)):
+            if clash := [name for name in self.categorical_columns if name in names]:
+                raise ConfigError(f"column {clash[0]!r} is listed both as categorical and in {role}_columns")
 
 
 @dataclass

@@ -10,9 +10,11 @@ streams this package targets.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from ..core import OnlineClassifier, Schema, argmax_tiebreak
+from ..core import OnlineClassifier, Schema, argmax_tiebreak, is_number
 from .moments import RunningMoments
 
 
@@ -58,8 +60,8 @@ class OnlineLogisticRegression(OnlineClassifier):
         self.learning_rate, self.l2 = learning_rate, l2
         self.intercept_lr, self.gradient_clip = intercept_lr, gradient_clip
         for name in ("learning_rate", "l2", "intercept_lr", "gradient_clip"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not (is_number(value := getattr(self, name)) and 0 <= value < math.inf):
+                raise ValueError(f"{name} must be a finite number of at least 0, got {value!r}")
         d, k = schema.n_features, schema.n_classes
         self.W = np.zeros((d, k))
         self.b = np.zeros(k)

@@ -18,7 +18,7 @@ import math
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from ..core import OnlineClassifier, Schema, argmax_tiebreak
+from ..core import OnlineClassifier, Schema, argmax_tiebreak, is_number
 from .bayes import _floored, _gaussian_nb_scores
 from .moments import RunningMoments
 
@@ -139,6 +139,14 @@ class HoeffdingTreeClassifier(OnlineClassifier):
         n_candidates: int = 10,
     ) -> None:
         super().__init__(schema)
+        for name, value, least in (("grace_period", grace_period, 1), ("nb_threshold", nb_threshold, 0),
+                                   ("n_candidates", n_candidates, 1)):
+            if not (is_number(value, integral=True) and value >= least):
+                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+        if not (is_number(delta) and 0 < delta < 1):
+            raise ValueError(f"delta must be a number in (0, 1), got {delta!r}")
+        if not (is_number(tie_threshold) and 0 <= tie_threshold < math.inf):
+            raise ValueError(f"tie_threshold must be a finite number of at least 0, got {tie_threshold!r}")
         self.grace_period = grace_period
         self.delta = delta
         self.nb_threshold = nb_threshold

@@ -133,6 +133,18 @@ def _js_from_distributions(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * _kl(p) + 0.5 * _kl(q)
 
 
+def _union_counts(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """How often each value of the sorted union of ``a`` and ``b`` occurs in each, as floats;
+    values are told apart as ``==`` tells them, so -0.0 and 0.0 count as one."""
+    union = np.unique(np.concatenate([a, b]))
+
+    def count(sample: np.ndarray) -> np.ndarray:
+        ordered = np.sort(sample)
+        return (np.searchsorted(ordered, union, "right") - np.searchsorted(ordered, union)).astype(float)
+
+    return count(a), count(b)
+
+
 def js_divergence(a, b) -> TestOutcome:
     """Jensen-Shannon divergence between two samples, log base 2.
 
@@ -142,9 +154,7 @@ def js_divergence(a, b) -> TestOutcome:
     """
     a = _as_sample(a)
     b = _as_sample(b)
-    union = np.unique(np.concatenate([a, b]))
-    counts_a = np.array([(a == v).sum() for v in union], dtype=float)
-    counts_b = np.array([(b == v).sum() for v in union], dtype=float)
+    counts_a, counts_b = _union_counts(a, b)
     p = counts_a / counts_a.sum()
     q = counts_b / counts_b.sum()
     js = max(0.0, _js_from_distributions(p, q))
@@ -162,14 +172,13 @@ def chi_squared(a, b) -> TestOutcome:
     """
     a = _as_sample(a, "reference sample")
     b = _as_sample(b, "current sample")
-    union = np.unique(np.concatenate([a, b]))
-    if union.size < 2:
+    ref_counts, cur_counts = _union_counts(a, b)
+    if ref_counts.size < 2:
         raise ValueError("chi-squared needs at least two categories in the union")
-    ref_counts = np.array([(a == v).sum() for v in union], dtype=float) + 0.5
-    cur_counts = np.array([(b == v).sum() for v in union], dtype=float)
+    ref_counts += 0.5
     expected = ref_counts / ref_counts.sum() * b.size
     stat = float(np.sum((cur_counts - expected) ** 2 / expected))
-    df = union.size - 1
+    df = ref_counts.size - 1
     p = float(gammaincc(df / 2.0, stat / 2.0))
     return TestOutcome(statistic=stat, p_value=p, drift_score=p, score_kind=P_VALUE)
 

@@ -208,6 +208,8 @@ def test_run_bad_config_exits_1(tmp_path):
 SYNTHETIC = {"n_instances": 100, "n_features": 2, "n_classes": 2}
 RF_S4 = {"type": "batch", "algorithm": "rf", "strategy": "S4"}
 CART_S4 = {"type": "batch", "algorithm": "cart", "strategy": "S4"}
+HT = {"type": "online", "algorithm": "hoeffding"}
+OLR = {"type": "online", "algorithm": "logreg"}
 
 
 @pytest.mark.parametrize(
@@ -239,6 +241,16 @@ def test_run_malformed_config_exits_1(tmp_path, config, capsys):
         ({**CART_S4, "params": {"min_samples_split": 0}}, {}, "min_samples_split"),
         ({**CART_S4, "params": {"min_samples_split": 2.0}}, {}, "min_samples_split"),
         ({**CART_S4, "params": {"max_features": "sqrt"}}, {}, "max_features"),
+        ({**HT, "params": {"grace_period": 0}}, {}, "grace_period"),
+        ({**HT, "params": {"grace_period": 1.5}}, {}, "grace_period"),
+        ({**HT, "params": {"delta": 0}}, {}, "delta"),
+        ({**HT, "params": {"delta": 1}}, {}, "delta"),
+        ({**HT, "params": {"nb_threshold": "x"}}, {}, "nb_threshold"),
+        ({**HT, "params": {"nb_threshold": -1}}, {}, "nb_threshold"),
+        ({**HT, "params": {"tie_threshold": float("inf")}}, {}, "tie_threshold"),
+        ({**HT, "params": {"n_candidates": 0}}, {}, "n_candidates"),
+        ({**OLR, "params": {"learning_rate": float("nan")}}, {}, "learning_rate"),
+        ({**OLR, "params": {"l2": "strong"}}, {}, "l2"),
     ],
     ids=[
         "unknown-rf-param",
@@ -253,6 +265,16 @@ def test_run_malformed_config_exits_1(tmp_path, config, capsys):
         "cart-zero-min-split",
         "cart-float-min-split",
         "cart-sqrt-features",
+        "ht-zero-grace-period",
+        "ht-float-grace-period",
+        "ht-zero-delta",
+        "ht-unit-delta",
+        "ht-string-nb-threshold",
+        "ht-negative-nb-threshold",
+        "ht-infinite-tie-threshold",
+        "ht-zero-candidates",
+        "olr-nan-learning-rate",
+        "olr-string-l2",
     ],
 )
 def test_run_invalid_method_options_exit_1_before_the_stream(tmp_path, synth_config, method, extra, named, capsys):
@@ -529,6 +551,20 @@ def test_preprocess_unknown_column_name_exits_1(tmp_path, field, name, capsys):
     out = tmp_path / "stream.dsv"
     assert main(["preprocess", "--config", config, "--out", str(out)]) == 1
     assert repr(name) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("role", ["drop_columns", "datetime_columns"])
+def test_preprocess_categorical_column_in_another_role_exits_1_before_reading(tmp_path, role, capsys):
+    # The input does not exist: the conflict is refused before any file is read.
+    config = write_json(
+        tmp_path / "ing.json",
+        {"input": str(tmp_path / "missing.csv"), "target_column": "target", "categorical_columns": ["color"], role: ["color"]},
+    )
+    out = tmp_path / "stream.dsv"
+    assert main(["preprocess", "--config", config, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "'color'" in err and role in err
     assert not out.exists()
 
 

@@ -269,6 +269,16 @@ def test_ensemble_config_validation():
         EnsembleConfig(members=(online_spec(), online_spec()))  # duplicate ids
 
 
+@pytest.mark.parametrize(
+    "setting, named",
+    [({"score_window": 2.5}, "score_window"), ({"cache_cap": 0}, "cache_cap"), ({"seed": -1}, "seed")],
+    ids=["float-score-window", "zero-cache-cap", "negative-seed"],
+)
+def test_ensemble_config_refuses_bad_integer_settings(setting, named):
+    with pytest.raises(ConfigError, match=f"{named} must be an integer of at least"):
+        EnsembleConfig(members=(online_spec(),), **setting)
+
+
 def test_batch_member_warm_up_predicts_cache_majority(monkeypatch):
     install_spies(monkeypatch, ["constant0"])
     config = EnsembleConfig(members=(batch_spec(perf_strategy()),), first_fit_size=10, seed=0)

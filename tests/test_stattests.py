@@ -6,10 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaincc
 
+from driftstream import stattests
 from driftstream.stattests import (
     DISTANCE,
     P_VALUE,
+    _as_sample,
+    _js_from_distributions,
     chi_squared,
     js_divergence,
     kolmogorov_sf,
@@ -201,6 +205,58 @@ def test_chi2_new_category_in_current_is_finite():
 def test_chi2_single_category_rejected():
     with pytest.raises(ValueError):
         chi_squared([1, 1], [1, 1])
+
+
+def _js_by_value_loop(a, b):
+    # js_divergence as it was, counting each union value with a pass over each sample.
+    a = _as_sample(a)
+    b = _as_sample(b)
+    union = np.unique(np.concatenate([a, b]))
+    counts_a = np.array([(a == v).sum() for v in union], dtype=float)
+    counts_b = np.array([(b == v).sum() for v in union], dtype=float)
+    p = counts_a / counts_a.sum()
+    q = counts_b / counts_b.sum()
+    js = max(0.0, _js_from_distributions(p, q))
+    return stattests.TestOutcome(statistic=js, p_value=None, drift_score=math.sqrt(js), score_kind=DISTANCE)
+
+
+def _chi2_by_value_loop(a, b):
+    # chi_squared as it was, counting each union value with a pass over each sample.
+    a = _as_sample(a, "reference sample")
+    b = _as_sample(b, "current sample")
+    union = np.unique(np.concatenate([a, b]))
+    if union.size < 2:
+        raise ValueError("chi-squared needs at least two categories in the union")
+    ref_counts = np.array([(a == v).sum() for v in union], dtype=float) + 0.5
+    cur_counts = np.array([(b == v).sum() for v in union], dtype=float)
+    expected = ref_counts / ref_counts.sum() * b.size
+    stat = float(np.sum((cur_counts - expected) ** 2 / expected))
+    df = union.size - 1
+    p = float(gammaincc(df / 2.0, stat / 2.0))
+    return stattests.TestOutcome(statistic=stat, p_value=p, drift_score=p, score_kind=P_VALUE)
+
+
+def test_js_and_chi2_are_bit_identical_to_the_per_value_loop():
+    # Seeded categorical samples over value sets with -0.0 and 0.0, two-valued
+    # and one-valued columns; every field is compared by its repr.
+    rng = np.random.default_rng(41)
+    value_sets = [[-0.0, 0.0, 1.0], [0.0, 1.0], [-0.0, 0.0], [3.0], [-1.5, -0.0, 2.0, 7.25, 0.0], [0.0, 1.0, 2.0, 3.0, 4.0]]
+    n_refused = 0
+    for _ in range(400):
+        values_a = value_sets[int(rng.integers(len(value_sets)))]
+        values_b = value_sets[int(rng.integers(len(value_sets)))]
+        a = rng.choice(values_a, size=int(rng.integers(1, 60)))
+        b = rng.choice(values_b, size=int(rng.integers(1, 60)))
+        assert repr(js_divergence(a, b)) == repr(_js_by_value_loop(a, b))
+        try:
+            expected = repr(_chi2_by_value_loop(a, b))
+        except ValueError:
+            n_refused += 1
+            with pytest.raises(ValueError, match="at least two categories"):
+                chi_squared(a, b)
+            continue
+        assert repr(chi_squared(a, b)) == expected
+    assert 0 < n_refused < 400
 
 
 # ---------------------------------------------------------------------------
