@@ -159,3 +159,18 @@ class BatchClassifier(Classifier):
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> None:
         raise NotImplementedError
+
+    def _check_batch(self, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(X, y)`` as float rows and int labels. An empty batch raises DataError; a wrong width,
+        a label count other than the row count or a label outside the catalogue, SchemaError."""
+        X = np.asarray(X, dtype=float)
+        y = np.asarray(y, dtype=int)
+        if X.size == 0:
+            raise DataError("empty training batch")
+        X = self._check_block(X)
+        if y.shape != (len(X),):
+            raise SchemaError(f"label array has shape {y.shape} for {len(X)} rows")
+        lo, hi = int(y.min()), int(y.max())
+        if lo < 0 or hi >= self.schema.n_classes:
+            raise SchemaError(f"class index {lo if lo < 0 else hi} outside catalogue of size {self.schema.n_classes}")
+        return X, y

@@ -58,9 +58,11 @@ class IngestConfig:
     datetime_format: str | None = None
 
     def __post_init__(self) -> None:
-        if self.target_column in self.drop_columns:
-            raise ConfigError("target_column must not appear in drop_columns")
-        for role, names in (("drop", self.drop_columns), ("datetime", self.datetime_columns)):
+        roles = (("drop", self.drop_columns), ("datetime", self.datetime_columns))
+        for role, names in (*roles, ("categorical", self.categorical_columns)):
+            if self.target_column in names:
+                raise ConfigError(f"target column {self.target_column!r} must not appear in {role}_columns")
+        for role, names in roles:
             if clash := [name for name in self.categorical_columns if name in names]:
                 raise ConfigError(f"column {clash[0]!r} is listed both as categorical and in {role}_columns")
 

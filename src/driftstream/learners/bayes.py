@@ -15,13 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import (
-    BatchClassifier,
-    DataError,
-    OnlineClassifier,
-    Schema,
-    argmax_tiebreak,
-)
+from ..core import BatchClassifier, OnlineClassifier, Schema, argmax_tiebreak
 from .moments import RunningMoments
 
 #: Per-feature variance floor: VAR_FLOOR_SCALE * (global feature variance + 1e-12).
@@ -103,12 +97,7 @@ class BatchGaussianNB(BatchClassifier):
         self._fit_terms()
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> None:
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=int)
-        if X.size == 0:
-            raise DataError("empty training batch")
-        if X.shape[1] != self.schema.n_features:
-            self._check_x(X[0])
+        X, y = self._check_batch(X, y)
         k = self.schema.n_classes
         self.class_counts = np.zeros(k, dtype=np.int64)
         self._means = np.zeros((k, self.schema.n_features))

@@ -6,8 +6,8 @@ deterministic first-best tie-break. Nodes are stored in flat arrays.
 
 A fit grows all of its trees in lockstep; a CART fit is the one-tree case
 and a forest fit the n-tree case. Each tree keeps its own depth-first stack
-and random generator, so it opens its nodes, and draws their candidate
-features, in the order it would if grown alone. At each step every tree with
+and feature draws, so it opens its nodes, and draws their candidate features,
+in the order it would if grown alone. At each step every tree with
 an open node (as many as ``_SEARCH_CELLS`` holds) contributes that node, and
 one segmented pass over the whole batch finds the first best split of each:
 
@@ -27,6 +27,15 @@ one segmented pass over the whole batch finds the first best split of each:
   split. A node searched in feature chunks keeps the first best chunk (a
   strict ``<``), which is the same split.
 
+A node's candidate features are ``np.sort(rng.choice(d, max_features,
+replace=False))`` on one ``rng = default_rng(seed)`` per tree.
+``_FeatureDraws`` makes the same draws without ``Generator.choice`` and its
+per-call set-up: it reads the seed's PCG64 words in chunks, hands out each
+word's lower 32-bit half, then its upper half, as PCG64 buffers them, and
+bounds each draw by Lemire's method (ACM TOMACS 2019), all in numpy's order:
+Floyd's algorithm and the result shuffle's draws, or numpy's tail shuffle
+when ``d > 10000`` and ``size > d // 50``.
+
 A node's class counts are handed down from its parent (the left child takes
 the counts at the chosen cut, the right child the rest), so a leaf costs no
 array operation.
@@ -44,7 +53,7 @@ import math
 
 import numpy as np
 
-from ..core import BatchClassifier, DataError, Schema, is_number
+from ..core import BatchClassifier, Schema, is_number
 
 
 #: The most (rows x candidate features x classes) cells one split search
@@ -72,13 +81,13 @@ def _search(
     """
     n = Xt.shape[1]
     sizes = np.array([rows.size for rows, _ in parts])
-    widths = np.array([feats.size for _, feats in parts])
-    seg_feature = np.concatenate([feats for _, feats in parts])
+    widths = np.array([len(feats) for _, feats in parts])
+    seg_feature = np.array([f for _, feats in parts for f in feats])
     seg_len = np.repeat(sizes, widths)
     seg_end = np.cumsum(seg_len)
     seg_start = seg_end - seg_len
     segment = np.repeat(np.arange(seg_feature.size), seg_len)
-    rows = np.concatenate([rows for rows, feats in parts for _ in range(feats.size)])
+    rows = np.concatenate([rows for rows, feats in parts for _ in feats])
     key = segment * n + ranks.take(seg_feature.take(segment) * n + rows)
     order = key.argsort()
     key, rows = key.take(order), rows.take(order)  # each segment keeps its place, sorted by value
@@ -119,8 +128,52 @@ def _search(
     return results
 
 
+class _FeatureDraws:
+    """One tree's candidate-feature draws: ``draw(d, size)`` call after call equals
+    ``np.sort(rng.choice(d, size, replace=False)).tolist()`` call after call on
+    ``rng = np.random.default_rng(seed)``, for ``1 <= size <= d < 2**32``."""
+
+    def __init__(self, seed: int | None) -> None:
+        self._halves = self._read(np.random.PCG64(seed))
+
+    @staticmethod
+    def _read(bit_generator: np.random.PCG64):
+        """The stream's 32-bit draws: each 64-bit word's lower half, then its upper half."""
+        while True:
+            for word in bit_generator.random_raw(16).tolist():  # 16 words: a forest's trees hold little memory
+                yield word & 0xFFFFFFFF
+                yield word >> 32
+
+    def _below(self, n: int) -> int:
+        """A uniform integer in ``[0, n)``, ``n <= 2**32 - 1``; ``n == 1`` takes no draw, as in numpy."""
+        if n == 1:
+            return 0
+        m = next(self._halves) * n
+        if m & 0xFFFFFFFF < n:
+            threshold = (1 << 32) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = next(self._halves) * n
+        return m >> 32
+
+    def draw(self, d: int, size: int) -> list[int]:
+        if d > 10000 and size > d // 50:
+            # Positions d - 1 down to d - size (never 0) each swap with a position at or below; the last size stay.
+            moved: dict[int, int] = {}
+            for i in range(d - 1, max(d - size, 1) - 1, -1):
+                j = self._below(i + 1)
+                moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
+            return sorted(moved.get(i, i) for i in range(d - size, d))
+        chosen: set[int] = set()
+        for j in range(d - size, d):
+            value = self._below(j + 1)
+            chosen.add(j if value in chosen else value)
+        for i in range(size - 1, 0, -1):  # the result shuffle's draws; the sort undoes its order
+            self._below(i + 1)
+        return sorted(chosen)
+
+
 class _Growth:
-    """One tree being grown: its node lists, depth-first stack, generator and open node.
+    """One tree being grown: its node lists, depth-first stack, feature draws and open node.
 
     The open node is the next one, in depth-first order, that needs a split
     search. Its candidate features are searched in parts of at most ``step``
@@ -129,8 +182,8 @@ class _Growth:
 
     def __init__(self, tree: CartClassifier, rows: np.ndarray, counts: list[int], d: int, k: int) -> None:
         self.tree, self.d, self.k = tree, d, k
-        self.rng = np.random.default_rng(tree.seed)
-        self.subsample = tree.max_features is not None and tree.max_features < d
+        subsample = tree.max_features is not None and tree.max_features < d
+        self.draws = _FeatureDraws(tree.seed) if subsample else None
         # Node lists; feature -1 marks a leaf.
         self.feature, self.threshold, self.left, self.right, self.label = [-1], [0.0], [0], [0], [0]
         self._nodes = (self.feature, self.threshold, self.left, self.right, self.label)
@@ -146,10 +199,7 @@ class _Growth:
             m = rows.size
             self.label[node_id] = label = counts.index(max(counts))  # the first maximum, as argmax_tiebreak
             if m >= self.tree.min_samples_split and counts[label] < m:
-                if self.subsample:
-                    self.feats = np.sort(self.rng.choice(self.d, size=self.tree.max_features, replace=False))
-                else:
-                    self.feats = np.arange(self.d)
+                self.feats = self.draws.draw(self.d, self.tree.max_features) if self.draws else range(self.d)
                 self.step = max(1, _SEARCH_CELLS // (m * self.k))
                 self.best, self.split = math.inf, None
                 self._next_part(0)
@@ -160,13 +210,13 @@ class _Growth:
         self.lo = lo
         feats = self.feats[lo : lo + self.step]
         self.part = (self.node[1], feats)
-        self.cells = self.node[1].size * feats.size * self.k
+        self.cells = self.node[1].size * len(feats) * self.k
 
     def take(self, result: tuple | None) -> None:
         """Keep a part's split if strictly better; after the last part, split the node and open the next."""
         if result is not None and result[0] < self.best:
             self.best, self.split = result[0], result[1:]
-        if self.lo + self.step < self.feats.size:
+        if self.lo + self.step < len(self.feats):
             self._next_part(self.lo + self.step)
             return
         node_id, _, counts, depth = self.node
@@ -296,10 +346,7 @@ class CartClassifier(BatchClassifier):
         self._flat: _FlatTrees | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> None:
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=int)
-        if X.size == 0:
-            raise DataError("empty training batch")
+        X, y = self._check_batch(X, y)
         _grow([self], X, y, [np.arange(len(X), dtype=np.int32)])
 
     def predict(self, x: np.ndarray) -> int:
@@ -351,10 +398,7 @@ class RandomForestClassifier(BatchClassifier):
         return self.max_features
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> None:
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=int)
-        if X.size == 0:
-            raise DataError("empty training batch")
+        X, y = self._check_batch(X, y)
         n, d = X.shape
         seeds = np.random.SeedSequence(self.seed).generate_state(2 * self.n_trees)
         mf = self._resolve_max_features(d)

@@ -36,3 +36,9 @@ def test_ds_gnb_wide_one_second_run_is_correct():
     # Runs `preprocess_csv` through the benchmark's wide-stream check and its
     # check that every round writes the same stream bytes.
     _assert_one_second_run_is_correct("ds-gnb-wide")
+
+
+def test_wv_rf_abrupt_one_second_run_is_correct():
+    # The one workload that refits forests and swaps in shadows: every round
+    # must write the same bytes, and its events must be the steps' events.
+    _assert_one_second_run_is_correct("wv-rf-abrupt")

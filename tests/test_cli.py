@@ -568,6 +568,19 @@ def test_preprocess_categorical_column_in_another_role_exits_1_before_reading(tm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("role", ["categorical_columns", "datetime_columns"])
+def test_preprocess_target_column_in_another_role_exits_1_before_reading(tmp_path, role, capsys):
+    config = write_json(
+        tmp_path / "ing.json",
+        {"input": str(tmp_path / "missing.csv"), "target_column": "target", role: ["color", "target"]},
+    )
+    out = tmp_path / "stream.dsv"
+    assert main(["preprocess", "--config", config, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "'target'" in err and role in err
+    assert not out.exists()
+
+
 GNB_S4 = {"type": "batch", "algorithm": "gnb", "strategy": "S4"}
 GNB_ENSEMBLE = {"type": "ensemble", "batch_algorithm": "gnb"}
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from driftstream.core import (
+    DataError,
     FeatureKind,
     Schema,
     SchemaError,
@@ -87,6 +88,34 @@ def test_unknown_class_index_raises_schema_error(schema2x3):
     model = OnlineGaussianNB(schema2x3)
     with pytest.raises(SchemaError):
         model.learn_one(np.array([1.0, 2.0]), 3)
+
+
+BATCH_LEARNERS = (CartClassifier, RandomForestClassifier, BatchGaussianNB)
+
+
+@pytest.mark.parametrize("learner", BATCH_LEARNERS)
+@pytest.mark.parametrize(
+    "X, y",
+    [
+        (np.ones((50, 3)), np.arange(50) % 3),  # three columns under a two-feature schema
+        (np.ones((50, 1)), np.arange(50) % 3),
+        (np.ones(50), np.arange(50) % 3),  # not a block of rows
+        (np.ones((50, 2)), np.arange(49) % 3),  # one label short
+        (np.ones((50, 2)), np.ones((50, 1), dtype=int)),
+        (np.ones((50, 2)), np.where(np.arange(50) == 7, 5, np.arange(50) % 3)),  # label 5 of 3 classes
+        (np.ones((50, 2)), np.where(np.arange(50) == 7, -1, np.arange(50) % 3)),
+    ],
+)
+def test_batch_fit_rejects_a_batch_off_the_schema(schema2x3, learner, X, y):
+    model = learner(schema2x3)
+    with pytest.raises(SchemaError):
+        model.fit(X, y)
+
+
+@pytest.mark.parametrize("learner", BATCH_LEARNERS)
+def test_batch_fit_rejects_an_empty_batch(schema2x3, learner):
+    with pytest.raises(DataError):
+        learner(schema2x3).fit(np.empty((0, 2)), np.empty(0, dtype=int))
 
 
 def test_gnb_single_point_moments(schema1x2):

@@ -458,6 +458,21 @@ def test_forest_trees_equal_reference_trees():
     assert_same_forest(forest, reference_forest(schema, X, y, 10, 4, max_features=2))  # "sqrt" of 6 features
 
 
+def test_30_feature_trees_equal_reference_trees():
+    # One, "sqrt" (5) and all but one of 30 candidate features per node.
+    rng = np.random.default_rng(41)
+    schema = make_schema(30, 4)
+    X, y = awkward_batch(rng, 160, 30, 4)
+    X[:, 15:] = rng.normal(size=(160, 15))
+    for max_features in (1, 5, 29):
+        for seed in range(2):
+            fit_both(schema, X, y, seed=seed, max_features=max_features)
+    for max_features, per_tree in ((1, 1), ("sqrt", 5), (29, 29)):
+        forest = RandomForestClassifier(schema, n_trees=4, seed=6, max_features=max_features)
+        forest.fit(X, y)
+        assert_same_forest(forest, reference_forest(schema, X, y, 4, 6, per_tree))
+
+
 def forest_trees(forest):
     names = ("feature", "threshold", "left", "right", "label")
     return [tuple(getattr(tree, name).tolist() for name in names) for tree in forest.trees]
@@ -521,3 +536,52 @@ def test_one_row_walk_reaches_the_leaves_of_the_block_path(seed):
         one_row = np.vstack([flat.leaf_labels(x[None]) for x in probes])
         assert np.array_equal(one_row, flat.leaf_labels(probes))
         assert [model.predict(x) for x in probes] == model.predict_labels(probes).tolist()
+
+
+# -- candidate feature draws against Generator.choice -------------------------
+
+
+class CountingHalves:
+    """Counts the 32-bit draws a ``_FeatureDraws`` takes from its stream."""
+
+    def __init__(self, halves):
+        self.halves, self.taken = halves, 0
+
+    def __next__(self):
+        self.taken += 1
+        return next(self.halves)
+
+
+def draw_calls(rng):
+    """(d, size) calls covering every branch of numpy's ``choice(d, size, replace=False)``."""
+    calls = [(8, 2), (30, 5), (30, int(rng.integers(1, 31)))]  # sizes 1 to d; Floyd's j when size is near d
+    calls.append((int(rng.integers(2, 6)),) * 2)  # size == d: Floyd's draws often repeat, and j is taken
+    calls.append((10001, 200))  # size == d // 50: still Floyd's algorithm
+    if rng.random() < 0.25:
+        d = int(rng.choice([10001, 12000]))
+        calls.append((d, int(rng.integers(d // 50 + 1, d + 1))))  # numpy's tail shuffle
+    calls.append((3_000_000_000, int(rng.integers(1, 6))))  # Lemire rejects about 30 % of draws here
+    calls.append((2**32 - 1, 2))  # the largest d in the domain
+    calls.append((int(rng.integers(2, 100)), 1))
+    return calls
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_feature_draws_equal_generator_choice(block):
+    # 250 seeds a block; each makes every call of draw_calls in turn on one stream.
+    rng = np.random.default_rng(block)
+    bounded = rejected = 0
+    for seed in range(250 * block, 250 * (block + 1)):
+        choice = np.random.default_rng(seed)
+        draw = cart_module._FeatureDraws(seed)
+        for d, size in draw_calls(rng):
+            if d == 3_000_000_000:
+                draw._halves = counting = CountingHalves(draw._halves)
+            want = np.sort(choice.choice(d, size=size, replace=False)).tolist()
+            assert draw.draw(d, size) == want, (seed, d, size)
+            if d == 3_000_000_000:
+                bounded += 2 * size - 1  # Floyd's draws and the shuffle's
+                rejected += counting.taken - (2 * size - 1)
+                draw._halves = counting.halves
+    assert rejected > 0.2 * bounded  # the rejection loop ran, as often as Lemire's bound predicts
+
