@@ -161,15 +161,19 @@ class BatchClassifier(Classifier):
         raise NotImplementedError
 
     def _check_batch(self, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(X, y)`` as float rows and int labels. An empty batch raises DataError; a wrong width,
-        a label count other than the row count or a label outside the catalogue, SchemaError."""
+        """``(X, y)`` as float rows and int labels. An empty batch raises DataError; a wrong width, a label
+        count other than the row count, labels that are not integers or a label outside the catalogue,
+        SchemaError."""
         X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=int)
+        y = np.asarray(y)
         if X.size == 0:
             raise DataError("empty training batch")
         X = self._check_block(X)
         if y.shape != (len(X),):
             raise SchemaError(f"label array has shape {y.shape} for {len(X)} rows")
+        if y.dtype.kind not in "iu":
+            raise SchemaError(f"labels must be integer class indices, got dtype {y.dtype}")
+        y = y.astype(int, copy=False)
         lo, hi = int(y.min()), int(y.max())
         if lo < 0 or hi >= self.schema.n_classes:
             raise SchemaError(f"class index {lo if lo < 0 else hi} outside catalogue of size {self.schema.n_classes}")

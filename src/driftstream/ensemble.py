@@ -152,7 +152,7 @@ class ReplacementEvent:
     member_id: str
 
 
-@dataclass
+@dataclass(slots=True)
 class StepResult:
     seq: int
     y_true: int
@@ -172,7 +172,6 @@ def compute_weights(scores: Sequence[float], combiner: str) -> np.ndarray:
     scores, pairwise by numpy from 8 on. Builtin ``sum`` would not do, as it
     compensates from Python 3.12.
     """
-    scores = list(scores)
     if any(s < 0 for s in scores):
         raise ValueError("member scores must be non-negative")
     n = len(scores)
@@ -203,7 +202,7 @@ def combine_votes(labels: Sequence[int], weights: np.ndarray, n_classes: int) ->
     if len(labels) != len(weights):
         raise ValueError("one weight per member prediction is required")
     tally = [0.0] * n_classes
-    for label, weight in zip(labels, np.asarray(weights).tolist()):
+    for label, weight in zip(labels, weights.tolist()):
         tally[label] += weight
     return tally.index(max(tally))
 
@@ -211,8 +210,9 @@ def combine_votes(labels: Sequence[int], weights: np.ndarray, n_classes: int) ->
 class History:
     """The stream rows that members can still read, in one contiguous block.
 
-    Rows are addressed by arrival index: ``X``, ``y`` and ``labels`` (one row
-    of recorded predictions per member) hold rows ``start`` to ``end - 1``,
+    Rows are addressed by arrival index: ``X``, ``y`` and ``labels`` (the
+    members' recorded predictions, one column per member) hold rows ``start``
+    to ``end - 1``,
     and ``class_counts`` counts the labels of every row ever appended. When
     the block is full, ``compact`` drops the rows no member needs and moves
     the rest to the front, doubling the block only when less than half of it
@@ -223,7 +223,7 @@ class History:
         rows = 1024  # compact doubles it when needed
         self.X = np.empty((rows, n_features))
         self.y = np.empty(rows, dtype=np.int64)
-        self.labels = np.empty((n_members, rows), dtype=np.int64)
+        self.labels = np.empty((rows, n_members), dtype=np.int64)
         self.class_counts = np.zeros(n_classes, dtype=np.int64)
         self.start = 0
         self.end = 0
@@ -232,7 +232,7 @@ class History:
         i = self.end - self.start
         self.X[i] = x
         self.y[i] = y
-        self.labels[:, i] = labels
+        self.labels[i] = labels
         self.class_counts[y] += 1
         self.end += 1
 
@@ -251,10 +251,10 @@ class History:
             capacity = 2 * len(y)
             X = np.empty((capacity, X.shape[1]))
             y = np.empty(capacity, dtype=np.int64)
-            labels = np.empty((labels.shape[0], capacity), dtype=np.int64)
+            labels = np.empty((capacity, labels.shape[1]), dtype=np.int64)
         X[:n] = self.X[kept]
         y[:n] = self.y[kept]
-        labels[:, :n] = self.labels[:, kept]
+        labels[:n] = self.labels[kept]
         self.X, self.y, self.labels = X, y, labels
         self.start = self.end - n
 
@@ -320,7 +320,7 @@ class Member:
         self.config = config
         self.seed = seed
         self.history = history
-        self.index = index  # this member's row of history.labels
+        self.index = index  # this member's column of history.labels
         self.strategy = spec.strategy
         # A bad param fails here, before the stream starts.
         self.incumbent = FrozenModel(spec.new_model(schema, seed=seed))
@@ -391,7 +391,7 @@ class Member:
         s = self.strategy.window_size
         history = self.history
         rows = history.rows(history.end - 2 * s)
-        X, y, pred = history.X[rows], history.y[rows], history.labels[self.index, rows]
+        X, y, pred = history.X[rows], history.y[rows], history.labels[rows, self.index]
         return WindowPair(
             X_ref=X[:s], y_ref=y[:s], pred_ref=pred[:s],
             X_cur=X[s:], y_cur=y[s:], pred_cur=pred[s:],
@@ -422,7 +422,7 @@ class Member:
         history = self.history
         rows = history.rows(shadow.started_at + 1)
         y = history.y[rows]
-        if self._pair_metric(y, np.asarray(shadow.labels)) > self._pair_metric(y, history.labels[self.index, rows]):
+        if self._pair_metric(y, np.asarray(shadow.labels)) > self._pair_metric(y, history.labels[rows, self.index]):
             self.incumbent = shadow.frozen
             events.append(ReplacementEvent(seq=inst.seq, member_id=self.spec.id))
             if self.strategy.retrain_scope != LAST_WINDOW:
@@ -519,11 +519,11 @@ class HybridEnsemble:
                 scores[index] = windows[index].f1_macro()
             return
         leaving = history.end - 1 - score_window - history.start  # block position of the evicted row
-        old_y = int(history.y[leaving])
-        for index, (label, old_label) in enumerate(zip(labels, history.labels[:, leaving].tolist())):
+        old_y = history.y.item(leaving)
+        for index, (window, label, old_label) in enumerate(zip(windows, labels, history.labels[leaving].tolist())):
             if label != old_label or y != old_y:  # an equal pair leaves the counts as they are
-                windows[index].slide(y, label, old_y, old_label)
-                scores[index] = windows[index].f1_macro()
+                window.slide(y, label, old_y, old_label)
+                scores[index] = window.f1_macro()
 
     @property
     def failures(self) -> dict[str, dict[str, int]]:

@@ -60,20 +60,24 @@ def f1_macro(counts: np.ndarray) -> float:
 
 def _f1_from_totals(true_totals: list[int], pred_totals: list[int], diag: list[int]) -> float:
     """Macro F1 from per-class true totals, predicted totals and true positives, as Python ints:
-    the same operations in the same order as on numpy scalars give the same floats below 2**53."""
+    the same operations in the same order as on numpy scalars give the same floats below 2**53.
+
+    A class with no true positive is counted and adds nothing (its precision
+    and recall are 0); one with a true positive has both totals positive.
+    """
     f1_sum = 0.0
     n_seen = 0
     for true_c, pred_c, tp in zip(true_totals, pred_totals, diag):
-        if true_c == 0 and pred_c == 0:
-            continue
-        n_seen += 1
-        precision = tp / pred_c if pred_c > 0 else 0.0
-        recall = tp / true_c if true_c > 0 else 0.0
-        if precision + recall > 0:
+        if tp:
+            n_seen += 1
+            precision = tp / pred_c
+            recall = tp / true_c
             f1_sum += 2.0 * precision * recall / (precision + recall)
+        elif true_c or pred_c:
+            n_seen += 1
     if n_seen == 0:
         raise MetricError("confusion matrix is empty")
-    return float(f1_sum / n_seen)
+    return f1_sum / n_seen
 
 
 def f1_from_pairs(y_true: Sequence[int], y_pred: Sequence[int], n_classes: int) -> float:

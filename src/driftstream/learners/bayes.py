@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import BatchClassifier, OnlineClassifier, Schema, argmax_tiebreak
+from ..core import BatchClassifier, OnlineClassifier, Schema
 from .moments import RunningMoments
 
 #: Per-feature variance floor: VAR_FLOOR_SCALE * (global feature variance + 1e-12).
@@ -38,17 +38,30 @@ def _gaussian_nb_scores(
     means: np.ndarray,
     variances: np.ndarray,
     global_variance: np.ndarray,
+    total,
 ) -> np.ndarray:
-    """Posterior class probabilities from per-(class, feature) Gaussians; an unseen class scores 0."""
-    total = class_counts.sum()
+    """Posterior class probabilities from per-(class, feature) Gaussians; an unseen class scores 0.
+
+    ``total`` is ``class_counts``' sum, which the caller has. The terms are
+    built in place in two (classes x features) buffers, with the ufuncs and
+    operands of ``log(2 pi var) + diff * diff / var``.
+    """
     var = _floored(variances, global_variance)
-    diff = x - means
+    terms = x - means
+    terms *= terms
+    terms /= var
+    var *= 2.0 * np.pi
+    log_norm = np.log(var, out=var)
+    log_norm += terms
     with np.errstate(divide="ignore"):  # an unseen class's log prior is -inf
-        log_prior = np.log(class_counts / total)
-    log_joint = log_prior + -0.5 * (np.log(2.0 * np.pi * var) + diff * diff / var).sum(axis=1)
-    log_joint -= log_joint.max()
+        log_joint = np.log(class_counts / total)
+    log_lik = np.add.reduce(log_norm, axis=1)
+    log_lik *= -0.5
+    log_joint += log_lik
+    log_joint -= np.maximum.reduce(log_joint)
     scores = np.exp(log_joint, out=log_joint)
-    return scores / scores.sum()
+    scores /= np.add.reduce(scores)
+    return scores
 
 
 class OnlineGaussianNB(OnlineClassifier):
@@ -79,10 +92,11 @@ class OnlineGaussianNB(OnlineClassifier):
     def predict(self, x: np.ndarray) -> int:
         self._check_x(x)
         c = self._classes
-        if not np.count_nonzero(c.counts):
+        total = np.add.reduce(c.counts)
+        if not total:
             return 0
-        scores = _gaussian_nb_scores(np.asarray(x, dtype=float), c.counts, c.mean, c.var, self._global.var[0])
-        return argmax_tiebreak(scores)
+        scores = _gaussian_nb_scores(np.asarray(x, dtype=float), c.counts, c.mean, c.var, self._global.var[0], total)
+        return int(scores.argmax())  # the first maximum, as argmax_tiebreak
 
 
 class BatchGaussianNB(BatchClassifier):

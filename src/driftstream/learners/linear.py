@@ -14,23 +14,26 @@ import math
 
 import numpy as np
 
-from ..core import OnlineClassifier, Schema, argmax_tiebreak, is_number
+from ..core import OnlineClassifier, Schema, is_number
 from .moments import RunningMoments
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max()
-    e = np.exp(shifted)
-    return e / e.sum()
+    """The softmax of ``z``, computed in ``z``."""
+    z -= np.maximum.reduce(z)
+    e = np.exp(z, out=z)
+    e /= np.add.reduce(e)
+    return e
 
 
-def _softmax_gradient(W: np.ndarray, b: np.ndarray, x: np.ndarray, y: int, l2: float) -> tuple[np.ndarray, ...]:
-    """Class probabilities and the exact gradient (dW, db) of the L2-penalized cross-entropy."""
-    probs = _softmax(x @ W + b)
-    g = probs.copy()
+def _softmax_gradient(W: np.ndarray, b: np.ndarray, x: np.ndarray, y: int, l2: float) -> tuple:
+    """The probability of class ``y`` and the exact gradient (dW, db) of the L2-penalized cross-entropy."""
+    g = _softmax(x @ W + b)
+    p_y = g[y]
     g[y] -= 1.0
-    dW = x[:, None] * g + l2 * W
-    return probs, dW, g
+    dW = x[:, None] * g
+    dW += l2 * W
+    return p_y, dW, g
 
 
 def softmax_loss_and_gradient(
@@ -40,8 +43,8 @@ def softmax_loss_and_gradient(
 
     Returns (loss, dW, db). The intercept is unpenalized.
     """
-    probs, dW, g = _softmax_gradient(W, b, x, y, l2)
-    loss = -np.log(max(probs[y], 1e-300)) + 0.5 * l2 * float(np.sum(W * W))
+    p_y, dW, g = _softmax_gradient(W, b, x, y, l2)
+    loss = -np.log(max(p_y, 1e-300)) + 0.5 * l2 * float(np.sum(W * W))
     return float(loss), dW, g
 
 
@@ -66,17 +69,18 @@ class OnlineLogisticRegression(OnlineClassifier):
         self.W = np.zeros((d, k))
         self.b = np.zeros(k)
         self._scaler = RunningMoments(d)
+        self._scale: tuple[np.ndarray, np.ndarray] | None = None  # (std, std > 0) of the scaler; None before any row
 
     def _standardize(self, x: np.ndarray) -> np.ndarray:
-        if self._scaler.counts[0] == 0:
+        if self._scale is None:
             return np.zeros_like(x, dtype=float)
-        std = np.sqrt(self._scaler.var[0])
-        return np.divide(x - self._scaler.mean[0], std, out=np.zeros(len(x)), where=std > 0)
+        std, nonzero = self._scale
+        return np.divide(x - self._scaler.mean[0], std, out=np.zeros(len(x)), where=nonzero)
 
     def predict(self, x: np.ndarray) -> int:
         self._check_x(x)
         scores = _softmax(self._standardize(np.asarray(x, dtype=float)) @ self.W + self.b)
-        return argmax_tiebreak(scores)
+        return int(scores.argmax())  # the first maximum, as argmax_tiebreak
 
     def learn_one(self, x: np.ndarray, y: int) -> None:
         self._check_x(x)
@@ -84,11 +88,14 @@ class OnlineLogisticRegression(OnlineClassifier):
         x = np.asarray(x, dtype=float)
         # Scaler sees the instance before the gradient step.
         self._scaler.update(x)
+        std = np.sqrt(self._scaler.var[0])
+        self._scale = (std, std > 0)
         x_std = self._standardize(x)
         clip = self.gradient_clip
         _, dW, g = _softmax_gradient(self.W, self.b, x_std, y, self.l2)
         np.minimum(np.maximum(dW, -clip, out=dW), clip, out=dW)
         np.minimum(np.maximum(g, -clip, out=g), clip, out=g)
-        self.W -= self.learning_rate * dW
-        self.b -= self.intercept_lr * g
-
+        dW *= self.learning_rate
+        self.W -= dW
+        g *= self.intercept_lr
+        self.b -= g

@@ -26,11 +26,13 @@ class RunningMoments:
         self.var = np.zeros((n_classes, dim))
 
     def update(self, x: np.ndarray, y: int = 0) -> None:
-        self.counts[y] += 1
-        n = self.counts[y]
+        # A Python int: numpy converts it to the same float below 2**53.
+        n = self.counts.item(y) + 1
+        self.counts[y] = n
         mean, m2 = self.mean[y], self.m2[y]  # row views, updated in place
         delta = x - mean
         mean += delta / n
-        m2 += delta * (x - mean)
+        delta *= x - mean
+        m2 += delta
         if n >= 2:
             np.divide(m2, n - 1, out=self.var[y])

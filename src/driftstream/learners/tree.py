@@ -51,11 +51,16 @@ class _Leaf(RunningMoments):
         self.n_since_check = 0
         self.fallback_label = fallback_label
 
-    def pooled_variance(self) -> np.ndarray:
-        """Mixture variance per feature across the leaf's classes."""
-        w = self.counts / self.counts.sum()
+    def pooled_variance(self, total) -> np.ndarray:
+        """Mixture variance per feature across the leaf's classes; ``total`` is the sum of ``counts``."""
+        w = self.counts / total
         mean = w @ self.mean
-        return np.maximum(w @ (self.var + self.mean**2) - mean**2, 0.0)
+        second = self.mean**2
+        second += self.var
+        second = w @ second
+        mean *= mean
+        second -= mean
+        return np.maximum(second, 0.0, out=second)
 
 
 def _column_dots(w: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -217,11 +222,11 @@ class HoeffdingTreeClassifier(OnlineClassifier):
         self._check_x(x)
         x = np.asarray(x, dtype=float)
         leaf, _, _ = self._route(x)
-        n = int(leaf.counts.sum())
+        n = np.add.reduce(leaf.counts)
         if n == 0:
             # Untrained root (0) or empty child after a split (the parent's majority).
             return leaf.fallback_label
         if n < self.nb_threshold:
             return argmax_tiebreak(leaf.counts)
-        scores = _gaussian_nb_scores(x, leaf.counts, leaf.mean, leaf.var, leaf.pooled_variance())
-        return argmax_tiebreak(scores)
+        scores = _gaussian_nb_scores(x, leaf.counts, leaf.mean, leaf.var, leaf.pooled_variance(n), n)
+        return int(scores.argmax())  # the first maximum, as argmax_tiebreak

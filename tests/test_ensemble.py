@@ -1,4 +1,5 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftstream.core import BatchClassifier, ConfigError, FeatureKind, Instance, Schema, SchemaError, argmax_tiebreak
-from driftstream.drift import DriftStrategy, DriftVerdict, Trigger
+from driftstream.drift import DriftStrategy, DriftVerdict, Trigger, strategy_catalog
 from driftstream.ensemble import (
     DYNAMIC_SWITCH,
     WEIGHTED_VOTE,
@@ -732,3 +733,64 @@ def test_a_fit_that_always_fails_is_tried_once_per_grid_point(monkeypatch):
     steps, member, failures = run_flaky_member(monkeypatch, [model], never_drift, 260)
     assert len(model.fits) == failures == 5  # rows 50, 100, 150, 200 and 250
     assert [len(X) for X, _ in model.fits] == [50, 100, 150, 200, 250]
+
+
+# ---------------------------------------------------------------------------
+# read-ahead: the block size changes no step
+
+
+def drifting_rows(seed, n, d, k):
+    """``n`` rows of class-conditional Gaussians whose class-to-mean map permutes at a random row."""
+    rng = np.random.default_rng(seed)
+    means = rng.normal(size=(k, d)) * 2
+    y = rng.integers(0, k, n)
+    moved = np.where(np.arange(n) < rng.integers(n // 4, 3 * n // 4), y, rng.permutation(k)[y])
+    X = np.round(means[moved] + rng.normal(size=(n, d)), int(rng.integers(0, 4)))
+    return [Instance(X[i], int(y[i]), i) for i in range(n)]
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 4),
+    k=st.integers(2, 4),
+    combiner=st.sampled_from([WEIGHTED_VOTE, DYNAMIC_SWITCH]),
+    score_window=st.integers(1, 80),
+    cache_cap=st.integers(40, 150),
+    window=st.integers(10, 60),
+    extra_rows=st.integers(0, 300),
+)
+def test_read_ahead_block_size_does_not_change_any_step(seed, d, k, combiner, score_window, cache_cap, window,
+                                                         extra_rows):
+    # Over 1024 rows, so the history compacts; score window and caches are small enough to reach back across it.
+    schema = Schema(tuple(f"f{i}" for i in range(d)), (FeatureKind.NUMERIC,) * d, tuple(f"c{i}" for i in range(k)))
+    catalog = strategy_catalog()
+    members = (
+        batch_spec(replace(catalog["S4"], window_size=window), "gnb"),
+        batch_spec(replace(catalog["S5"], window_size=window), "cart"),
+        batch_spec(replace(catalog["S7"], window_size=2 * window), "gnb", id="gnb-S7"),
+        online_spec("gnb"),
+        online_spec("hoeffding"),
+        online_spec("logreg"),
+    )
+    config = EnsembleConfig(
+        members=members, combiner=combiner, first_fit_size=min(cache_cap, 2 * window),
+        shadow_eval_size=window // 2 + 1, score_window=score_window, cache_cap=cache_cap, seed=seed % 1000,
+    )
+    instances = drifting_rows(seed, 1030 + extra_rows, d, k)
+    runs = []
+    for block_size in (1, 7, 256):
+        ensemble = HybridEnsemble(schema, config)
+        steps = []
+        for start in range(0, len(instances), block_size):
+            block = instances[start:start + block_size]
+            ensemble.lookahead(block)
+            steps += [ensemble.process_instance(inst) for inst in block]
+        assert ensemble.history.start > 0  # compacted
+        # A member failure answers class 0 on every block size alike; the runs must have none to hide behind.
+        assert all(count == 0 for phases in ensemble.failures.values() for count in phases.values())
+        runs.append([
+            (s.seq, s.y_true, s.final_label, s.member_labels, [w.hex() for w in s.weights.tolist()], s.events)
+            for s in steps
+        ])
+    assert runs[0] == runs[1] == runs[2]

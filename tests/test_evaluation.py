@@ -182,6 +182,47 @@ def test_confusion_matrix_f1_is_bit_identical_to_f1_of_its_counts():
             assert cm.f1_macro().hex() == f1_from_pairs(y_true, y_pred, k).hex()
 
 
+def f1_from_totals_before_the_true_positive_branch(true_totals, pred_totals, diag):
+    """``evaluation._f1_from_totals`` as it was before it branched on the true positives, verbatim."""
+    f1_sum = 0.0
+    n_seen = 0
+    for true_c, pred_c, tp in zip(true_totals, pred_totals, diag):
+        if true_c == 0 and pred_c == 0:
+            continue
+        n_seen += 1
+        precision = tp / pred_c if pred_c > 0 else 0.0
+        recall = tp / true_c if true_c > 0 else 0.0
+        if precision + recall > 0:
+            f1_sum += 2.0 * precision * recall / (precision + recall)
+    if n_seen == 0:
+        raise MetricError("confusion matrix is empty")
+    return float(f1_sum / n_seen)
+
+
+def test_window_f1_is_bit_identical_to_the_code_before_the_true_positive_branch():
+    # Random windows of 1-12 classes, some never true, never predicted or never right; windows that empty.
+    rng = np.random.default_rng(43)
+    for _ in range(300):
+        k = int(rng.integers(1, 13))
+        truths = rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False)
+        guesses = rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False)
+        cm = ConfusionMatrix(k)
+        live = []
+        for _ in range(60):
+            if live and rng.random() < 0.4:
+                remove_pair(cm, *live.pop(int(rng.integers(len(live)))))
+            else:
+                pair = (int(rng.choice(truths)), int(rng.choice(guesses)))
+                cm.update(*pair)
+                live.append(pair)
+            if not live:
+                with pytest.raises(MetricError):
+                    cm.f1_macro()
+                continue
+            expected = f1_from_totals_before_the_true_positive_branch(cm.true_totals, cm.pred_totals, cm.diag)
+            assert type(cm.f1_macro()) is float and cm.f1_macro().hex() == expected.hex()
+
+
 def test_slide_equals_update_then_remove():
     # Random windows sliding one pair at a time; a third of the slides replace a pair with itself.
     rng = np.random.default_rng(37)

@@ -6,6 +6,8 @@ member whose window is larger than ``cache_cap``, a warm-up longer than
 ``cache_cap``, a replacement that clears a member's cache, a train-once member
 and both shadow metrics. ``wv-gnb-long`` has a longer stream of its own, so
 windows above 1000 rows run the Wasserstein and Jensen-Shannon tests.
+Every run must also swallow no member failure, so that none can hide behind
+the fallback label.
 
 Regenerate the fixtures (only with a CHANGES.md entry that says why) with
 
@@ -14,6 +16,7 @@ Regenerate the fixtures (only with a CHANGES.md entry that says why) with
 
 from __future__ import annotations
 
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -108,6 +111,8 @@ def test_run_matches_golden_artifacts(name, tmp_path):
     for artifact in ARTIFACTS:
         expected = (GOLDEN_DIR / name / artifact).read_bytes()
         assert (tmp_path / artifact).read_bytes() == expected, f"{name}/{artifact} differs from the golden file"
+    failures = json.loads((tmp_path / "timing.json").read_text())["failures"]
+    assert all(count == 0 for phases in failures.values() for count in phases.values()), failures
 
 
 def main(argv: list[str]) -> int:

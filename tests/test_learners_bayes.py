@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftstream.core import DataError, FeatureKind, Schema, SchemaError, argmax_tiebreak
-from driftstream.learners import BatchGaussianNB, OnlineGaussianNB, RunningMoments
+from driftstream.learners import BATCH_LEARNERS, BatchGaussianNB, OnlineGaussianNB, RunningMoments
 from driftstream.learners import bayes
 from driftstream.learners.bayes import _gaussian_nb_scores
 
@@ -45,7 +45,8 @@ def test_batch_online_equivalence_small():
 
 
 def _scores(model, x):
-    return _gaussian_nb_scores(x, model.class_counts, model.class_means(), model.class_variances(), model._global_variance)
+    counts = model.class_counts
+    return _gaussian_nb_scores(x, counts, model.class_means(), model.class_variances(), model._global_variance, counts.sum())
 
 
 def test_zero_variance_class_is_floored_and_finite():
@@ -112,7 +113,8 @@ def random_batch_fit(rng, d, k):
 
 
 def row_scores(model, x):
-    return _gaussian_nb_scores(x, model.class_counts, model.class_means(), model.class_variances(), model._global_variance)
+    counts = model.class_counts
+    return _gaussian_nb_scores(x, counts, model.class_means(), model.class_variances(), model._global_variance, counts.sum())
 
 
 @pytest.mark.parametrize("d", [3, 8, 17, 68])
@@ -179,6 +181,25 @@ def test_online_cached_variances_equal_the_rebuilt_variances_over_a_drifting_str
         assert np.array_equal(model.class_variances(), variances)
         if inst.seq % 50 == 0:
             for x in probes:
-                old = _gaussian_nb_scores(x, model.class_counts, model.class_means(), variances, old_variances(model._global)[0])
+                old = _gaussian_nb_scores(
+                    x, model.class_counts, model.class_means(), variances, old_variances(model._global)[0],
+                    model.class_counts.sum(),
+                )
                 assert model.predict(x) == argmax_tiebreak(old)
     assert model.class_counts.min() >= 2
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_LEARNERS))
+def test_batch_fit_refuses_float_labels_instead_of_truncating_them(name):
+    model = BATCH_LEARNERS[name](make_schema(2, 3), seed=0)
+    X = np.arange(12.0).reshape(6, 2)
+    with pytest.raises(SchemaError, match="float64"):
+        model.fit(X, np.array([0.2, 0.9, 1.7, 1.1, 2.99, 0.0]))  # truncated, they were counted [3, 2, 1]
+    with pytest.raises(SchemaError, match="bool"):
+        model.fit(X, np.array([True, False] * 3))
+    with pytest.raises(SchemaError, match=r"shape \(0,\) for 6 rows"):
+        model.fit(X, [])  # an empty list is float64, but the count is the fault
+    for y in ([0, 1, 2, 1, 2, 0], np.array([0, 1, 2, 1, 2, 0], dtype=np.uint8)):
+        model.fit(X, y)
+    if name == "gnb":
+        assert model.class_counts.tolist() == [2, 2, 2]

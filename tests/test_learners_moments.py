@@ -458,6 +458,240 @@ def test_gaussian_nb_scores_equal_their_earlier_code_bit_for_bit():
         global_variance = np.round(rng.exponential(size=d), decimals) * (rng.random(d) < 0.8)
         x = np.round(rng.normal(size=d) * 3, decimals)
         args = (x, counts, means, variances, global_variance)
-        assert np.array_equal(bayes._gaussian_nb_scores(*args), _gaussian_nb_scores(*args)), seed
+        assert np.array_equal(bayes._gaussian_nb_scores(*args, counts.sum()), _gaussian_nb_scores(*args)), seed
         seen_all += bool(counts.all())
     assert 500 < seen_all < 2500
+
+
+# ---------------------------------------------------------------------------
+# The row path against the code it replaced: the NB scores built in place,
+# the Welford update on a Python int count, the pooled leaf variance in place
+# and online logistic regression's cached standardization. The functions
+# below are verbatim copies of that code; the classes apply them to the
+# package's own state, so only the row path differs.
+
+
+def _parent_gaussian_nb_scores(
+    x: np.ndarray,
+    class_counts: np.ndarray,
+    means: np.ndarray,
+    variances: np.ndarray,
+    global_variance: np.ndarray,
+) -> np.ndarray:
+    """Posterior class probabilities from per-(class, feature) Gaussians; an unseen class scores 0."""
+    total = class_counts.sum()
+    var = _floored(variances, global_variance)
+    diff = x - means
+    with np.errstate(divide="ignore"):  # an unseen class's log prior is -inf
+        log_prior = np.log(class_counts / total)
+    log_joint = log_prior + -0.5 * (np.log(2.0 * np.pi * var) + diff * diff / var).sum(axis=1)
+    log_joint -= log_joint.max()
+    scores = np.exp(log_joint, out=log_joint)
+    return scores / scores.sum()
+
+
+def _parent_update(self, x: np.ndarray, y: int = 0) -> None:
+    self.counts[y] += 1
+    n = self.counts[y]
+    mean, m2 = self.mean[y], self.m2[y]  # row views, updated in place
+    delta = x - mean
+    mean += delta / n
+    m2 += delta * (x - mean)
+    if n >= 2:
+        np.divide(m2, n - 1, out=self.var[y])
+
+
+def _parent_pooled_variance(self) -> np.ndarray:
+    """Mixture variance per feature across the leaf's classes."""
+    w = self.counts / self.counts.sum()
+    mean = w @ self.mean
+    return np.maximum(w @ (self.var + self.mean**2) - mean**2, 0.0)
+
+
+def _parent_softmax_gradient(W: np.ndarray, b: np.ndarray, x: np.ndarray, y: int, l2: float) -> tuple[np.ndarray, ...]:
+    """Class probabilities and the exact gradient (dW, db) of the L2-penalized cross-entropy."""
+    probs = _softmax(x @ W + b)
+    g = probs.copy()
+    g[y] -= 1.0
+    dW = x[:, None] * g + l2 * W
+    return probs, dW, g
+
+
+class _ParentGaussianNB(OnlineGaussianNB):
+    def learn_one(self, x: np.ndarray, y: int) -> None:
+        self._check_x(x)
+        self._check_y(y)
+        x = np.asarray(x, dtype=float)
+        _parent_update(self._classes, x, y)
+        _parent_update(self._global, x)
+
+    def predict(self, x: np.ndarray) -> int:
+        self._check_x(x)
+        c = self._classes
+        if not np.count_nonzero(c.counts):
+            return 0
+        scores = _parent_gaussian_nb_scores(np.asarray(x, dtype=float), c.counts, c.mean, c.var, self._global.var[0])
+        return argmax_tiebreak(scores)
+
+
+class _ParentHoeffdingTree(HoeffdingTreeClassifier):
+    """The earlier leaf update and predict; routing and the split search are shared."""
+
+    def learn_one(self, x: np.ndarray, y: int) -> None:
+        self._check_x(x)
+        self._check_y(y)
+        x = np.asarray(x, dtype=float)
+        leaf, parent, side = self._route(x)
+        _parent_update(leaf, x, y)
+        leaf.n_since_check += 1
+        if leaf.n_since_check >= self.grace_period:
+            self._attempt_split(leaf, parent, side)
+            leaf.n_since_check = 0
+
+    def predict(self, x: np.ndarray) -> int:
+        self._check_x(x)
+        x = np.asarray(x, dtype=float)
+        leaf, _, _ = self._route(x)
+        n = int(leaf.counts.sum())
+        if n == 0:
+            # Untrained root (0) or empty child after a split (the parent's majority).
+            return leaf.fallback_label
+        if n < self.nb_threshold:
+            return argmax_tiebreak(leaf.counts)
+        scores = _parent_gaussian_nb_scores(x, leaf.counts, leaf.mean, leaf.var, _parent_pooled_variance(leaf))
+        return argmax_tiebreak(scores)
+
+
+class _ParentLogisticRegression(OnlineLogisticRegression):
+    def _standardize(self, x: np.ndarray) -> np.ndarray:
+        if self._scaler.counts[0] == 0:
+            return np.zeros_like(x, dtype=float)
+        std = np.sqrt(self._scaler.var[0])
+        return np.divide(x - self._scaler.mean[0], std, out=np.zeros(len(x)), where=std > 0)
+
+    def predict(self, x: np.ndarray) -> int:
+        self._check_x(x)
+        scores = _softmax(self._standardize(np.asarray(x, dtype=float)) @ self.W + self.b)
+        return argmax_tiebreak(scores)
+
+    def learn_one(self, x: np.ndarray, y: int) -> None:
+        self._check_x(x)
+        self._check_y(y)
+        x = np.asarray(x, dtype=float)
+        # Scaler sees the instance before the gradient step.
+        _parent_update(self._scaler, x)
+        x_std = self._standardize(x)
+        clip = self.gradient_clip
+        _, dW, g = _parent_softmax_gradient(self.W, self.b, x_std, y, self.l2)
+        np.minimum(np.maximum(dW, -clip, out=dW), clip, out=dW)
+        np.minimum(np.maximum(g, -clip, out=g), clip, out=g)
+        self.W -= self.learning_rate * dW
+        self.b -= self.intercept_lr * g
+
+
+def _one_hot_stream(d: int, k: int = 4):
+    """``_drifting_stream`` with one-hot columns: 1-3 encode ``y % 3`` (no variance within a class), 4-5 a coin."""
+    stream = _drifting_stream(d, k)
+    coins = np.random.default_rng(d + 1).integers(0, 2, size=len(stream))
+    for inst, coin in zip(stream, coins):
+        inst.x[1:6] = 0.0
+        inst.x[1 + inst.y % 3] = 1.0
+        inst.x[4 + coin] = 1.0
+    return stream
+
+
+def _schema(d: int, k: int = 4) -> Schema:
+    return Schema(
+        feature_names=tuple(f"f{i}" for i in range(d)),
+        feature_kinds=(FeatureKind.NUMERIC,) * d,
+        class_labels=tuple(f"c{i}" for i in range(k)),
+    )
+
+
+def _moments_bytes(m: RunningMoments) -> tuple[bytes, ...]:
+    return m.counts.tobytes(), m.mean.tobytes(), m.m2.tobytes(), m.var.tobytes()
+
+
+@pytest.mark.parametrize("d", [8, 68])
+def test_online_learners_equal_the_code_before_the_in_place_row_path(d):
+    schema = _schema(d)
+    pairs = [
+        (OnlineGaussianNB(schema), _ParentGaussianNB(schema)),
+        (HoeffdingTreeClassifier(schema, grace_period=30), _ParentHoeffdingTree(schema, grace_period=30)),
+        (OnlineLogisticRegression(schema), _ParentLogisticRegression(schema)),
+    ]
+    stream = _one_hot_stream(d)
+    assert all(inst.y < 3 for inst in stream[:1200]) and any(inst.y == 3 for inst in stream[1200:])
+    labels = {type(new).__name__: ([], []) for new, _ in pairs}
+    for inst in stream:
+        for new, old in pairs:
+            mine, theirs = labels[type(new).__name__]
+            mine.append(new.predict(inst.x))
+            theirs.append(old.predict(inst.x))
+            new.learn_one(inst.x, inst.y)
+            old.learn_one(inst.x, inst.y)
+    for name, (mine, theirs) in labels.items():
+        assert mine == theirs, name
+        assert len(set(mine)) > 1, name
+
+    (gnb, old_gnb), (tree, old_tree), (olr, old_olr) = pairs
+    assert _moments_bytes(gnb._classes) == _moments_bytes(old_gnb._classes)
+    assert _moments_bytes(gnb._global) == _moments_bytes(old_gnb._global)
+    assert tree.n_nodes == old_tree.n_nodes > 1
+    leaves, old_leaves = _leaves(tree._root), _leaves(old_tree._root)
+    assert [_moments_bytes(leaf) for leaf in leaves] == [_moments_bytes(leaf) for leaf in old_leaves]
+    assert (olr.W.tobytes(), olr.b.tobytes()) == (old_olr.W.tobytes(), old_olr.b.tobytes())
+    assert _moments_bytes(olr._scaler) == _moments_bytes(old_olr._scaler)
+
+
+@pytest.mark.parametrize("d", [8, 68])
+@pytest.mark.parametrize("order", ["predict predict learn predict", "learn learn predict"])
+def test_logistic_regression_standardizes_with_the_current_scaler_in_any_call_order(order, d):
+    # Each call takes the next row; a standardization cached past a scaler update changes the bytes.
+    ops = order.split()
+    new, old = OnlineLogisticRegression(_schema(d)), _ParentLogisticRegression(_schema(d))
+    for t, inst in enumerate(_one_hot_stream(d)):
+        op = ops[t % len(ops)]
+        if op == "learn":
+            new.learn_one(inst.x, inst.y)
+            old.learn_one(inst.x, inst.y)
+        else:
+            assert new._standardize(inst.x).tobytes() == old._standardize(inst.x).tobytes(), t
+            assert new.predict(inst.x) == old.predict(inst.x), t
+    assert (new.W.tobytes(), new.b.tobytes()) == (old.W.tobytes(), old.b.tobytes())
+    assert _moments_bytes(new._scaler) == _moments_bytes(old._scaler)
+
+
+def test_nb_scores_and_pooled_variance_equal_the_code_before_the_in_place_row_path():
+    for seed in range(2000):
+        rng = np.random.default_rng(seed)
+        k, d, decimals = int(rng.integers(1, 13)), int(rng.integers(1, 81)), int(rng.integers(0, 4))
+        counts = rng.integers(0, 50, size=k) * (rng.random(k) < rng.choice([1.0, 0.7]))
+        counts[rng.integers(k)] += 1
+        means = np.round(rng.normal(size=(k, d)) * 3, decimals)
+        variances = np.round(rng.exponential(size=(k, d)), decimals) * (rng.random((k, d)) < 0.8)
+        global_variance = np.round(rng.exponential(size=d), decimals) * (rng.random(d) < 0.8)
+        x = np.round(rng.normal(size=d) * 3, decimals)
+        args = (x, counts, means, variances, global_variance)
+        before = [a.tobytes() for a in args]
+        expected = _parent_gaussian_nb_scores(*args).tobytes()
+        assert bayes._gaussian_nb_scores(*args, np.add.reduce(counts)).tobytes() == expected, seed
+        assert [a.tobytes() for a in args] == before, seed  # the inputs are not written to
+    for seed in range(600):
+        leaf, _ = _random_leaf(seed)
+        state = _moments_bytes(leaf)
+        pooled = leaf.pooled_variance(np.add.reduce(leaf.counts))
+        assert pooled.tobytes() == _parent_pooled_variance(leaf).tobytes(), seed
+        assert _moments_bytes(leaf) == state, seed
+
+
+def test_running_moments_update_equals_the_code_before_it_counted_in_python_ints():
+    rng = np.random.default_rng(5)
+    X = np.round(rng.normal(size=(400, 6)) * 3, 2)
+    X[:, 0] = 1.5
+    y = rng.integers(0, 3, size=400)
+    new, old = RunningMoments(6, 4), RunningMoments(6, 4)  # class 3 is never seen
+    for x, c in zip(X, y.tolist()):
+        new.update(x, c)
+        _parent_update(old, x, c)
+        assert _moments_bytes(new) == _moments_bytes(old)
