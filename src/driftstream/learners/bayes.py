@@ -53,8 +53,12 @@ def _gaussian_nb_scores(
     var *= 2.0 * np.pi
     log_norm = np.log(var, out=var)
     log_norm += terms
-    with np.errstate(divide="ignore"):  # an unseen class's log prior is -inf
-        log_joint = np.log(class_counts / total)
+    prior = class_counts / total
+    if 0 not in class_counts.tolist():  # cheaper than entering np.errstate, as on most calls
+        log_joint = np.log(prior)
+    else:
+        with np.errstate(divide="ignore"):  # an unseen class's log prior is -inf
+            log_joint = np.log(prior)
     log_lik = np.add.reduce(log_norm, axis=1)
     log_lik *= -0.5
     log_joint += log_lik

@@ -1,4 +1,5 @@
 import logging
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +21,8 @@ from driftstream.ensemble import (
     compute_weights,
 )
 from driftstream.evaluation import f1_from_pairs
-from driftstream.learners import BATCH_LEARNERS, OnlineGaussianNB
+from driftstream.learners import BATCH_LEARNERS, OnlineGaussianNB, RandomForestClassifier
+from driftstream.learners import cart as cart_module
 
 from conftest import gaussian_instances
 from test_readahead import golden_stream, golden_steps
@@ -691,6 +693,26 @@ def test_failed_warm_up_fit_keeps_the_majority_answer(monkeypatch):
     assert member.failures == {"predict": 0, "shadow_predict": 0, "learn": 1}
     assert not member.fitted
     assert [s.member_labels[0] for s in steps[50:]] == [0] * 49  # labels cycle 0, 1, 2: class 0 leads or ties
+
+
+def test_a_forest_whose_forked_share_fails_is_one_learn_failure(monkeypatch):
+    parent, search = os.getpid(), cart_module._search
+
+    def search_in_parent_only(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("forked share failed on purpose")
+        return search(*args)
+
+    monkeypatch.setattr(cart_module, "_search", search_in_parent_only)
+    monkeypatch.setattr(cart_module, "_workers", lambda n_trees, n_rows: 2)
+    forest = RandomForestClassifier(SCHEMA, n_trees=4)
+    steps, member, failures = run_flaky_member(monkeypatch, [forest], never_drift, 99)
+    assert failures == 1
+    assert member.failures == {"predict": 0, "shadow_predict": 0, "learn": 1}
+    assert not member.fitted
+    assert [s.member_labels[0] for s in steps[50:]] == [0] * 49  # the cache majority, as for any failed fit
+    with pytest.raises(ChildProcessError):  # no child left, running or a zombie
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_failed_shadow_fit_leaves_no_shadow_and_no_event(monkeypatch):

@@ -24,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from driftstream.experiment import parse_config, run_experiment
+from driftstream.learners import cart as cart_module
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 ARTIFACTS = ("report.json", "trace.csv", "events.csv")
@@ -113,6 +114,13 @@ def test_run_matches_golden_artifacts(name, tmp_path):
         assert (tmp_path / artifact).read_bytes() == expected, f"{name}/{artifact} differs from the golden file"
     failures = json.loads((tmp_path / "timing.json").read_text())["failures"]
     assert all(count == 0 for phases in failures.values() for count in phases.values()), failures
+
+
+@pytest.mark.parametrize("name", ["rf-b1", "wv-rf"])
+def test_forests_grown_in_forked_shares_match_golden_artifacts(name, tmp_path, monkeypatch):
+    # The golden forests are too small to fork on their own; two shares must give the same bytes.
+    monkeypatch.setattr(cart_module, "_workers", lambda n_trees, n_rows: min(2, n_trees))
+    test_run_matches_golden_artifacts(name, tmp_path)
 
 
 def main(argv: list[str]) -> int:

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -493,6 +494,145 @@ def test_search_schedule_does_not_change_the_forest(monkeypatch):
             forests.setdefault(max_features, []).append(forest_trees(forest))
     for fits in forests.values():
         assert fits[0] == fits[1] == fits[2]
+
+
+# -- forked shares -------------------------------------------------------------
+
+
+def tree_bytes(forest):
+    return [(tuple(getattr(t, name).tobytes() for name in cart_module._NODE_ARRAYS), t.depth) for t in forest.trees]
+
+
+def force_workers(monkeypatch, workers):
+    monkeypatch.setattr(cart_module, "_workers", lambda n_trees, n_rows: min(workers, n_trees))
+
+
+def fit_with_workers(monkeypatch, workers, schema, X, y, **params):
+    force_workers(monkeypatch, workers)
+    forest = RandomForestClassifier(schema, **params)
+    forest.fit(X, y)
+    return forest
+
+
+@pytest.mark.parametrize("cells", [60, cart_module._SEARCH_CELLS])
+@pytest.mark.parametrize("max_features", ["sqrt", None, 3])
+@pytest.mark.parametrize("bootstrap", [True, False])
+def test_forked_shares_grow_the_same_trees(monkeypatch, cells, max_features, bootstrap):
+    # One share (no fork), two and three shares; at 60 cells every search runs in feature chunks.
+    monkeypatch.setattr(cart_module, "_SEARCH_CELLS", cells)
+    rng = np.random.default_rng(31)
+    schema = make_schema(6, 4)
+    X, y = awkward_batch(rng, 200, 6, 4)
+    X = np.hstack([X[:, :4], rng.normal(size=(200, 2))])
+    probes = np.vstack([X[:40], rng.normal(size=(40, 6))])
+    for n_trees in (2, 3, 7, 20):
+        params = dict(seed=n_trees, n_trees=n_trees, bootstrap=bootstrap, max_features=max_features)
+        forests = [fit_with_workers(monkeypatch, workers, schema, X, y, **params) for workers in (1, 2, 3)]
+        assert tree_bytes(forests[0]) == tree_bytes(forests[1]) == tree_bytes(forests[2]), n_trees
+        labels = [forest.predict_labels(probes).tolist() for forest in forests]
+        assert labels[0] == labels[1] == labels[2], n_trees
+
+
+def test_a_forest_grows_its_shares_here_when_it_cannot_fork(monkeypatch):
+    rng = np.random.default_rng(8)
+    schema = make_schema(6, 3)
+    X, y = awkward_batch(rng, 150, 6, 3)
+    want = tree_bytes(fit_with_workers(monkeypatch, 1, schema, X, y, n_trees=5))
+
+    def no_fork():
+        raise BlockingIOError("Resource temporarily unavailable")
+
+    monkeypatch.setattr(cart_module.os, "fork", no_fork)
+    assert tree_bytes(fit_with_workers(monkeypatch, 3, schema, X, y, n_trees=5)) == want
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):  # no child process, running or a zombie
+        os.waitpid(-1, os.WNOHANG)
+
+
+def fail_searches_in(monkeypatch, in_parent, exc):
+    """Make ``_search`` raise ``exc`` in this process only, or in forked children only."""
+    parent, search = os.getpid(), cart_module._search
+
+    def failing(*args):
+        if (os.getpid() == parent) == in_parent:
+            raise exc
+        return search(*args)
+
+    monkeypatch.setattr(cart_module, "_search", failing)
+
+
+def test_a_fault_in_a_forked_share_is_raised_by_fit(monkeypatch):
+    schema = make_schema(6, 3)
+    X, y = awkward_batch(np.random.default_rng(2), 150, 6, 3)
+    fail_searches_in(monkeypatch, False, ValueError("bad split in a child"))
+    forest = RandomForestClassifier(schema, n_trees=6)
+    for workers in (2, 3):
+        force_workers(monkeypatch, workers)
+        with pytest.raises(ValueError, match="^bad split in a child$"):
+            forest.fit(X, y)
+        assert_no_child_left()
+
+
+def test_a_fault_that_cannot_be_pickled_is_named(monkeypatch):
+    class LocalError(Exception):  # a local class: pickle cannot find it by name
+        pass
+
+    schema = make_schema(6, 3)
+    X, y = awkward_batch(np.random.default_rng(2), 150, 6, 3)
+    fail_searches_in(monkeypatch, False, LocalError("unpicklable"))
+    force_workers(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="LocalError in a forked forest share: unpicklable"):
+        RandomForestClassifier(schema, n_trees=4).fit(X, y)
+    assert_no_child_left()
+
+
+def test_a_fault_in_the_parent_share_leaves_no_child(monkeypatch):
+    schema = make_schema(6, 3)
+    X, y = awkward_batch(np.random.default_rng(2), 150, 6, 3)
+    fail_searches_in(monkeypatch, True, KeyError("parent"))
+    force_workers(monkeypatch, 3)
+    with pytest.raises(KeyError, match="parent"):
+        RandomForestClassifier(schema, n_trees=9).fit(X, y)
+    assert_no_child_left()
+
+
+def test_a_child_that_dies_without_a_result_is_reported(monkeypatch):
+    schema = make_schema(6, 3)
+    X, y = awkward_batch(np.random.default_rng(2), 150, 6, 3)
+    parent, search = os.getpid(), cart_module._search
+    monkeypatch.setattr(cart_module, "_search", lambda *a: search(*a) if os.getpid() == parent else os._exit(3))
+    force_workers(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="ended with exit code 3 and no result"):
+        RandomForestClassifier(schema, n_trees=4).fit(X, y)
+    assert_no_child_left()
+
+
+def test_a_fit_forks_for_large_forests_on_several_cpus_only(monkeypatch):
+    monkeypatch.setattr(cart_module.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    rows = cart_module._FORK_ROWS
+    assert cart_module._workers(100, math.ceil(rows / 100)) == 4
+    assert cart_module._workers(3, rows) == 3  # at most one share per tree
+    assert cart_module._workers(100, math.ceil(rows / 100) - 1) == 1  # too small to pay for a fork
+    assert cart_module._workers(1, 10 * rows) == 1
+    monkeypatch.setattr(cart_module.os, "sched_getaffinity", lambda pid: {0})
+    assert cart_module._workers(100, rows) == 1
+    monkeypatch.delattr(cart_module.os, "sched_getaffinity")  # as on macOS and Windows
+    assert cart_module._workers(100, rows) == 1
+
+
+def test_lone_trees_and_one_tree_forests_do_not_fork(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(cart_module.os, "fork", no_fork)
+    monkeypatch.setattr(cart_module, "_FORK_ROWS", 0)
+    monkeypatch.setattr(cart_module.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    schema = make_schema(6, 3)
+    X, y = awkward_batch(np.random.default_rng(2), 150, 6, 3)
+    CartClassifier(schema).fit(X, y)
+    RandomForestClassifier(schema, n_trees=1).fit(X, y)
 
 
 @settings(max_examples=30, deadline=None)
