@@ -4,14 +4,17 @@ The online model keeps its class and global statistics in ``RunningMoments``,
 as Hoeffding-tree leaves and the online logistic scaler do. Both variants
 compute the same scores in the same float operations, so fitting the batch
 model on a prefix of a stream is numerically equivalent to running the online
-model over the same prefix. The online model scores one row at a time with
-``_gaussian_nb_scores``; the batch model scores a whole block at once over a
-(rows x seen classes x features) array, with the parts that depend only on the
-fit (floored variances, log prior, ``log(2 pi var)``) computed in ``fit``.
-Every block score equals the per-row score bit for bit.
+model over the same prefix. The online model labels one row at a time
+from ``_gaussian_nb_log_joint`` through ``first_best``, which normalises only
+on a near tie; the batch model scores a whole block at once over a (rows x
+seen classes x features) array, with the parts that depend only on the fit
+(floored variances, log prior, ``log(2 pi var)``) computed in ``fit``. Every
+block score equals the per-row score (``_gaussian_nb_scores``) bit for bit.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -32,7 +35,41 @@ def _floored(variances: np.ndarray, global_variance: np.ndarray) -> np.ndarray:
     return np.maximum(variances, floor)
 
 
-def _gaussian_nb_scores(
+def _normalised(z: np.ndarray) -> np.ndarray:
+    """``exp(z - max(z))`` over its sum: the softmax of ``z``, computed in ``z``."""
+    z -= np.maximum.reduce(z)
+    e = np.exp(z, out=z)
+    e /= np.add.reduce(e)
+    return e
+
+
+#: ``first_best`` takes the top raw score as the label when every other score is at least this far below it.
+_MARGIN = 2.0**-40
+
+
+def first_best(z: np.ndarray) -> int:
+    """``int(_normalised(z).argmax())``: the first best class of raw scores ``z``, mostly without normalising.
+
+    When the top of ``z`` is finite and every other entry ``v`` has ``v - top
+    <= -2**-40`` (the subtraction the normalisation makes), its index is the
+    answer: ``exp`` of such a difference, within a few ULPs as numpy computes
+    it at any dispatch level, is below ``1 - 2**-41``, so after dividing by the
+    same sum the top keeps the strictly largest score. Otherwise (a tie, a
+    near tie, a NaN or an infinite top) ``z`` is normalised in place.
+    """
+    values = z.tolist()
+    top = max(values)
+    if -math.inf < top < math.inf:
+        near = 0  # entries not clearly below the top, the top itself and any NaN included
+        for v in values:
+            if not v - top <= -_MARGIN:
+                near += 1
+        if near == 1:
+            return values.index(top)
+    return int(_normalised(z).argmax())
+
+
+def _gaussian_nb_log_joint(
     x: np.ndarray,
     class_counts: np.ndarray,
     means: np.ndarray,
@@ -40,7 +77,7 @@ def _gaussian_nb_scores(
     global_variance: np.ndarray,
     total,
 ) -> np.ndarray:
-    """Posterior class probabilities from per-(class, feature) Gaussians; an unseen class scores 0.
+    """Log prior plus log likelihood of ``x`` per class from per-(class, feature) Gaussians; an unseen class is -inf.
 
     ``total`` is ``class_counts``' sum, which the caller has. The terms are
     built in place in two (classes x features) buffers, with the ufuncs and
@@ -62,10 +99,12 @@ def _gaussian_nb_scores(
     log_lik = np.add.reduce(log_norm, axis=1)
     log_lik *= -0.5
     log_joint += log_lik
-    log_joint -= np.maximum.reduce(log_joint)
-    scores = np.exp(log_joint, out=log_joint)
-    scores /= np.add.reduce(scores)
-    return scores
+    return log_joint
+
+
+def _gaussian_nb_scores(*args) -> np.ndarray:
+    """Posterior class probabilities: ``_gaussian_nb_log_joint(*args)`` normalised; an unseen class scores 0."""
+    return _normalised(_gaussian_nb_log_joint(*args))
 
 
 class OnlineGaussianNB(OnlineClassifier):
@@ -99,8 +138,8 @@ class OnlineGaussianNB(OnlineClassifier):
         total = np.add.reduce(c.counts)
         if not total:
             return 0
-        scores = _gaussian_nb_scores(np.asarray(x, dtype=float), c.counts, c.mean, c.var, self._global.var[0], total)
-        return int(scores.argmax())  # the first maximum, as argmax_tiebreak
+        x = np.asarray(x, dtype=float)
+        return first_best(_gaussian_nb_log_joint(x, c.counts, c.mean, c.var, self._global.var[0], total))
 
 
 class BatchGaussianNB(BatchClassifier):

@@ -15,20 +15,13 @@ import math
 import numpy as np
 
 from ..core import OnlineClassifier, Schema, is_number
+from .bayes import _normalised, first_best
 from .moments import RunningMoments
-
-
-def _softmax(z: np.ndarray) -> np.ndarray:
-    """The softmax of ``z``, computed in ``z``."""
-    z -= np.maximum.reduce(z)
-    e = np.exp(z, out=z)
-    e /= np.add.reduce(e)
-    return e
 
 
 def _softmax_gradient(W: np.ndarray, b: np.ndarray, x: np.ndarray, y: int, l2: float) -> tuple:
     """The probability of class ``y`` and the exact gradient (dW, db) of the L2-penalized cross-entropy."""
-    g = _softmax(x @ W + b)
+    g = _normalised(x @ W + b)
     p_y = g[y]
     g[y] -= 1.0
     dW = x[:, None] * g
@@ -79,8 +72,7 @@ class OnlineLogisticRegression(OnlineClassifier):
 
     def predict(self, x: np.ndarray) -> int:
         self._check_x(x)
-        scores = _softmax(self._standardize(np.asarray(x, dtype=float)) @ self.W + self.b)
-        return int(scores.argmax())  # the first maximum, as argmax_tiebreak
+        return first_best(self._standardize(np.asarray(x, dtype=float)) @ self.W + self.b)
 
     def learn_one(self, x: np.ndarray, y: int) -> None:
         self._check_x(x)

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from ..core import OnlineClassifier, Schema, argmax_tiebreak, is_number
-from .bayes import _floored, _gaussian_nb_scores
+from .bayes import _floored, _gaussian_nb_log_joint, first_best
 from .moments import RunningMoments
 
 
@@ -74,6 +74,18 @@ def _column_dots(w: np.ndarray, a: np.ndarray) -> np.ndarray:
     return (np.ascontiguousarray(a.T)[:, None, :] @ w)[:, 0]
 
 
+def _square(m: float) -> float:
+    """``m**2`` of a Python float (libm pow; numpy's ``**2`` multiplies and can round differently), ``inf`` on overflow.
+
+    Python raises ``OverflowError`` where the square of a finite float is too
+    large (``abs(m)`` above about 1.3e154); numpy's square gives ``inf``.
+    """
+    try:
+        return m**2
+    except OverflowError:
+        return math.inf
+
+
 def _split_gains(leaf: _Leaf, quantiles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Best information gain (bits) and its threshold for every feature.
 
@@ -91,8 +103,7 @@ def _split_gains(leaf: _Leaf, quantiles: np.ndarray) -> tuple[np.ndarray, np.nda
     w = counts / n
     pooled_mean = _column_dots(w, mu)
     second = _column_dots(w, var + mu**2)
-    # Squares of Python floats (libm pow): numpy's ``**2`` multiplies and can round differently.
-    pooled_var = np.maximum(second - [m**2 for m in pooled_mean.tolist()], 0.0)
+    pooled_var = np.maximum(second - [_square(m) for m in pooled_mean.tolist()], 0.0)
     gains = np.zeros(leaf.mean.shape[1])
     thresholds = np.zeros(leaf.mean.shape[1])
     scored = np.flatnonzero(~(pooled_var <= 0.0))
@@ -228,5 +239,4 @@ class HoeffdingTreeClassifier(OnlineClassifier):
             return leaf.fallback_label
         if n < self.nb_threshold:
             return argmax_tiebreak(leaf.counts)
-        scores = _gaussian_nb_scores(x, leaf.counts, leaf.mean, leaf.var, leaf.pooled_variance(n), n)
-        return int(scores.argmax())  # the first maximum, as argmax_tiebreak
+        return first_best(_gaussian_nb_log_joint(x, leaf.counts, leaf.mean, leaf.var, leaf.pooled_variance(n), n))

@@ -1,9 +1,13 @@
 import importlib.util
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from driftstream.core import ConfigError, FeatureKind, Instance, Schema
 from driftstream.drift import LAST_WINDOW, SINCE_LAST_REPLACEMENT
@@ -13,8 +17,10 @@ from driftstream.experiment import (
     load_json,
     parse_config,
     resolve_strategy,
+    run_experiment,
     run_stream,
 )
+from driftstream.ingest import write_stream
 
 
 def test_resolve_strategy_from_catalog_id():
@@ -197,3 +203,44 @@ def test_shadow_metric_accuracy_mode():
     result = run_stream(HybridEnsemble(schema, config), instances, trace_every=100)
     assert result.drift_count >= 1
     assert result.replacement_count >= 1
+
+
+# ---------------------------------------------------------------------------
+# arbitrary finite streams: no member failure
+
+
+SMALL_WINDOWS = {
+    "strategies": [{"id": "S4", "s": 40}, {"id": "S5", "s": 40}, {"id": "S6", "s": 60}, {"id": "S7", "s": 60}],
+}
+SMALL_OPTIONS = {"first_fit_size": 50, "shadow_eval_size": 20, "score_window": 40, "cache_cap": 120, "trace_every": 50}
+FAILURE_CONFIGS = {
+    "wv-rf": {"type": "ensemble", "batch_algorithm": "rf", "batch_params": {"n_trees": 3}, "combiner": "wv"},
+    "ds-gnb": {"type": "ensemble", "batch_algorithm": "gnb", "combiner": "ds"},
+}
+
+
+@st.composite
+def finite_streams(draw):
+    """(rows x features, labels): any finite float64 feature values, subnormals and +-1.7e308 included; 3 classes."""
+    n = draw(st.integers(110, 240))  # past the Hoeffding tree's first split attempt at row 100
+    d = draw(st.integers(1, 3))
+    X = draw(arrays(np.float64, (n, d), elements=st.floats(allow_nan=False, allow_infinity=False)))
+    y = draw(arrays(np.int64, n, elements=st.integers(0, 2)))
+    return X, y
+
+
+@settings(max_examples=30, deadline=None)
+@example(stream=(np.array([[1e300 * (1 + i % 3), float(i % 7)] for i in range(150)]), np.arange(150) % 3))
+@example(stream=(np.array([[(-1.0) ** i * np.finfo(float).max, 5e-324 * i] for i in range(130)]), np.arange(130) % 3))
+@given(stream=finite_streams())
+def test_arbitrary_finite_streams_leave_every_failure_count_at_zero(stream):
+    X, y = stream
+    schema = Schema(tuple(f"f{i}" for i in range(X.shape[1])), (FeatureKind.NUMERIC,) * X.shape[1], ("a", "b", "c"))
+    with tempfile.TemporaryDirectory() as tmp, np.errstate(all="ignore"):
+        path = write_stream(Path(tmp) / "stream.csv", schema, X, y.tolist())
+        for name, method in FAILURE_CONFIGS.items():
+            raw = {"stream": {"path": str(path)}, "method": {**method, **SMALL_WINDOWS}, **SMALL_OPTIONS}
+            run_experiment(parse_config(raw), Path(tmp) / name)
+            failures = json.loads((Path(tmp) / name / "timing.json").read_text())["failures"]
+            assert len(failures) == 7, name
+            assert {member: phases for member, phases in failures.items() if any(phases.values())} == {}, name

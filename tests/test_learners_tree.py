@@ -5,7 +5,7 @@ import pytest
 
 from driftstream.core import FeatureKind, Schema
 from driftstream.learners import HoeffdingTreeClassifier, hoeffding_bound
-from driftstream.learners.tree import _Leaf
+from driftstream.learners.tree import _Leaf, _square
 
 from conftest import gaussian_instances
 
@@ -136,6 +136,29 @@ def test_node_count_bounded_by_grace_period():
         assert tree.n_nodes >= last
         last = tree.n_nodes
     assert tree.n_nodes <= 3000 / 100 + 1
+
+
+def test_a_split_attempt_over_class_means_too_large_to_square_does_not_raise():
+    # Python's float ** 2 raises OverflowError above about 1.3e154, where numpy's square gives inf.
+    # A raising split attempt also skipped the leaf's check reset, so every later learn_one raised.
+    schema = make_schema(2, 3)
+    tree = HoeffdingTreeClassifier(schema, grace_period=20)
+    rng = np.random.default_rng(0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(200):
+            y = i % 3
+            tree.learn_one(np.array([1e300 * (y + rng.random()), rng.normal()]), y)
+        labels = {tree.predict(np.array([1e300 * (c + 0.5), 0.0])) for c in range(3)}
+    assert tree._root.n_since_check == 200 % 20
+    assert labels <= {0, 1, 2}
+
+
+def test_square_keeps_python_float_squares_and_gives_inf_where_they_overflow():
+    rng = np.random.default_rng(3)
+    values = (rng.normal(size=2000) * 10.0 ** rng.integers(-170, 153, 2000)).tolist()
+    values += [1.3e154, -1.3e154, 5e-324, 0.0, -0.0]
+    assert [_square(m).hex() for m in values] == [(m**2).hex() for m in values]
+    assert [_square(m) for m in (1.4e154, -1e300, 1.7976931348623157e308)] == [math.inf] * 3
 
 
 def test_tree_learns_gaussian_stream():
