@@ -2,7 +2,9 @@
 
 Generates three seeded streams (stationary, abrupt drift, gradual drift),
 runs train-once baselines, drift-adaptive single learners, online learners
-and the hybrid ensembles over each, then prints the cross-stream ranking.
+and the hybrid ensembles over each, then ranks them across the streams with
+``driftstream report``, which writes ``ranking.csv`` and ``traces.csv`` to the
+output directory.
 
     python scripts/run_drift_benchmark.py --out results/ [--quick]
 """
@@ -11,11 +13,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 from pathlib import Path
 
 from driftstream.cli import main as cli_main
-from driftstream.evaluation import ranking
-from driftstream.experiment import read_run_dir
 
 
 def stream_specs(quick: bool) -> dict[str, dict]:
@@ -94,6 +95,13 @@ def method_specs(quick: bool) -> dict[str, dict]:
     }
 
 
+def _cli(argv: list[str], what: str) -> None:
+    """Run one ``driftstream`` command; exit with a message naming ``what`` if it fails."""
+    code = cli_main(argv)
+    if code != 0:
+        sys.exit(f"{what} failed with exit code {code}")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results", help="output directory")
@@ -111,8 +119,8 @@ def main() -> None:
         cfg_path = streams_dir / f"{name}.synth.json"
         cfg_path.write_text(json.dumps(spec, indent=2))
         stream_path = streams_dir / f"{name}.dsv"
-        code = cli_main(["generate", "--config", str(cfg_path), "--out", str(stream_path), "--force", "--quiet"])
-        assert code == 0, f"generate failed for {name}"
+        argv = ["generate", "--config", str(cfg_path), "--out", str(stream_path), "--force", "--quiet"]
+        _cli(argv, f"generate {name}")
         stream_files[name] = stream_path
         print(f"stream {name}: {stream_path}")
 
@@ -128,16 +136,11 @@ def main() -> None:
             cfg_path = run_dir.with_suffix(".json")
             run_dir.parent.mkdir(parents=True, exist_ok=True)
             cfg_path.write_text(json.dumps(config, indent=2))
-            code = cli_main(["run", "--config", str(cfg_path), "--out", str(run_dir), "--force"])
-            assert code == 0, f"run failed: {method_id} on {stream_name}"
+            argv = ["run", "--config", str(cfg_path), "--out", str(run_dir), "--force"]
+            _cli(argv, f"run {method_id} on {stream_name}")
 
-    per_stream: dict[str, list[tuple[str, float]]] = {}
-    for report_file in sorted(runs_dir.glob("**/report.json")):
-        report = read_run_dir(report_file.parent)
-        per_stream.setdefault(report.stream_id, []).append((report.method_id, report.final_f1_macro))
     print("\nranking across streams:")
-    for row in ranking(per_stream):
-        print(f"  {row.position:2d}. {row.method:<8s} score={row.score:.2f}")
+    _cli(["report", str(runs_dir), "--out", str(out), "--force"], "report")
 
 
 if __name__ == "__main__":

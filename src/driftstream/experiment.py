@@ -70,6 +70,8 @@ def resolve_strategy(entry) -> DriftStrategy:
         key = _STRATEGY_ALIASES.get(key, key)
         if key not in _STRATEGY_FIELDS:
             raise ConfigError(f"unknown strategy field {key!r}")
+        if key in overrides:
+            raise ConfigError(f"strategy field {key!r} is given twice, by its name and by its alias")
         overrides[key] = value
     if sid in catalog:
         return replace(catalog[sid], **overrides)
@@ -114,25 +116,39 @@ def _derive_method_id(kind: str, members: tuple[MemberSpec, ...], combiner: str)
     return f"{combiner}-{makeup}".upper()
 
 
+def _refuse_unknown(section: dict, known: Iterable[str], where: str) -> None:
+    unknown = sorted(set(section) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown {where} key {', '.join(map(repr, unknown))}")
+
+
+#: The keys of a config's top level; ``parse_config`` reads them, the options into the ``ExperimentConfig``.
+_OPTION_KEYS = (*ExperimentConfig.INT_LEAST, "shadow_metric")
+_CONFIG_KEYS = ("stream", "method", "method_id", *_OPTION_KEYS)
+
+
 def parse_config(data: dict) -> ExperimentConfig:
     """Check and resolve a whole experiment config, before any stream is opened."""
     if "method" not in data or "stream" not in data:
         raise ConfigError("experiment config needs 'stream' and 'method' sections")
+    _refuse_unknown(data, _CONFIG_KEYS, "config")
     stream, method = data["stream"], data["method"]
     if not isinstance(stream, dict) or not isinstance(method, dict):
         raise ConfigError("the 'stream' and 'method' sections must be JSON objects")
+    _refuse_unknown(stream, ("path", "synthetic"), "stream")
+    if len(stream) != 1:
+        raise ConfigError("stream section needs exactly one of 'path' and 'synthetic'")
     if "path" in stream:
         source = {"stream_path": Path(stream["path"])}
-    elif "synthetic" in stream:
-        source = {"synth": config_from_dict(SynthConfig, stream["synthetic"])}
     else:
-        raise ConfigError("stream section needs 'path' or 'synthetic'")
+        source = {"synth": config_from_dict(SynthConfig, stream["synthetic"])}
     kind = method.get("type")
-    if kind not in ("online", "batch", "ensemble"):
+    if kind not in _METHOD_KEYS:
         raise ConfigError("method.type must be 'online', 'batch' or 'ensemble'")
+    _refuse_unknown(method, _METHOD_KEYS[kind], f"{kind} method")
     members = build_member_specs(method)
     combiner = method.get("combiner", WEIGHTED_VOTE) if kind == "ensemble" else WEIGHTED_VOTE
-    options = {key: data[key] for key in (*ExperimentConfig.INT_LEAST, "shadow_metric") if key in data}
+    options = {key: data[key] for key in _OPTION_KEYS if key in data}
     return ExperimentConfig(
         members=members,
         combiner=combiner,
@@ -168,6 +184,14 @@ def _list_field(method: dict, key: str, default: list) -> list:
 def _batch_spec(name, strategy_entry, params: dict) -> MemberSpec:
     strategy = resolve_strategy(strategy_entry)
     return MemberSpec(id=f"{name}-{strategy.id}", kind=BATCH, algorithm=name, strategy=strategy, params=params)
+
+
+#: The keys of each type of method; ``build_member_specs`` reads them, and ``parse_config`` the combiner.
+_METHOD_KEYS = {
+    "online": ("type", "algorithm", "params"),
+    "batch": ("type", "algorithm", "strategy", "params"),
+    "ensemble": ("type", "strategies", "online_members", "batch_algorithm", "batch_params", "combiner"),
+}
 
 
 def build_member_specs(method: dict) -> tuple[MemberSpec, ...]:

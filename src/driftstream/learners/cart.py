@@ -5,11 +5,13 @@ values, unlimited depth, a minimum of two samples to split and a
 deterministic first-best tie-break. Nodes are stored in flat arrays.
 
 A fit grows all of its trees in lockstep; a CART fit is the one-tree case
-and a forest fit the n-tree case. Each tree keeps its own depth-first stack
-and feature draws, so it opens its nodes, and draws their candidate features,
-in the order it would if grown alone. At each step every tree with
-an open node (as many as ``_SEARCH_CELLS`` holds) contributes that node, and
-one segmented pass over the whole batch finds the first best split of each:
+and a forest fit the n-tree case. Each tree grows in its own generator
+(``_grow_tree``), a depth-first loop with the tree's own feature draws, so it
+opens its nodes, and draws their candidate features, in the order it would if
+grown alone. It yields each node's split search and is sent the result. At
+each step the trees' pending searches, in tree order and as many as
+``_SEARCH_CELLS`` holds, form one batch, and one segmented pass over it finds
+the first best split of each:
 
 - A segment is one (node, candidate feature) pair. One ``argsort`` of the
   integer keys ``segment * n + rank`` orders every segment by value, where
@@ -196,73 +198,44 @@ class _FeatureDraws:
         return sorted(chosen)
 
 
-class _Growth:
-    """One tree being grown: its node lists, depth-first stack, feature draws and open node.
+def _grow_tree(tree: CartClassifier, rows: np.ndarray, counts: list[int], d: int, k: int):
+    """Grow ``tree`` on ``rows``, whose class counts are ``counts``, depth first.
 
-    The open node is the next one, in depth-first order, that needs a split
-    search. Its candidate features are searched in parts of at most ``step``
-    features, and the first best split over the parts wins.
+    Yields each node's split search a part ``(rows, candidate features)`` at
+    a time, at most ``step`` features wide, and is sent each part's
+    ``_search`` result; the first best split over the parts wins. Sets the
+    tree's node arrays and depth when its stack is empty.
     """
-
-    def __init__(self, tree: CartClassifier, rows: np.ndarray, counts: list[int], d: int, k: int) -> None:
-        self.tree, self.d, self.k = tree, d, k
-        subsample = tree.max_features is not None and tree.max_features < d
-        self.draws = _FeatureDraws(tree.seed) if subsample else None
-        # Node lists; feature -1 marks a leaf.
-        self.feature, self.threshold, self.left, self.right, self.label = [-1], [0.0], [0], [0], [0]
-        self._nodes = (self.feature, self.threshold, self.left, self.right, self.label)
-        self.depth = 0
-        self.stack: list[tuple[int, np.ndarray, list[int], int]] = [(0, rows, counts, 0)]
-        self._open_next()
-
-    def _open_next(self) -> None:
-        """Pop nodes, leaving as leaves those with nothing to search, until one needs a search."""
-        while self.stack:
-            node_id, rows, counts, depth = self.node = self.stack.pop()
-            self.depth = max(self.depth, depth)
-            m = rows.size
-            self.label[node_id] = label = counts.index(max(counts))  # the first maximum, as argmax_tiebreak
-            if m >= self.tree.min_samples_split and counts[label] < m:
-                self.feats = self.draws.draw(self.d, self.tree.max_features) if self.draws else range(self.d)
-                self.step = max(1, _SEARCH_CELLS // (m * self.k))
-                self.best, self.split = math.inf, None
-                self._next_part(0)
-                return
-        self.node = None
-
-    def _next_part(self, lo: int) -> None:
-        self.lo = lo
-        feats = self.feats[lo : lo + self.step]
-        self.part = (self.node[1], feats)
-        self.cells = self.node[1].size * len(feats) * self.k
-
-    def take(self, result: tuple | None) -> None:
-        """Keep a part's split if strictly better; after the last part, split the node and open the next."""
-        if result is not None and result[0] < self.best:
-            self.best, self.split = result[0], result[1:]
-        if self.lo + self.step < len(self.feats):
-            self._next_part(self.lo + self.step)
-            return
-        node_id, _, counts, depth = self.node
-        if self.split is not None:
-            self.feature[node_id], self.threshold[node_id], left_rows, right_rows, left_counts = self.split
-            self.left[node_id] = lid = len(self.feature)
-            self.right[node_id] = rid = lid + 1
-            for nodes, blank in zip(self._nodes, (-1, 0.0, 0, 0, 0)):
+    draws = _FeatureDraws(tree.seed) if tree.max_features is not None and tree.max_features < d else None
+    feature, threshold, left, right, label = [-1], [0.0], [0], [0], [0]  # feature -1 marks a leaf
+    deepest = 0
+    stack = [(0, rows, counts, 0)]
+    while stack:
+        node_id, rows, counts, depth = stack.pop()
+        deepest = max(deepest, depth)
+        m = rows.size
+        label[node_id] = top = counts.index(max(counts))  # the first maximum, as argmax_tiebreak
+        if m < tree.min_samples_split or counts[top] == m:
+            continue
+        feats = draws.draw(d, tree.max_features) if draws else range(d)
+        step = max(1, _SEARCH_CELLS // (m * k))
+        best, split = math.inf, None
+        for lo in range(0, len(feats), step):
+            result = yield rows, feats[lo : lo + step]
+            if result is not None and result[0] < best:
+                best, split = result[0], result[1:]
+        if split is not None:
+            feature[node_id], threshold[node_id], left_rows, right_rows, left_counts = split
+            left[node_id] = lid = len(feature)
+            right[node_id] = lid + 1
+            for nodes, blank in zip((feature, threshold, left, right, label), (-1, 0.0, 0, 0, 0)):
                 nodes += (blank, blank)
             # Push right first so the left subtree is built first (stable rng order).
-            self.stack.append((rid, right_rows, [c - l for c, l in zip(counts, left_counts)], depth + 1))
-            self.stack.append((lid, left_rows, left_counts, depth + 1))
-        self._open_next()
-
-    def finish(self) -> None:
-        tree = self.tree
-        tree.feature = np.array(self.feature, dtype=np.int32)
-        tree.threshold = np.array(self.threshold)
-        tree.left = np.array(self.left, dtype=np.int32)
-        tree.right = np.array(self.right, dtype=np.int32)
-        tree.label = np.array(self.label, dtype=np.int32)
-        tree.depth = self.depth
+            stack.append((lid + 1, right_rows, [c - l for c, l in zip(counts, left_counts)], depth + 1))
+            stack.append((lid, left_rows, left_counts, depth + 1))
+    tree.feature, tree.threshold = np.array(feature, dtype=np.int32), np.array(threshold)
+    tree.left, tree.right, tree.label = (np.array(a, dtype=np.int32) for a in (left, right, label))
+    tree.depth = deepest
 
 
 def _lockstep(
@@ -270,21 +243,26 @@ def _lockstep(
 ) -> None:
     """Fit ``trees[i]`` on the rows ``row_sets[i]``, growing all the trees in lockstep."""
     d = Xt.shape[0]
-    growths = [
-        _Growth(tree, rows, np.bincount(y[rows], minlength=k).tolist(), d, k) for tree, rows in zip(trees, row_sets)
-    ]
-    growing = [g for g in growths if g.node is not None]
-    while growing:
+    counts = [np.bincount(y[rows], minlength=k).tolist() for rows in row_sets]
+    # [growth, its pending part, the part's cells] per tree, in tree order.
+    growing = [[_grow_tree(t, rows, c, d, k), None, 0] for t, rows, c in zip(trees, row_sets, counts)]
+    batch, results = growing, [None] * len(growing)  # sending None starts a growth
+    while True:
+        for entry, result in zip(batch, results):
+            try:
+                entry[1] = rows, feats = entry[0].send(result)
+                entry[2] = rows.size * len(feats) * k
+            except StopIteration:
+                entry[0] = None
+        growing = [entry for entry in growing if entry[0]]
+        if not growing:
+            return
         batch, cells = [], 0
-        for g in growing:
-            if not batch or cells + g.cells <= _SEARCH_CELLS:
-                batch.append(g)
-                cells += g.cells
-        for g, result in zip(batch, _search([g.part for g in batch], Xt, ranks, y, k)):
-            g.take(result)
-        growing = [g for g in growing if g.node is not None]
-    for g in growths:
-        g.finish()
+        for entry in growing:
+            if not batch or cells + entry[2] <= _SEARCH_CELLS:
+                batch.append(entry)
+                cells += entry[2]
+        results = _search([entry[1] for entry in batch], Xt, ranks, y, k)
 
 
 def _workers(n_trees: int, n_rows: int) -> int:

@@ -206,9 +206,12 @@ class HoeffdingTreeClassifier(OnlineClassifier):
         n = int(leaf.counts.sum())
         d = self.schema.n_features
         gains, thresholds = _split_gains(leaf, self._quantiles)
-        best = int(np.argmax(gains))
+        finite = np.flatnonzero(np.isfinite(gains))  # a NaN gain (pooled variance inf - inf) is no candidate
+        if finite.size == 0:
+            return
+        best = int(finite[np.argmax(gains[finite])])
         g1 = gains[best]
-        others = np.delete(gains, best)
+        others = gains[finite[finite != best]]
         g2 = float(others.max()) if others.size else 0.0
         radius = hoeffding_bound(math.log2(max(2, present)), self.delta, n)
         if g1 <= 1e-12:

@@ -288,6 +288,33 @@ def test_run_invalid_method_options_exit_1_before_the_stream(tmp_path, synth_con
     assert not out_dir.exists()
 
 
+WV_RF = {"type": "ensemble", "batch_algorithm": "rf"}
+
+
+@pytest.mark.parametrize(
+    "config, named",
+    [
+        ({"strategis": []}, "'strategis'"),
+        ({"method": {**WV_RF, "bach_params": {"n_trees": 3}}}, "'bach_params'"),
+        ({"method": {**HT, "strategies": ["S4"]}}, "'strategies'"),  # an ensemble's key
+        ({"stream": {"path": "missing.dsv", "synthtic": SYNTHETIC}}, "'synthtic'"),
+        ({"stream": {"path": "missing.dsv", "synthetic": SYNTHETIC}}, "'synthetic'"),
+        ({"method": {**RF_S4, "strategy": {"id": "S4", "s": 100, "window_size": 200}}}, "'window_size'"),
+        ({"method": {**RF_S4, "strategy": {"id": "S4", "window_size": 200, "s": 100}}}, "'window_size'"),
+    ],
+    ids=["top-level", "ensemble-method", "online-method", "stream", "path-and-synthetic", "alias-first", "name-first"],
+)
+def test_run_refuses_unknown_and_doubled_config_keys_before_the_stream(tmp_path, config, named, capsys):
+    # The stream file does not exist: a key that is not refused gets as far as opening it (exit 2).
+    data = {"stream": {"path": str(tmp_path / "missing.dsv")}, "method": WV_RF, **config}
+    path = write_json(tmp_path / "run.json", data)
+    out_dir = tmp_path / "r"
+    assert main(["run", "--config", path, "--out", str(out_dir), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert named in err and "internal error" not in err
+    assert not out_dir.exists()
+
+
 def test_run_non_finite_stream_value_exits_2(tmp_path, synth_config, capsys):
     stream = tmp_path / "s.dsv"
     assert main(["generate", "--config", synth_config, "--out", str(stream), "--quiet"]) == 0
@@ -458,6 +485,17 @@ def test_report_incomplete_grid_exits_2(tmp_path, synth_config, capsys):
     code = main(["report", str(runs), "--out", str(tmp_path / "summary")])
     assert code == 2
     assert "(HT, b)" in capsys.readouterr().err
+
+
+def test_report_of_two_runs_of_one_method_on_one_stream_exits_2(tmp_path, synth_config, capsys):
+    stream = tmp_path / "s.dsv"
+    assert main(["generate", "--config", synth_config, "--out", str(stream), "--quiet"]) == 0
+    runs = tmp_path / "runs"
+    for name, algo, seed in (("gnb-1", "gnb", 1), ("gnb-2", "gnb", 2), ("ht", "hoeffding", 1)):
+        config = experiment_config(tmp_path, stream, {"type": "online", "algorithm": algo}, name=name, seed=seed)
+        assert main(["run", "--config", config, "--out", str(runs / name), "--quiet"]) == 0
+    assert main(["report", str(runs), "--out", str(tmp_path / "summary")]) == 2
+    assert "(GNB, s)" in capsys.readouterr().err
 
 
 def test_report_empty_directory_exits_2(tmp_path):

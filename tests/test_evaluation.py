@@ -284,6 +284,17 @@ def test_ranking_missing_cell_is_reported():
         ranking(results)
 
 
+def test_ranking_cell_given_twice_is_reported():
+    results = {"s1": [("A", 0.9), ("A", 0.7), ("B", 0.8)], "s2": [("A", 0.9), ("B", 0.8)]}
+    with pytest.raises(MetricError, match=r"\(A, s1\) is given 2 times"):
+        ranking(results)
+
+
+def test_ranking_refuses_a_non_finite_f1():
+    with pytest.raises(MetricError, match="stream s1 has an F1 that is not a finite number"):
+        ranking({"s1": [("A", float("nan")), ("B", 0.5)]})
+
+
 def test_single_method_ranks_first():
     table = ranking({"s1": [("only", 0.4)], "s2": [("only", 0.2)]})
     assert table == [type(table[0])(method="only", score=1.0, position=1)]

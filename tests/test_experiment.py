@@ -1,5 +1,7 @@
+import csv
 import importlib.util
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -119,6 +121,15 @@ def test_benchmark_script_configs_parse_to_their_method_ids(quick):
     for method_id, spec in _benchmark_script().method_specs(quick).items():
         config = parse_config({"stream": {"path": "x.dsv"}, "seed": 42, **spec})
         assert config.method_id == method_id
+
+
+def test_benchmark_script_quick_run_ranks_all_six_methods(tmp_path, monkeypatch):
+    script = _benchmark_script()
+    monkeypatch.setattr(sys, "argv", ["run_drift_benchmark.py", "--quick", "--out", str(tmp_path)])
+    script.main()
+    with (tmp_path / "ranking.csv").open() as fh:
+        methods = [row["method"] for row in csv.DictReader(fh)]
+    assert sorted(methods) == sorted(script.method_specs(True))
 
 
 def test_parse_config_leaves_unset_options_at_the_ensemble_defaults():

@@ -533,6 +533,25 @@ def test_forked_shares_grow_the_same_trees(monkeypatch, cells, max_features, boo
         assert labels[0] == labels[1] == labels[2], n_trees
 
 
+@pytest.mark.parametrize("max_features", ["sqrt", None])
+def test_roots_wider_than_a_search_batch_grow_the_same_trees(monkeypatch, max_features):
+    # At 12,000 rows a root alone exceeds the default budget, so it is searched a feature part at a time;
+    # at 2^30 every open node fits one batch. One, two and three shares under both budgets.
+    rng = np.random.default_rng(12)
+    n, d, k = 12_000, 6, 3
+    schema = make_schema(d, k)
+    X = np.hstack([rng.integers(0, 40, size=(n, 2)).astype(float), rng.normal(size=(n, d - 2)).round(2)])
+    y = (X[:, 0] // 10 + (X[:, 2] > 0) + (rng.random(n) < 0.05)).astype(int) % k
+    assert n * 2 * k > cart_module._SEARCH_CELLS  # a root's 2 ("sqrt" of 6) candidate features
+    params = dict(n_trees=3, seed=7, max_features=max_features)
+    fits = []
+    for cells in (cart_module._SEARCH_CELLS, 1 << 30):
+        monkeypatch.setattr(cart_module, "_SEARCH_CELLS", cells)
+        for workers in (1, 2, 3):
+            fits.append(tree_bytes(fit_with_workers(monkeypatch, workers, schema, X, y, **params)))
+    assert all(fit == fits[0] for fit in fits[1:])
+
+
 def test_a_forest_grows_its_shares_here_when_it_cannot_fork(monkeypatch):
     rng = np.random.default_rng(8)
     schema = make_schema(6, 3)

@@ -153,6 +153,20 @@ def test_a_split_attempt_over_class_means_too_large_to_square_does_not_raise():
     assert labels <= {0, 1, 2}
 
 
+def test_a_feature_with_a_nan_gain_is_never_split_on():
+    # Feature 0's pooled variance is inf - inf, so its gain is NaN; feature 1 separates the classes.
+    # np.argmax picks a NaN first, and a split on it at threshold NaN sends every row right.
+    schema = make_schema(2, 3)
+    tree = HoeffdingTreeClassifier(schema, grace_period=20)
+    rng = np.random.default_rng(0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(3000):
+            y = i % 3
+            tree.learn_one(np.array([1e300 * (y + rng.random()), 5.0 * y + rng.normal()]), y)
+    assert tree.n_nodes > 1
+    assert tree._root.feature == 1 and math.isfinite(tree._root.threshold)
+
+
 def test_square_keeps_python_float_squares_and_gives_inf_where_they_overflow():
     rng = np.random.default_rng(3)
     values = (rng.normal(size=2000) * 10.0 ** rng.integers(-170, 153, 2000)).tolist()
