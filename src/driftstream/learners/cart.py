@@ -53,8 +53,10 @@ draws only, the shares change no tree.
 Prediction lays the trees end to end in one node layout (``_FlatTrees``):
 node ids are global across trees, and a leaf routes to itself with feature 0
 and threshold +inf. A block of rows then walks every tree at once, one
-vectorized step per level, and the forest takes its votes with one
-``bincount``. ``predict(x)`` is the one-row case of ``predict_labels``.
+vectorized step per level over its (row, tree) pairs, every few levels
+dropping the pairs already on a leaf (most paths are far shorter than the
+deepest), and the forest takes its votes with one ``bincount``.
+``predict(x)`` is the one-row case of ``predict_labels``.
 """
 
 from __future__ import annotations
@@ -79,12 +81,14 @@ _SEARCH_CELLS = 1 << 15
 #: A fitted tree's node arrays, as a forked share sends them back.
 _NODE_ARRAYS = ("feature", "threshold", "left", "right", "label")
 
-#: The fewest (rows x trees) a forest fit forks for. Below it a fit loses: its
-#: shares make about as many lockstep searches as one process would, and a
-#: fork costs some 20-30 ms in a 100 MB process on a 2-vCPU machine (pages the
-#: parent writes are copied while the child lives, and both share the CPUs).
-#: RF(20) on 1250 rows took 1.4-1.6x as long in two shares, RF(100) on 2500
-#: rows 0.56-0.6x, RF(20) on 2500 rows 0.67x and RF(100) on 500 rows 1.37x.
+#: The fewest (rows x trees) a forest fit forks for. Below it a fit loses to
+#: the fork itself, some 20-30 ms in a 100 MB process on a 2-vCPU machine
+#: (pages the parent writes are copied while the child lives), and to the two
+#: CPUs' shared throughput: two CPU-bound processes each ran at 0.7-1.2x
+#: their solo speed. Half the trees take about half the time (RF(10) on 1250
+#: rows 48 ms, RF(20) 84 ms). RF(20) on 1250 rows took 1.4-1.6x as long in two
+#: shares, RF(100) on 2500 rows 0.56-0.6x, RF(20) on 2500 rows 0.67x and
+#: RF(100) on 500 rows 1.37x.
 _FORK_ROWS = 1 << 16
 
 
@@ -372,10 +376,13 @@ class _FlatTrees:
 
     ``child`` interleaves each node's right and left child, so a step takes
     ``child[2 * node + (x[feature] <= threshold)]``. A leaf's children are
-    itself and its threshold is +inf, so every row takes ``depth`` steps in
-    every tree and stays on its leaf once there. A one-row block instead walks
-    each tree in Python over list copies of the arrays, made on first use,
-    and stops at the leaf: the same comparisons without a numpy call a level.
+    itself and its threshold is +inf, so a (row, tree) pair stays on its leaf
+    once there. A block steps all its pairs a level at a time; from level 7,
+    every third level it keeps only the pairs not yet on a leaf (``inner``:
+    a split's threshold can overflow to +inf too), and it stops when none is
+    left. A one-row block instead walks each tree in Python over list copies
+    of the arrays, made on first use, and stops at the leaf: the same
+    comparisons without a numpy call a level.
     """
 
     def __init__(self, trees: list[CartClassifier]) -> None:
@@ -391,6 +398,7 @@ class _FlatTrees:
         self.threshold = np.where(leaf, np.inf, threshold)
         self.child = np.column_stack([np.where(leaf, ids, right + offset), np.where(leaf, ids, left + offset)]).ravel()
         self.label = label.astype(np.int64)
+        self.inner = ~leaf
         self.depth = max(tree.depth for tree in trees)
         self._lists: tuple[list, ...] | None = None
 
@@ -400,12 +408,26 @@ class _FlatTrees:
         if n == 1:
             return np.array([self._walk(X[0].tolist())], dtype=np.int64)
         cells = X.ravel()
-        row_start = np.arange(n)[:, None] * d
-        nodes = np.broadcast_to(self.roots, (n, self.roots.size))
-        for _ in range(self.depth):
-            go_left = cells.take(row_start + self.feature.take(nodes)) <= self.threshold.take(nodes)
+        # The pairs still walking: their nodes, row offsets in cells and places in (rows x trees) order.
+        nodes = np.tile(self.roots, n)
+        at = np.repeat(np.arange(0, n * d, d), self.roots.size)
+        pairs = np.arange(nodes.size)
+        reached = np.empty_like(nodes)
+        # In RF(100) fit on 2500 rows (depth 23, mean path 8.3), 60 % of pairs are above a leaf after level
+        # 7, 18 % after level 10 and 5 % after 12. Compacting at 7, 10, 13, ... walked 256-row blocks
+        # 1.8-1.9x as fast as no compaction (RF(20) on 1250 rows: 1.3-1.4x); other starts and strides from
+        # 5 to 8 and 2 to 4 were within noise of it, and compacting every level from 4 on was slower.
+        for level in range(1, self.depth + 1):
+            go_left = cells.take(at + self.feature.take(nodes)) <= self.threshold.take(nodes)
             nodes = self.child.take(2 * nodes + go_left)
-        return self.label.take(nodes)
+            if level >= 7 and level % 3 == 1:
+                reached.put(pairs, nodes)
+                live = np.flatnonzero(self.inner.take(nodes))
+                if not live.size:
+                    break
+                nodes, at, pairs = nodes.take(live), at.take(live), pairs.take(live)
+        reached.put(pairs, nodes)
+        return self.label.take(reached).reshape(n, self.roots.size)
 
     def _walk(self, x: list[float]) -> list[int]:
         """The leaf label one row reaches in each tree."""

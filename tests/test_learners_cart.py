@@ -173,12 +173,17 @@ def test_forest_label_is_lowest_index_majority_of_its_trees():
 # -- block prediction -----------------------------------------------------
 
 
+def path(tree, x):
+    """The nodes the per-row walk visits in ``tree``, root to leaf, written independently of the flat layout."""
+    nodes = [0]
+    while tree.feature[node := nodes[-1]] >= 0:
+        nodes.append(tree.left[node] if x[tree.feature[node]] <= tree.threshold[node] else tree.right[node])
+    return nodes
+
+
 def route_one(tree, x):
-    """The per-row walk down one tree's node arrays, written independently of the flat layout."""
-    node = 0
-    while tree.feature[node] >= 0:
-        node = tree.left[node] if x[tree.feature[node]] <= tree.threshold[node] else tree.right[node]
-    return int(tree.label[node])
+    """The label of the leaf the per-row walk reaches in ``tree``."""
+    return int(tree.label[path(tree, x)[-1]])
 
 
 def reference_labels(model, X):
@@ -186,6 +191,17 @@ def reference_labels(model, X):
         return [route_one(model, x) for x in X]
     k = model.schema.n_classes
     return [int(np.argmax(np.bincount([route_one(t, x) for t in model.trees], minlength=k))) for x in X]
+
+
+def threshold_probes(trees, X):
+    """One row per split of every tree, with the split's feature set exactly to its threshold."""
+    probes = []
+    for t in trees:
+        for node in np.flatnonzero(t.feature >= 0):
+            x = X[node % len(X)].copy()
+            x[t.feature[node]] = t.threshold[node]
+            probes.append(x)
+    return np.array(probes)
 
 
 def assert_block_matches_rows(model, X):
@@ -244,13 +260,7 @@ def test_predict_labels_on_rows_exactly_at_a_threshold():
     tree.fit(X, y)
     for model in (tree, forest):
         trees = [model] if isinstance(model, CartClassifier) else model.trees
-        probes = []
-        for t in trees:
-            for node in np.flatnonzero(t.feature >= 0):
-                x = X[node % len(X)].copy()
-                x[t.feature[node]] = t.threshold[node]
-                probes.append(x)
-        assert_block_matches_rows(model, np.array(probes))
+        assert_block_matches_rows(model, threshold_probes(trees, X))
 
 
 def test_untrained_models_label_every_row_zero():
@@ -695,6 +705,111 @@ def test_one_row_walk_reaches_the_leaves_of_the_block_path(seed):
         one_row = np.vstack([flat.leaf_labels(x[None]) for x in probes])
         assert np.array_equal(one_row, flat.leaf_labels(probes))
         assert [model.predict(x) for x in probes] == model.predict_labels(probes).tolist()
+
+
+# -- the compacting block walk ----------------------------------------------
+
+
+def assert_walk_matches_references(flat, trees, X):
+    """The block walk's (rows x trees) labels equal the per-tree walk's and the one-row walk's."""
+    labels = flat.leaf_labels(X)
+    assert labels.dtype == np.int64 and labels.shape == (len(X), len(trees))
+    per_tree = np.array([[route_one(t, x) for t in trees] for x in X], dtype=np.int64).reshape(labels.shape)
+    one_row = np.array([flat._walk(x.tolist()) for x in X], dtype=np.int64).reshape(labels.shape)
+    assert np.array_equal(labels, per_tree)
+    assert np.array_equal(labels, one_row)
+
+
+def deep_batch(rng, n, d, k):
+    """Noisy labels over tied values: trees grown on it are 10 or more levels deep."""
+    return np.round(rng.normal(size=(n, d)), 1), rng.integers(0, k, n)
+
+
+def test_block_walk_mixes_single_leaf_trees_with_deep_ones():
+    rng = np.random.default_rng(11)
+    schema = make_schema(3, 4)
+    X, y = deep_batch(rng, 400, 3, 4)
+    trees = []
+    for i in range(6):
+        tree = CartClassifier(schema, seed=i, max_features=2)
+        if i % 3 == 0:
+            tree.fit(X[:5], np.full(5, i % 4))  # one pure batch: a single leaf, depth 0
+        else:
+            tree.fit(X[rng.integers(0, 400, 400)], y)
+        trees.append(tree)
+    assert [t.depth == 0 for t in trees] == [True, False, False] * 2
+    flat = cart_module._FlatTrees(trees)
+    assert flat.depth >= 10
+    probes = np.vstack([rng.normal(size=(200, 3)), X[:100], threshold_probes(trees, X)])
+    assert_walk_matches_references(flat, trees, probes)
+
+
+def test_block_walk_of_a_forest_shallower_than_the_first_compaction():
+    rng = np.random.default_rng(12)
+    schema = make_schema(2, 3)
+    X, y = deep_batch(rng, 24, 2, 3)
+    forest = RandomForestClassifier(schema, seed=4, n_trees=9)
+    forest.fit(X, y)
+    assert 2 <= forest._flat.depth < 7  # no level the walk compacts at
+    probes = np.vstack([rng.normal(size=(300, 2)), threshold_probes(forest.trees, X)])
+    assert_walk_matches_references(forest._flat, forest.trees, probes)
+
+
+def test_block_walk_stops_once_every_pair_is_on_a_leaf():
+    # Rows with a negative first feature fall on a leaf near the root of every tree;
+    # the rest of each tree is deep. A block of such rows ends levels before `depth`.
+    rng = np.random.default_rng(13)
+    schema = make_schema(2, 3)
+    pure = np.column_stack([rng.uniform(-5, -1, 300), rng.normal(size=300)])
+    X = np.vstack([pure, deep_batch(rng, 300, 2, 3)[0] + [3, 0]])
+    y = np.concatenate([np.zeros(300, dtype=int), rng.integers(0, 3, 300)])
+    forest = RandomForestClassifier(schema, seed=5, n_trees=8, max_features=None)
+    forest.fit(X, y)
+    block = X[:300][::3]
+    assert forest._flat.depth >= 10
+    assert max(len(path(t, x)) - 1 for t in forest.trees for x in block) < 7
+    assert_walk_matches_references(forest._flat, forest.trees, block)
+    assert_walk_matches_references(forest._flat, forest.trees, np.vstack([block, X[300:310]]))
+
+
+@pytest.mark.parametrize("n_trees", [1, 20])
+def test_block_walk_of_every_block_size_and_partial_block(n_trees):
+    rng = np.random.default_rng(14 + n_trees)
+    schema = make_schema(4, 3)
+    X, y = deep_batch(rng, 500, 4, 3)
+    forest = RandomForestClassifier(schema, seed=6, n_trees=n_trees)
+    forest.fit(X, y)
+    flat = forest._flat
+    at = threshold_probes(forest.trees, X)
+    assert flat.depth >= 10 and len(at) >= 150
+    rows = np.empty((300, 4))
+    rows[0::2], rows[1::2] = at[:150], rng.normal(size=(150, 4))  # every other row exactly at a threshold
+    for size in (2, 3, 255, 256, 257):
+        assert_walk_matches_references(flat, forest.trees, rows[:size])
+    block = rows[:256]
+    for i in (1, 2, 100, 253, 254, 255):  # what a shadow fitted mid-block labels
+        assert_walk_matches_references(flat, forest.trees, block[i:])
+
+
+def test_block_walk_steps_past_splits_whose_threshold_overflows():
+    # The midpoint of two values whose sum passes the float maximum is +inf, the threshold a leaf has
+    # too; such a split still routes every finite value left, and the walk must not stop on it.
+    rng = np.random.default_rng(15)
+    schema = make_schema(2, 3)
+    X, y = deep_batch(rng, 400, 2, 3)
+    X[:, 1] = 1.5e308 + X[:, 1] * 1e307
+    forest = RandomForestClassifier(schema, seed=7, n_trees=10)
+    with np.errstate(over="ignore"):
+        forest.fit(X, y)
+    probes = np.vstack([X[:200], rng.normal(size=(100, 2)) * [1, 1e307] + [0, 1.5e308]])
+    on_overflowed_split = sum(
+        t.feature[node] >= 0 and t.threshold[node] == np.inf
+        for t in forest.trees
+        for x in probes
+        for node in path(t, x)[7:]
+    )
+    assert on_overflowed_split >= 50  # pairs on such a split at level 7 or deeper
+    assert_walk_matches_references(forest._flat, forest.trees, probes)
 
 
 # -- candidate feature draws against Generator.choice -------------------------
