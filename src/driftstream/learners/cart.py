@@ -18,12 +18,14 @@ the first best split of each:
   ``rank`` is the dense rank of a value in its feature, taken once per fit.
   The order among equal values is free: no cut falls between them, and the
   left class counts at a cut and both child row sets depend on values only.
-- One running ``cumsum`` per class over the batch, less each segment's base,
-  gives the left (and right) class counts of every cut as exact integers.
-  Only cuts between distinct values are kept.
+- A running ``cumsum`` over the batch, less each segment's base, gives the
+  left (and right) class counts of every cut as exact integers. It counts
+  several classes at once, each in its own bit field of one int64. Only
+  cuts between distinct values are kept.
 - Each cut's Gini takes the float operations, in the same order, of a
   search over one node's contiguous (cuts x classes) counts, as in the
-  per-node reference the tests keep, so the floats are the same.
+  per-node reference the tests keep, so the floats are the same; they are
+  computed in place.
 - ``np.minimum.reduceat`` and the first hit at or after each node's first
   cut give the node's first minimum in (feature, cut) order: its first best
   split. A node searched in feature chunks keeps the first best chunk (a
@@ -32,11 +34,12 @@ the first best split of each:
 A node's candidate features are ``np.sort(rng.choice(d, max_features,
 replace=False))`` on one ``rng = default_rng(seed)`` per tree.
 ``_FeatureDraws`` makes the same draws without ``Generator.choice`` and its
-per-call set-up: it reads the seed's PCG64 words in chunks, hands out each
-word's lower 32-bit half, then its upper half, as PCG64 buffers them, and
-bounds each draw by Lemire's method (ACM TOMACS 2019), all in numpy's order:
+per-call set-up: it reads the seed's PCG64 words ahead, takes each word's
+lower 32-bit half, then its upper half, as PCG64 buffers them, and bounds
+each draw by Lemire's method (ACM TOMACS 2019), all in numpy's order:
 Floyd's algorithm and the result shuffle's draws, or numpy's tail shuffle
-when ``d > 10000`` and ``size > d // 50``.
+when ``d > 10000`` and ``size > d // 50``. A tree's draws share one
+``(d, size)``, so it makes them 64 at a time in numpy.
 
 A node's class counts are handed down from its parent (the left child takes
 the counts at the chosen cut, the right child the rest), so a leaf costs no
@@ -56,7 +59,8 @@ and threshold +inf. A block of rows then walks every tree at once, one
 vectorized step per level over its (row, tree) pairs, every few levels
 dropping the pairs already on a leaf (most paths are far shorter than the
 deepest), and the forest takes its votes with one ``bincount``.
-``predict(x)`` is the one-row case of ``predict_labels``.
+``predict(x)`` is the one-row case of ``predict_labels``. A forest's tree
+lays out its own ``_FlatTrees`` only when it is asked to predict alone.
 """
 
 from __future__ import annotations
@@ -101,6 +105,16 @@ def _class_sum(a: np.ndarray) -> np.ndarray:
     return a.sum(axis=0) if len(a) < 8 else np.ascontiguousarray(a.T).sum(axis=1)
 
 
+def _weighted_gini(counts: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """``size * (1.0 - _class_sum((counts / size) ** 2))`` per cut of (classes x cuts) ``counts``, in place."""
+    q = counts / size
+    q *= q  # the bits of ``** 2``, which numpy computes as a square
+    gini = _class_sum(q)
+    np.subtract(1.0, gini, out=gini)
+    gini *= size
+    return gini
+
+
 def _search(
     parts: list[tuple[np.ndarray, np.ndarray]], Xt: np.ndarray, ranks: np.ndarray, y: np.ndarray, k: int
 ) -> list[tuple | None]:
@@ -125,18 +139,30 @@ def _search(
     is_cut = key[1:] != key[:-1]
     is_cut[seg_end[:-1] - 1] = False
     cuts = np.flatnonzero(is_cut)
-    running = np.zeros((k, key.size + 1), dtype=np.int64)
-    np.cumsum(y.take(rows) == np.arange(k)[:, None], axis=1, out=running[:, 1:])
+    # Running class counts, packed: class c counts in bits * (c % per) and up of lane c // per, so one cumsum
+    # counts all of a lane's classes. A count stays below 2**bits, and a later position's counts are at
+    # least an earlier one's, so the packed sums and differences never carry from one class into the next.
+    bits, classes, labels = key.size.bit_length(), np.arange(k), y.take(rows)
+    per = 63 // bits
+    lanes = (k - 1) // per + 1
+    packed = np.left_shift(1, bits * (classes % per)).take(labels)
+    running = np.zeros((lanes, key.size + 1), dtype=np.int64)
+    for lane in range(lanes):
+        np.cumsum(packed if lanes == 1 else np.where(labels // per == lane, packed, 0), out=running[lane, 1:])
     seg = segment.take(cuts)
+    base = seg_start.take(seg)
     at_cut = running.take(cuts + 1, axis=1)
-    lc = at_cut - running.take(seg_start.take(seg), axis=1)  # left class counts of every cut
+    lc = at_cut - running.take(base, axis=1)
     rc = running.take(seg_end.take(seg), axis=1) - at_cut
+    if lanes > 1:
+        lc, rc = lc.take(classes // per, axis=0), rc.take(classes // per, axis=0)
+    shift, mask = (bits * (classes % per))[:, None], (1 << bits) - 1
+    lc, rc = (lc >> shift) & mask, (rc >> shift) & mask  # the left and right class counts of every cut
     m = seg_len.take(seg)
-    nl = cuts - seg_start.take(seg) + 1.0
-    nr = m - nl
-    gini_l = 1.0 - _class_sum((lc / nl) ** 2)
-    gini_r = 1.0 - _class_sum((rc / nr) ** 2)
-    weighted = (nl * gini_l + nr * gini_r) / m
+    nl = cuts - base + 1.0
+    weighted = _weighted_gini(lc, nl)
+    weighted += _weighted_gini(rc, m - nl)
+    weighted /= m  # (nl * gini_l + nr * gini_r) / m
 
     # Each part's cuts are weighted[first[i]:first[i + 1]], in (feature, cut) order.
     first = np.searchsorted(cuts, seg_start.take(np.cumsum(widths) - widths))
@@ -148,31 +174,59 @@ def _search(
     feature = seg_feature.take(seg)
     threshold = ((Xt[feature, rows.take(p)] + Xt[feature, rows.take(p + 1)]) / 2.0).tolist()
     left_counts = lc.take(at, axis=1).T.tolist()
+    starts, ends = seg_start.take(seg).tolist(), seg_end.take(seg).tolist()
     results: list[tuple | None] = [None] * len(parts)
-    for i, impurity, p, s, f, thr, counts in zip(
-        found.tolist(), best.tolist(), p.tolist(), seg.tolist(), feature.tolist(), threshold, left_counts
+    for i, impurity, p, start, end, f, thr, counts in zip(
+        found.tolist(), best.tolist(), p.tolist(), starts, ends, feature.tolist(), threshold, left_counts
     ):
-        node_rows = rows[seg_start[s] : seg_end[s]].copy()  # a copy: the children keep only their node's rows alive
-        split = p + 1 - seg_start[s]
-        results[i] = (impurity, f, thr, node_rows[:split], node_rows[split:], counts)
+        node_rows = rows[start:end].copy()  # a copy: the children keep only their node's rows alive
+        results[i] = (impurity, f, thr, node_rows[: p + 1 - start], node_rows[p + 1 - start :], counts)
     return results
+
+
+class _Halves:
+    """A PCG64 stream's 32-bit draws: each word's lower half, then its upper half, as PCG64 buffers them.
+
+    ``stream[at:]`` holds the halves read ahead and not yet taken; ``next`` takes one.
+    """
+
+    def __init__(self, seed: int | None) -> None:
+        self._bits = np.random.PCG64(seed)
+        self.stream = np.empty(0, dtype=np.uint64)
+        self.at = 0
+
+    def ahead(self, count: int) -> np.ndarray:
+        """The next ``count`` halves, without taking them."""
+        short = self.at + count - self.stream.size
+        if short > 0:
+            words = self._bits.random_raw(max(16, (short + 1) // 2))
+            halves = np.column_stack((words & 0xFFFFFFFF, words >> 32)).ravel()
+            self.stream = np.concatenate((self.stream[self.at :], halves))
+            self.at = 0
+        return self.stream[self.at : self.at + count]
+
+    def __next__(self) -> int:
+        half = self.ahead(1).item()
+        self.at += 1
+        return half
 
 
 class _FeatureDraws:
     """One tree's candidate-feature draws: ``draw(d, size)`` call after call equals
     ``np.sort(rng.choice(d, size, replace=False)).tolist()`` call after call on
-    ``rng = np.random.default_rng(seed)``, for ``1 <= size <= d < 2**32``."""
+    ``rng = np.random.default_rng(seed)``, for ``1 <= size <= d < 2**32``.
+
+    A draw from the pool moves the stream past its own halves only, so a
+    dropped pool (a new ``(d, size)``, or a draw made a half at a time)
+    leaves the stream just after the last draw.
+    """
+
+    _POOL = 64
 
     def __init__(self, seed: int | None) -> None:
-        self._halves = self._read(np.random.PCG64(seed))
-
-    @staticmethod
-    def _read(bit_generator: np.random.PCG64):
-        """The stream's 32-bit draws: each 64-bit word's lower half, then its upper half."""
-        while True:
-            for word in bit_generator.random_raw(16).tolist():  # 16 words: a forest's trees hold little memory
-                yield word & 0xFFFFFFFF
-                yield word >> 32
+        self._halves = _Halves(seed)  # not a generator over self: a cycle would outlive the fit until a full gc
+        # The pool's (d, size), the halves each of its draws takes, and its draws, the next one last.
+        self._key, self._width, self._pool = (0, 0), 0, []
 
     def _below(self, n: int) -> int:
         """A uniform integer in ``[0, n)``, ``n <= 2**32 - 1``; ``n == 1`` takes no draw, as in numpy."""
@@ -185,7 +239,35 @@ class _FeatureDraws:
                 m = next(self._halves) * n
         return m >> 32
 
+    def _fill(self, d: int, size: int) -> None:
+        """Pool the next ``_POOL`` draws for ``(d, size)`` at once: Lemire's products over a (draws x bounds)
+        block of halves, Floyd's rule a column at a time, a sort per row. The pool stops before the first
+        draw with a product whose low half is below its bound, as Lemire's rejection loop may run there."""
+        # Floyd's bounds j + 1 (bound 1 takes no draw: its value is 0), then the result shuffle's.
+        bounds = np.array([*range(max(d - size, 1) + 1, d + 1), *range(size, 1, -1)], dtype=np.uint64)
+        floyd = min(size, d - 1)
+        m = self._halves.ahead(self._POOL * bounds.size).reshape(self._POOL, bounds.size) * bounds
+        slow = ((m & 0xFFFFFFFF) < bounds).any(axis=1)
+        rows = int(slow.argmax()) if slow.any() else self._POOL
+        chosen = np.zeros((rows, size), dtype=np.int64)
+        chosen[:, size - floyd :] = m[:rows, :floyd] >> 32
+        for t in range(1, size):  # Floyd's rule: a value already chosen gives way to j
+            chosen[(chosen[:, :t] == chosen[:, t, None]).any(axis=1), t] = d - size + t
+        chosen.sort(axis=1)
+        self._key, self._width, self._pool = (d, size), bounds.size, chosen.tolist()[::-1]
+
     def draw(self, d: int, size: int) -> list[int]:
+        if d <= 10000 and size <= 100:  # wider: numpy's tail shuffle may run, or Floyd's rule costs size**2 / 2 a draw
+            if (d, size) != self._key or not self._pool:
+                self._fill(d, size)
+            if self._pool:
+                self._halves.at += self._width
+                return self._pool.pop()
+        self._pool = []
+        return self._draw_one(d, size)
+
+    def _draw_one(self, d: int, size: int) -> list[int]:
+        """``draw(d, size)`` a half at a time, as numpy takes them."""
         if d > 10000 and size > d // 50:
             # Positions d - 1 down to d - size (never 0) each swap with a position at or below; the last size stay.
             moved: dict[int, int] = {}
@@ -367,8 +449,6 @@ def _grow(
             for name, array in zip(_NODE_ARRAYS, arrays):
                 setattr(trees[i], name, array)
             trees[i].depth = depth
-    for tree in trees:
-        tree._flat = _FlatTrees([tree])
 
 
 class _FlatTrees:
@@ -471,6 +551,7 @@ class CartClassifier(BatchClassifier):
     def fit(self, X: np.ndarray, y: np.ndarray) -> None:
         X, y = self._check_batch(X, y)
         _grow([self], X, y, [np.arange(len(X), dtype=np.int32)])
+        self._flat = _FlatTrees([self])
 
     def predict(self, x: np.ndarray) -> int:
         self._check_x(x)
@@ -478,8 +559,10 @@ class CartClassifier(BatchClassifier):
 
     def predict_labels(self, X: np.ndarray) -> np.ndarray:
         X = self._check_block(X)
-        if self._flat is None:
+        if self.feature is None:
             return np.zeros(len(X), dtype=np.int64)
+        if self._flat is None:  # a forest's tree: the forest routes through its own
+            self._flat = _FlatTrees([self])
         return self._flat.leaf_labels(X)[:, 0]
 
 
@@ -515,16 +598,11 @@ class RandomForestClassifier(BatchClassifier):
         self.trees: list[CartClassifier] = []
         self._flat: _FlatTrees | None = None
 
-    def _resolve_max_features(self, d: int) -> int | None:
-        if self.max_features == "sqrt":
-            return max(1, int(math.sqrt(d)))
-        return self.max_features
-
     def fit(self, X: np.ndarray, y: np.ndarray) -> None:
         X, y = self._check_batch(X, y)
         n, d = X.shape
         seeds = np.random.SeedSequence(self.seed).generate_state(2 * self.n_trees)
-        mf = self._resolve_max_features(d)
+        mf = max(1, int(math.sqrt(d))) if self.max_features == "sqrt" else self.max_features
         self.trees, rows = [], []
         for i in range(self.n_trees):
             idx = np.random.default_rng(int(seeds[2 * i])).integers(0, n, size=n) if self.bootstrap else np.arange(n)

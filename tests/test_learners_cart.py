@@ -707,6 +707,24 @@ def test_one_row_walk_reaches_the_leaves_of_the_block_path(seed):
         assert [model.predict(x) for x in probes] == model.predict_labels(probes).tolist()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_forest_trees_build_their_route_arrays_on_first_predict(monkeypatch, workers):
+    # A forest routes through its own arrays; a member tree makes its own only when asked to predict alone.
+    rng = np.random.default_rng(8)
+    schema = make_schema(4, 3)
+    X, y = deep_batch(rng, 300, 4, 3)
+    forest = fit_with_workers(monkeypatch, workers, schema, X, y, seed=4, n_trees=6)
+    assert all(tree._flat is None for tree in forest.trees)
+    probes = np.vstack([X[:60], rng.normal(size=(60, 4))])
+    columns = forest._flat.leaf_labels(probes)
+    for i, tree in enumerate(forest.trees):
+        assert np.array_equal(tree.predict_labels(probes), columns[:, i])
+        assert [tree.predict(x) for x in probes] == columns[:, i].tolist()
+    lone = CartClassifier(schema, seed=4)
+    lone.fit(X, y)
+    assert lone._flat is not None
+
+
 # -- the compacting block walk ----------------------------------------------
 
 
@@ -859,3 +877,36 @@ def test_feature_draws_equal_generator_choice(block):
                 draw._halves = counting.halves
     assert rejected > 0.2 * bounded  # the rejection loop ran, as often as Lemire's bound predicts
 
+
+
+def test_pooled_draws_equal_generator_choice_across_refills_and_wide_draws():
+    # 300 draws of each (d, size) on one stream cross several 64-draw pools; mid-pool, a tail-shuffle draw
+    # and a draw beyond 10000 features (both made a half at a time) drop the pool, and the next draw
+    # must start just after them.
+    for seed in range(4):
+        choice = np.random.default_rng(seed)
+        draw = cart_module._FeatureDraws(seed)
+        for d, size in [(8, 2), (68, 8), (30, 29), (5, 5), (7, 1)]:
+            calls = [(d, size)] * 150 + [(10001, 300)] + [(d, size)] * 75 + [(3_000_000_000, 2)] + [(d, size)] * 75
+            for i, (d_i, size_i) in enumerate(calls):
+                want = np.sort(choice.choice(d_i, size=size_i, replace=False)).tolist()
+                assert draw.draw(d_i, size_i) == want, (seed, d, size, i)
+
+
+@pytest.mark.parametrize(
+    "d, size, position",
+    [(8, 2, 99), (68, 8, 300), (30, 29, 571), (5, 5, 1), (7, 1, 200)],  # each position's bound is no power of two
+)
+def test_a_draw_that_may_need_lemires_rejection_is_made_a_half_at_a_time(d, size, position):
+    # A zero half gives a Lemire product whose low half, 0, is below its bound; for a bound that is no
+    # power of two the rejection loop takes another half. The pooled draws must equal those made a half at
+    # a time on the same stream, and so must later draws (size == d always draws every feature).
+    streams = []
+    for _ in range(2):
+        draw = cart_module._FeatureDraws(11)
+        draw._halves.ahead(4096)
+        draw._halves.stream[position : position + 2] = 0
+        streams.append(draw)
+    pooled, one = streams
+    calls = [(d, size)] * 300 + [(30, 5)] * 20
+    assert [pooled.draw(*call) for call in calls] == [one._draw_one(*call) for call in calls]
