@@ -8,9 +8,10 @@ schema plus a fixed seed pins the full output trace of any model.
 from __future__ import annotations
 
 import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -33,6 +34,20 @@ class DataError(ToolkitError):
 
 class MetricError(ToolkitError):
     """A metric was requested on an empty or inconsistent state."""
+
+
+@contextmanager
+def reading(path, error: type[ToolkitError], what: str) -> Iterator[None]:
+    """Raise ``error`` naming ``path`` for an ``OSError`` or ``UnicodeDecodeError`` in the block."""
+    try:
+        yield
+    except FileNotFoundError:
+        raise error(f"{what} not found: {path}") from None
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start : exc.end]
+        raise error(f"{path}: bytes {bad!r} are not {exc.encoding} text ({exc.reason})") from None
 
 
 class FeatureKind(str, Enum):

@@ -23,7 +23,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .core import ConfigError, DataError, Instance, Schema
+from .core import ConfigError, DataError, Instance, Schema, reading
 from .drift import DriftStrategy, strategy_catalog
 from .ensemble import (
     BATCH,
@@ -161,10 +161,10 @@ def parse_config(data: dict) -> ExperimentConfig:
 
 def load_json(path: str | Path) -> dict:
     """A JSON config file's contents; a missing or malformed file is a ``ConfigError``."""
+    with reading(path, ConfigError, "config file"):
+        text = Path(path).read_text()
     try:
-        data = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(data, dict):
@@ -325,7 +325,7 @@ def read_run_dir(run_dir: Path) -> RunReport:
     trace = []
     trace_path = run_dir / "trace.csv"
     if trace_path.exists():
-        with trace_path.open(newline="") as fh:
+        with reading(trace_path, DataError, "trace file"), trace_path.open(newline="") as fh:
             reader = csv.reader(fh)
             next(reader, None)
             for row in reader:
@@ -335,8 +335,10 @@ def read_run_dir(run_dir: Path) -> RunReport:
                     expected = "seq,windowed_f1,cumulative_f1"
                     raise DataError(f"{trace_path}:{reader.line_num}: expected {expected}, got {row}") from None
     report_path = run_dir / "report.json"
+    with reading(report_path, DataError, "report file"):
+        text = report_path.read_text()
     try:
-        data = json.loads(report_path.read_text())
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"{report_path}: invalid JSON: {exc}") from None
     if not isinstance(data, dict):

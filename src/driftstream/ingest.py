@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import ConfigError, DataError, FeatureKind, Instance, Schema, SchemaError
+from .core import ConfigError, DataError, FeatureKind, Instance, Schema, SchemaError, reading
 
 SCHEMA_PREFIX = "#schema "
 
@@ -160,22 +160,10 @@ def _write_lines(path: str | Path, schema: Schema, target_name: str, lines: Iter
     return path
 
 
-def _undecodable(path: Path, exc: UnicodeDecodeError) -> DataError:
-    bad = exc.object[exc.start:exc.end]
-    return DataError(f"{path}: bytes {bad!r} are not {exc.encoding} text ({exc.reason})")
-
-
 def stream_schema(path: str | Path) -> Schema:
     """Read only the embedded schema manifest of a canonical stream file."""
-    try:
-        with Path(path).open() as fh:
-            first = fh.readline()
-    except FileNotFoundError:
-        raise DataError(f"stream file not found: {path}") from None
-    except (IsADirectoryError, PermissionError) as exc:
-        raise DataError(f"cannot read stream file {path}: {exc.strerror}") from None
-    except UnicodeDecodeError as exc:
-        raise _undecodable(path, exc) from None
+    with reading(path, DataError, "stream file"), Path(path).open() as fh:
+        first = fh.readline()
     if not first.startswith(SCHEMA_PREFIX):
         raise DataError(f"{path}: missing schema manifest line")
     try:
@@ -205,7 +193,7 @@ def replay(path: str | Path) -> Iterator[Instance]:
     schema = stream_schema(path)
     label_index = {label: i for i, label in enumerate(schema.class_labels)}
     n_features = schema.n_features
-    with path.open(newline="") as fh:
+    with reading(path, DataError, "stream file"), path.open(newline="") as fh:
         fh.readline()  # manifest
         reader = csv.reader(fh)
         seq = 0
@@ -227,8 +215,6 @@ def replay(path: str | Path) -> Iterator[Instance]:
                     raise DataError(f"{path}: row {row_number}: unknown class label {label!r}")
                 yield Instance(x=x, y=label_index[label], seq=seq)
                 seq += 1
-        except UnicodeDecodeError as exc:
-            raise _undecodable(path, exc) from None
         except csv.Error as exc:
             raise DataError(f"{path}: row {reader.line_num + 1}: {exc}") from None
 
@@ -244,9 +230,7 @@ def _numeric_mode(values: Sequence[float]) -> float:
 
 
 def _read_csv_rows(path: Path) -> tuple[list[str], list[list[str]]]:
-    if not path.exists():
-        raise DataError(f"input file not found: {path}")
-    with path.open(newline="") as fh:
+    with reading(path, DataError, "input file"), path.open(newline="") as fh:
         try:
             manifest = fh.readline().startswith(SCHEMA_PREFIX)
             if not manifest:
@@ -254,8 +238,6 @@ def _read_csv_rows(path: Path) -> tuple[list[str], list[list[str]]]:
             reader = csv.reader(fh)
             header = next(reader, None)
             rows = [row for row in reader if row]
-        except UnicodeDecodeError as exc:
-            raise _undecodable(path, exc) from None
         except csv.Error as exc:
             raise DataError(f"{path}: line {reader.line_num + manifest}: {exc}") from None
     if header is None:

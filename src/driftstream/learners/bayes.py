@@ -2,14 +2,13 @@
 
 The online model keeps its class and global statistics in ``RunningMoments``,
 as Hoeffding-tree leaves and the online logistic scaler do. Both variants
-compute the same scores in the same float operations, so fitting the batch
+score with one function, ``_gaussian_nb_log_joint``, so fitting the batch
 model on a prefix of a stream is numerically equivalent to running the online
-model over the same prefix. The online model labels one row at a time
-from ``_gaussian_nb_log_joint`` through ``first_best``, which normalises only
-on a near tie; the batch model scores a whole block at once over a (rows x
-seen classes x features) array, with the parts that depend only on the fit
-(floored variances, log prior, ``log(2 pi var)``) computed in ``fit``. Every
-block score equals the per-row score (``_gaussian_nb_scores``) bit for bit.
+model over the same prefix. The online model labels one row at a time through
+``first_best``, which normalises only on a near tie; the batch model keeps
+only its fitted counts, means and variances, and passes a whole block of rows
+to the same function as one (rows x 1 x features) array. Every block score
+equals the per-row score (``_gaussian_nb_scores``) bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from .moments import RunningMoments
 #: Keeps class-conditional densities finite on constant features.
 VAR_FLOOR_SCALE = 1e-9
 
-#: The most (rows x seen classes x features) cells a block score holds per
+#: The most (rows x classes x features) cells a block score holds per
 #: temporary array (1 MiB of floats); a larger block is scored in row chunks.
 _BLOCK_CELLS = 1 << 17
 
@@ -79,27 +78,27 @@ def _gaussian_nb_log_joint(
 ) -> np.ndarray:
     """Log prior plus log likelihood of ``x`` per class from per-(class, feature) Gaussians; an unseen class is -inf.
 
-    ``total`` is ``class_counts``' sum, which the caller has. The terms are
-    built in place in two (classes x features) buffers, with the ufuncs and
-    operands of ``log(2 pi var) + diff * diff / var``.
+    ``total`` is ``class_counts``' sum, which the caller has. ``x`` is one row,
+    or a (rows x 1 x features) block that scores every row at once (rows x
+    classes). The terms are built in place, with the ufuncs and operands of
+    ``log(2 pi var) + diff * diff / var``.
     """
     var = _floored(variances, global_variance)
     terms = x - means
     terms *= terms
     terms /= var
     var *= 2.0 * np.pi
-    log_norm = np.log(var, out=var)
-    log_norm += terms
+    terms += np.log(var, out=var)
     prior = class_counts / total
     if 0 not in class_counts.tolist():  # cheaper than entering np.errstate, as on most calls
-        log_joint = np.log(prior)
+        log_prior = np.log(prior)
     else:
         with np.errstate(divide="ignore"):  # an unseen class's log prior is -inf
-            log_joint = np.log(prior)
-    log_lik = np.add.reduce(log_norm, axis=1)
+            log_prior = np.log(prior)
+    log_lik = np.add.reduce(terms, axis=-1)
     log_lik *= -0.5
-    log_joint += log_lik
-    return log_joint
+    log_lik += log_prior
+    return log_lik
 
 
 def _gaussian_nb_scores(*args) -> np.ndarray:
@@ -151,7 +150,6 @@ class BatchGaussianNB(BatchClassifier):
         self._means = np.zeros((schema.n_classes, schema.n_features))
         self._variances = np.zeros((schema.n_classes, schema.n_features))
         self._global_variance = np.zeros(schema.n_features)
-        self._fit_terms()
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> None:
         X, y = self._check_batch(X, y)
@@ -167,17 +165,6 @@ class BatchGaussianNB(BatchClassifier):
             if rows.shape[0] >= 2:
                 self._variances[c] = rows.var(axis=0, ddof=1)
         self._global_variance = X.var(axis=0, ddof=1) if X.shape[0] >= 2 else np.zeros(X.shape[1])
-        self._fit_terms()
-
-    def _fit_terms(self) -> None:
-        """The seen classes' score terms that depend only on the fit, as ``_gaussian_nb_scores`` forms them."""
-        seen = self.class_counts > 0
-        var = _floored(self._variances, self._global_variance)[seen]
-        self._seen = np.flatnonzero(seen)
-        self._seen_means = self._means[seen]
-        self._seen_var = var
-        self._log_prior = np.log(self.class_counts[seen] / self.class_counts.sum())
-        self._log_norm = np.log(2.0 * np.pi * var)
 
     def class_means(self) -> np.ndarray:
         return self._means.copy()
@@ -187,14 +174,10 @@ class BatchGaussianNB(BatchClassifier):
 
     def _block_scores(self, X: np.ndarray) -> np.ndarray:
         """``_gaussian_nb_scores`` of every row of ``X`` at once: (rows x classes)."""
-        terms = X[:, None, :] - self._seen_means
-        # log(2 pi var) + diff * diff / var, in place: one (rows x seen x features) array.
-        np.multiply(terms, terms, out=terms)
-        np.divide(terms, self._seen_var, out=terms)
-        np.add(self._log_norm, terms, out=terms)
-        log_lik = -0.5 * np.sum(terms, axis=2)
-        log_joint = np.full((len(X), self.schema.n_classes), -np.inf)
-        log_joint[:, self._seen] = self._log_prior + log_lik
+        counts = self.class_counts
+        log_joint = _gaussian_nb_log_joint(
+            X[:, None, :], counts, self._means, self._variances, self._global_variance, counts.sum()
+        )
         scores = np.exp(log_joint - log_joint.max(axis=1, keepdims=True))
         return scores / scores.sum(axis=1, keepdims=True)
 
@@ -205,9 +188,9 @@ class BatchGaussianNB(BatchClassifier):
     def predict_labels(self, X: np.ndarray) -> np.ndarray:
         X = self._check_block(X)
         labels = np.zeros(len(X), dtype=np.int64)
-        if self._seen.size == 0:
+        if not self.class_counts.sum():
             return labels
-        step = max(1, _BLOCK_CELLS // self._seen_means.size)
+        step = max(1, _BLOCK_CELLS // self._means.size)
         for lo in range(0, len(X), step):
             # argmax_tiebreak of each row's normalised scores: the first maximum.
             labels[lo : lo + step] = self._block_scores(X[lo : lo + step]).argmax(axis=1)

@@ -1,8 +1,9 @@
 """CART decision trees and a bagged random forest.
 
 Trees use Gini impurity, midpoint thresholds between consecutive distinct
-values, unlimited depth, a minimum of two samples to split and a
-deterministic first-best tie-break. Nodes are stored in flat arrays.
+values ``a < b`` (``a`` where the midpoint rounds to ``b``), unlimited depth,
+a minimum of two samples to split and a deterministic first-best tie-break.
+Nodes are stored in flat arrays.
 
 A fit grows all of its trees in lockstep; a CART fit is the one-tree case
 and a forest fit the n-tree case. Each tree grows in its own generator
@@ -172,13 +173,15 @@ def _search(
     at = hits.take(np.searchsorted(hits, first.take(found)))  # the first minimum of each part
     p, seg = cuts.take(at), seg.take(at)
     feature = seg_feature.take(seg)
-    threshold = ((Xt[feature, rows.take(p)] + Xt[feature, rows.take(p + 1)]) / 2.0).tolist()
+    lows, highs = Xt[feature, rows.take(p)].tolist(), Xt[feature, rows.take(p + 1)].tolist()
     left_counts = lc.take(at, axis=1).T.tolist()
     starts, ends = seg_start.take(seg).tolist(), seg_end.take(seg).tolist()
     results: list[tuple | None] = [None] * len(parts)
-    for i, impurity, p, start, end, f, thr, counts in zip(
-        found.tolist(), best.tolist(), p.tolist(), starts, ends, feature.tolist(), threshold, left_counts
+    for i, impurity, p, start, end, f, a, b, counts in zip(
+        found.tolist(), best.tolist(), p.tolist(), starts, ends, feature.tolist(), lows, highs, left_counts
     ):
+        mid = a / 2.0 + b / 2.0  # (a + b) / 2 without overflow: halving a normal float is exact
+        thr = mid if mid < b else a  # in [a, b): a where mid rounds up to b
         node_rows = rows[start:end].copy()  # a copy: the children keep only their node's rows alive
         results[i] = (impurity, f, thr, node_rows[: p + 1 - start], node_rows[p + 1 - start :], counts)
     return results
@@ -458,11 +461,10 @@ class _FlatTrees:
     ``child[2 * node + (x[feature] <= threshold)]``. A leaf's children are
     itself and its threshold is +inf, so a (row, tree) pair stays on its leaf
     once there. A block steps all its pairs a level at a time; from level 7,
-    every third level it keeps only the pairs not yet on a leaf (``inner``:
-    a split's threshold can overflow to +inf too), and it stops when none is
-    left. A one-row block instead walks each tree in Python over list copies
-    of the arrays, made on first use, and stops at the leaf: the same
-    comparisons without a numpy call a level.
+    every third level it keeps only the pairs not yet on a leaf (``inner``),
+    and it stops when none is left. A one-row block instead walks each tree in
+    Python over list copies of the arrays, made on first use, and stops at the
+    leaf: the same comparisons without a numpy call a level.
     """
 
     def __init__(self, trees: list[CartClassifier]) -> None:

@@ -760,3 +760,43 @@ def test_generate_into_a_missing_directory_exits_1(tmp_path, synth_config, capsy
     err = capsys.readouterr().err
     assert f"{tmp_path / 'nodir'} is not a directory" in err and "internal error" not in err
     assert not out.parent.exists()
+
+
+def unreadable(path, kind, what):
+    """Make ``path`` a directory or a file whose bytes are not utf-8; return the message that names it."""
+    if kind == "directory":
+        path.mkdir()
+        return f"cannot read {what} {path}: Is a directory"
+    path.write_bytes(b'{"seed": 1\xff}')
+    return "bytes b'\\xff' are not utf-8 text"
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf-8"])
+@pytest.mark.parametrize("command", ["run", "generate"])
+def test_unreadable_config_exits_1_naming_it(tmp_path, command, kind, capsys):
+    message = unreadable(tmp_path / "cfg.json", kind, "config file")
+    assert main([command, "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "internal error" not in err
+
+
+def test_preprocess_input_that_is_a_directory_exits_2_naming_it(tmp_path, capsys):
+    message = unreadable(tmp_path / "raw", "directory", "input file")
+    config = write_json(tmp_path / "ing.json", {"input": str(tmp_path / "raw"), "target_column": "target"})
+    assert main(["preprocess", "--config", config, "--out", str(tmp_path / "s.dsv")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("name, kind", [("report.json", "directory"), ("trace.csv", "not-utf-8")])
+def test_report_on_an_unreadable_run_file_exits_2_naming_it(tmp_path, synth_config, name, kind, capsys):
+    stream = tmp_path / "s.dsv"
+    assert main(["generate", "--config", synth_config, "--out", str(stream), "--quiet"]) == 0
+    run = tmp_path / "runs" / "gnb"
+    config = experiment_config(tmp_path, stream, {"type": "online", "algorithm": "gnb"})
+    assert main(["run", "--config", config, "--out", str(run), "--quiet"]) == 0
+    (run / name).unlink()
+    message = unreadable(run / name, kind, "report file")
+    assert main(["report", str(tmp_path / "runs"), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "internal error" not in err

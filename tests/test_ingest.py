@@ -459,6 +459,7 @@ CATEGORY_CELLS = st.sampled_from(
 DATE_CELLS = st.sampled_from(["2020-01-02", "2020-01-01", "2019-12-31", "2020-1-3", "2020-02-30", "soon", ""])
 DROP_CELLS = st.sampled_from(["id1", "", "a,b", 'q"', "\n"])
 TARGET_CELLS = st.sampled_from(["x", "y", "", " ", "a,b", 'q"q', "l\nm", " z", "x "])
+BLANK_TARGET_CELLS = st.sampled_from(["", " "])
 CELLS = {
     "numeric": NUMERIC_CELLS,
     "binary": BINARY_CELLS,
@@ -487,7 +488,8 @@ def raw_csvs(draw):
     of_kind = {kind: [n for n, k in zip(names, kinds) if k == kind] for kind in CELLS}
     at = draw(st.integers(0, len(kinds)))
     names.insert(at, "target")
-    columns.insert(at, draw(st.lists(TARGET_CELLS, min_size=n_rows, max_size=n_rows)))
+    targets = BLANK_TARGET_CELLS if draw(st.integers(0, 9)) == 0 else TARGET_CELLS  # all blank: no rows remain
+    columns.insert(at, draw(st.lists(targets, min_size=n_rows, max_size=n_rows)))
     rows = [list(row) for row in zip(*columns)]
     if draw(st.integers(0, 9)) == 0:
         short = draw(st.integers(0, n_rows - 1))

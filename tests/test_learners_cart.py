@@ -1,5 +1,6 @@
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,31 @@ def test_cart_zero_gain_splits_still_solve_xor():
     tree = CartClassifier(schema)
     tree.fit(X, y)
     assert [tree.predict(x) for x in X] == y.tolist()
+
+
+_ODD = np.nextafter(1.0, 2.0)  # 1 + 2**-52: an odd mantissa, so the midpoint with its successor rounds up to it
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [1.0e308, 1.2e308, 1.4e308, 1.6e308],  # (a + b) / 2 overflows to +inf
+        [-1.6e308, -1.4e308, -1.2e308, -1.0e308],  # ... and to -inf
+        [1.0, _ODD, np.nextafter(_ODD, 2.0), 1.0 + 2.0**-50],  # adjacent a = _ODD and b: (a + b) / 2 == b
+    ],
+)
+def test_split_thresholds_keep_the_training_partition(values):
+    X, y = np.array(values)[:, None], np.array([0, 0, 1, 1])
+    models = [
+        CartClassifier(make_schema(1, 2)),
+        RandomForestClassifier(make_schema(1, 2), n_trees=3, bootstrap=False, max_features=None, seed=1),
+    ]
+    for model in models:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model.fit(X, y)
+        assert model.predict_labels(X).tolist() == y.tolist()
+        assert [model.predict(x) for x in X] == y.tolist()
 
 
 def test_forest_single_tree_without_bootstrap_equals_cart():
@@ -283,7 +309,8 @@ def test_predict_labels_rejects_a_block_of_the_wrong_width():
 
 
 class ReferenceCart(CartClassifier):
-    """The per-node, per-feature split search that the vectorized fit replaced, verbatim."""
+    """The per-node, per-feature split search that the vectorized fit replaced, verbatim but for the
+    threshold rule, which both share: the midpoint of ``a < b`` unless it rounds to ``b``, then ``a``."""
 
     def _best_split(self, X: np.ndarray, y: np.ndarray, idx: np.ndarray, rng) -> tuple | None:
         d = X.shape[1]
@@ -319,7 +346,9 @@ class ReferenceCart(CartClassifier):
             j = int(np.argmin(weighted))
             if weighted[j] < best_impurity:
                 best_impurity = weighted[j]
-                thr = (xs[cut[j] - 1] + xs[cut[j]]) / 2.0
+                a, b = xs[cut[j] - 1], xs[cut[j]]
+                mid = a / 2.0 + b / 2.0
+                thr = mid if mid < b else a
                 best = (int(f), float(thr), order, int(cut[j]))
         if best is None:
             return None
@@ -809,25 +838,26 @@ def test_block_walk_of_every_block_size_and_partial_block(n_trees):
         assert_walk_matches_references(flat, forest.trees, block[i:])
 
 
-def test_block_walk_steps_past_splits_whose_threshold_overflows():
-    # The midpoint of two values whose sum passes the float maximum is +inf, the threshold a leaf has
-    # too; such a split still routes every finite value left, and the walk must not stop on it.
+def test_block_walk_steps_past_splits_whose_threshold_is_inf():
+    # A fit keeps every threshold below a split's upper value, but the walk tells a leaf by ``inner``,
+    # not by the +inf threshold a leaf has: a split at +inf routes every finite value left, and the
+    # walk must not stop on it.
     rng = np.random.default_rng(15)
     schema = make_schema(2, 3)
     X, y = deep_batch(rng, 400, 2, 3)
-    X[:, 1] = 1.5e308 + X[:, 1] * 1e307
     forest = RandomForestClassifier(schema, seed=7, n_trees=10)
-    with np.errstate(over="ignore"):
-        forest.fit(X, y)
-    probes = np.vstack([X[:200], rng.normal(size=(100, 2)) * [1, 1e307] + [0, 1.5e308]])
-    on_overflowed_split = sum(
+    forest.fit(X, y)
+    for tree in forest.trees:
+        tree.threshold[np.flatnonzero(tree.feature == 1)[::2]] = np.inf
+    probes = np.vstack([X[:200], rng.normal(size=(100, 2))])
+    on_inf_split = sum(
         t.feature[node] >= 0 and t.threshold[node] == np.inf
         for t in forest.trees
         for x in probes
         for node in path(t, x)[7:]
     )
-    assert on_overflowed_split >= 50  # pairs on such a split at level 7 or deeper
-    assert_walk_matches_references(forest._flat, forest.trees, probes)
+    assert on_inf_split >= 50  # pairs on such a split at level 7 or deeper
+    assert_walk_matches_references(cart_module._FlatTrees(forest.trees), forest.trees, probes)
 
 
 # -- candidate feature draws against Generator.choice -------------------------
