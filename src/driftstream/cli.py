@@ -37,6 +37,13 @@ def _refuse_missing_dir(path: Path) -> None:
         raise ConfigError(f"cannot write {path}: {path.parent} is not a directory")
 
 
+def _refuse_file_in_the_way(out_dir: Path) -> None:
+    """Refuse an output directory that is, or would be made under, something other than a directory."""
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"cannot write into {out_dir}: {existing} is not a directory")
+
+
 def cmd_preprocess(args) -> int:
     data = load_json(args.config)
     if "input" not in data:
@@ -72,6 +79,7 @@ def cmd_run(args) -> int:
         data["seed"] = args.seed
     config = parse_config(data)
     out_dir = Path(args.out)
+    _refuse_file_in_the_way(out_dir)
     _refuse_existing(out_dir / "report.json", args.force)
     report = run_experiment(config, out_dir=out_dir)
     _say(
@@ -98,15 +106,16 @@ def cmd_report(args) -> int:
     table = ranking(per_stream)
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ranking_path = out_dir / "ranking.csv"
+    ranking_path, traces_path = out_dir / "ranking.csv", out_dir / "traces.csv"
+    _refuse_file_in_the_way(out_dir)
     _refuse_existing(ranking_path, args.force)
+    _refuse_existing(traces_path, args.force)
+    out_dir.mkdir(parents=True, exist_ok=True)
     with ranking_path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["position", "method", "ranking_score"])
         for row in table:
             writer.writerow([row.position, row.method, f"{row.score:.4f}"])
-    traces_path = out_dir / "traces.csv"
     with traces_path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["method", "stream", "seq", "windowed_f1", "cumulative_f1"])

@@ -10,7 +10,7 @@ classes they never saw.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence
 
@@ -91,28 +91,23 @@ def f1_from_pairs(y_true: Sequence[int], y_pred: Sequence[int], n_classes: int) 
 class PrequentialState:
     """Test-then-train metric accumulator.
 
-    Maintains a cumulative confusion matrix over all scored instances and a
-    sliding window of the most recent ``window_size`` (true, predicted)
-    pairs. Callers must only feed predictions that were produced before the
-    true label was revealed.
+    Counts every scored instance in a cumulative confusion matrix and the
+    instances since the last ``new_window()`` in a windowed one. Callers must
+    only feed predictions that were produced before the true label was
+    revealed.
     """
 
-    def __init__(self, n_classes: int, window_size: int) -> None:
-        if window_size < 1:
-            raise MetricError("window size must be positive")
+    def __init__(self, n_classes: int) -> None:
+        self.n_classes = n_classes
         self.cumulative = ConfusionMatrix(n_classes)
-        self.window = ConfusionMatrix(n_classes)
-        self.window_size = window_size
-        self._records: deque[tuple[int, int]] = deque()
+        self.new_window()
+
+    def new_window(self) -> None:
+        self.window = ConfusionMatrix(self.n_classes)
 
     def update(self, y_true: int, y_pred: int) -> None:
         self.cumulative.update(y_true, y_pred)
-        records = self._records
-        records.append((y_true, y_pred))
-        if len(records) > self.window_size:
-            self.window.slide(y_true, y_pred, *records.popleft())
-        else:
-            self.window.update(y_true, y_pred)
+        self.window.update(y_true, y_pred)
 
     def cumulative_f1(self) -> float:
         return self.cumulative.f1_macro()

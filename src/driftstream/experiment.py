@@ -5,7 +5,7 @@ A run directory always contains the same file names:
 * ``report.json``   summary (deterministic: identical config + seed gives
   identical bytes; wall time lives in ``timing.json`` for that reason)
 * ``trace.csv``     (seq, windowed_f1, cumulative_f1) sampled every
-  ``trace_every`` instances
+  ``trace_every`` instances; windowed_f1 covers the rows since the previous sample
 * ``events.csv``    drift and replacement log
   (seq, member, event, source, score)
 * ``timing.json``   wall time and the swallowed member failures, excluded
@@ -235,7 +235,7 @@ def run_stream(
     The stream is read in blocks of ``READ_AHEAD`` rows, so frozen models can
     label a block in one call; each row is still processed on its own.
     """
-    metrics = PrequentialState(ensemble.schema.n_classes, window_size=trace_every)
+    metrics = PrequentialState(ensemble.schema.n_classes)
     trace: list[tuple[int, float, float]] = []
     events: list = []
     n = 0
@@ -248,7 +248,8 @@ def run_stream(
             events.extend(step.events)
             n += 1
             if n % trace_every == 0:
-                trace.append((n, float(metrics.windowed_f1()), float(metrics.cumulative_f1())))
+                trace.append((n, metrics.windowed_f1(), metrics.cumulative_f1()))
+                metrics.new_window()
     if n == 0:
         raise DataError("stream produced no instances")
     return RunResult(

@@ -28,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -219,10 +219,6 @@ def replay(path: str | Path) -> Iterator[Instance]:
             raise DataError(f"{path}: row {reader.line_num + 1}: {exc}") from None
 
 
-def _is_missing_numeric(value: str) -> bool:
-    return value.strip().lower() in _MISSING_MARKERS
-
-
 def _numeric_mode(values: Sequence[float]) -> float:
     """Most frequent value; ties resolve to the smallest value."""
     uniques, counts = np.unique(np.asarray(values, dtype=float), return_counts=True)
@@ -286,35 +282,19 @@ def preprocess_csv(raw_path: str | Path, config: IngestConfig, out_path: str | P
     numeric = [name for name in feature_columns if name not in categorical]
     columns = list(zip(*rows))  # in file order, like every check below
 
-    # Each distinct text of a numeric column is parsed once (None marks a
-    # missing cell). Distinct texts come in order of first appearance, so a
-    # column's first unparsable text is its first unparsable cell.
-    parsed: dict[str, dict[str, float | None]] = {}
-    first_bad = None  # (row, column position, name, text), the least in row-major order
-    for position, name in enumerate(numeric):
-        column = columns[col_index[name]]
-        parsed[name] = values = {}
-        for text in dict.fromkeys(column):
-            if _is_missing_numeric(text):
-                values[text] = None
-                continue
-            try:
-                values[text] = float(text)
-            except ValueError:
-                bad = (column.index(text), position, name, text)
-                first_bad = bad if first_bad is None else min(first_bad, bad)
-                break
-    if first_bad is not None:
-        _, _, name, text = first_bad
-        raise DataError(
-            f"{raw_path}: column {name!r} has non-numeric value {text!r}; declare it categorical or drop it"
-        )
+    # Each distinct text of a numeric column is parsed once (None marks a missing cell).
+    parsed = _parse_once(
+        [columns[col_index[name]] for name in numeric],
+        lambda text: None if text.strip().lower() in _MISSING_MARKERS else float(text),
+        lambda i, text, _: f"{raw_path}: column {numeric[i]!r} has non-numeric value {text!r}; "
+        "declare it categorical or drop it",
+    )
 
     # One output piece per distinct text: a float repr, or a whole one-hot block.
     pieces: dict[str, dict[str, str]] = {}
     binary: dict[str, bool] = {}
-    for name in numeric:
-        column, values = columns[col_index[name]], parsed[name]
+    for name, values in zip(numeric, parsed):
+        column = columns[col_index[name]]
         present = [v for v in values.values() if v is not None]
         if not present:
             raise DataError(f"{raw_path}: numeric column {name!r} has no usable values")
@@ -369,29 +349,42 @@ def preprocess_csv(raw_path: str | Path, config: IngestConfig, out_path: str | P
 
 
 def _chronological_order(raw_path: Path, columns: list[tuple[str, ...]], datetime_format: str | None) -> list[int]:
-    """Row positions in stable order of the datetime columns' keys.
-
-    With a ``datetime_format`` each distinct text is parsed once; the first
-    unparsable cell in row-major order is the one reported.
-    """
+    """Row positions in stable order of the datetime columns' keys, parsed with ``datetime_format`` if given."""
     keys = columns
     if datetime_format:
-        keys, first_bad = [], None
-        for position, column in enumerate(columns):
-            parsed = {}
-            for text in dict.fromkeys(column):
-                try:
-                    parsed[text] = datetime.strptime(text, datetime_format)
-                except ValueError as exc:
-                    bad = (column.index(text), position, text, str(exc))
-                    first_bad = bad if first_bad is None else min(first_bad, bad)
-                    break
-            keys.append(list(map(parsed.get, column)))
-        if first_bad is not None:
-            _, _, text, reason = first_bad
-            raise DataError(f"{raw_path}: bad datetime {text!r}: {reason}")
+        parsed = _parse_once(
+            columns,
+            lambda text: datetime.strptime(text, datetime_format),
+            lambda _, text, exc: f"{raw_path}: bad datetime {text!r}: {exc}",
+        )
+        keys = [list(map(values.__getitem__, column)) for values, column in zip(parsed, columns)]
     row_keys = list(zip(*keys))
     return sorted(range(len(row_keys)), key=row_keys.__getitem__)
+
+
+def _parse_once(
+    columns: Sequence[Sequence[str]], parse: Callable[[str], object], complaint: Callable[[int, str, ValueError], str]
+) -> list[dict]:
+    """Each column's distinct texts mapped through ``parse``, which parses each text once.
+
+    Distinct texts come in order of first appearance, so a column's first text
+    that ``parse`` refuses with a ValueError is its first unparsable cell. The
+    first such cell in row-major order raises a DataError with the message
+    ``complaint(column position, text, error)``.
+    """
+    parsed, first_bad = [], None
+    for position, column in enumerate(columns):
+        parsed.append(values := {})
+        for text in dict.fromkeys(column):
+            try:
+                values[text] = parse(text)
+            except ValueError as exc:
+                bad = (column.index(text), position, text, exc)  # positions differ, so min never compares exc
+                first_bad = bad if first_bad is None else min(first_bad, bad)
+                break
+    if first_bad is not None:
+        raise DataError(complaint(*first_bad[1:]))
+    return parsed
 
 
 def _check_unique_names(raw_path: Path, feature_columns: list[str], categories: dict[str, list[str]]) -> None:
@@ -411,51 +404,43 @@ def _check_unique_names(raw_path: Path, feature_columns: list[str], categories: 
         raise DataError(f"{raw_path}: duplicate feature names: {'; '.join(clashes)}")
 
 
-def _synthetic_parts(config: SynthConfig) -> tuple[Schema, np.ndarray, "Iterator[np.ndarray]"]:
-    """Schema, label vector and feature-row generator for a synthetic config."""
+def _synthetic_parts(config: SynthConfig) -> tuple[Schema, np.ndarray, np.ndarray]:
+    """Schema, label vector and (rows x features) array for a synthetic config.
+
+    Each row is its class's mean plus unit Gaussian noise. The means are set
+    one drift segment at a time, from a drift point up to the next: for gradual
+    drift the segment's first ``gradual_width`` rows interpolate toward the new
+    class-to-mean assignment, and every later row takes it.
+    """
     rng = np.random.default_rng(config.seed)
-    k, d = config.n_classes, config.n_features
+    k, d, n = config.n_classes, config.n_features, config.n_instances
     means = rng.normal(size=(k, d))
     means *= config.class_separation / np.linalg.norm(means, axis=1, keepdims=True)
 
-    def next_permutation(current: np.ndarray) -> np.ndarray:
-        while True:
+    assignments = [np.arange(k)]  # class -> mean row, before and after each drift point
+    for _ in config.drift_points:
+        perm = rng.permutation(k)
+        while np.array_equal(perm, assignments[-1]):
             perm = rng.permutation(k)
-            if not np.array_equal(perm, current):
-                return perm
-
-    segments: list[tuple[int, np.ndarray, np.ndarray]] = []  # (start, before, after)
-    prev = np.arange(k)
-    for point in config.drift_points:
-        nxt = next_permutation(prev)
-        segments.append((point, prev, nxt))
-        prev = nxt
-
-    def means_at(seq: int) -> np.ndarray:
-        current = means[np.arange(k)]
-        for start, before, after in segments:
-            if seq < start:
-                break
-            if config.drift_kind == "abrupt" or seq >= start + config.gradual_width:
-                current = means[after]
-            else:
-                t = (seq - start + 1) / config.gradual_width
-                current = (1.0 - t) * means[before] + t * means[after]
-        return current
+        assignments.append(perm)
 
     schema = Schema(
         feature_names=tuple(f"f{j}" for j in range(d)),
         feature_kinds=tuple(FeatureKind.NUMERIC for _ in range(d)),
         class_labels=tuple(f"c{c}" for c in range(k)),
     )
-    labels = rng.integers(0, k, size=config.n_instances)
-    noise = rng.normal(size=(config.n_instances, d))
-
-    def rows() -> Iterator[np.ndarray]:
-        for seq in range(config.n_instances):
-            yield means_at(seq)[labels[seq]] + noise[seq]
-
-    return schema, labels, rows()
+    labels = rng.integers(0, k, size=n)
+    rows = means[labels]
+    width = config.gradual_width if config.drift_kind == "gradual" else 0
+    ends = [*config.drift_points[1:], n]
+    for start, end, before, after in zip(config.drift_points, ends, assignments, assignments[1:]):
+        stop = min(start + width, end)
+        t = (np.arange(1, stop - start + 1) / width)[:, None]
+        y = labels[start:stop]
+        rows[start:stop] = (1.0 - t) * means[before[y]] + t * means[after[y]]
+        rows[stop:end] = means[after[labels[stop:end]]]
+    rows += rng.normal(size=(n, d))
+    return schema, labels, rows
 
 
 def synthetic_instances(config: SynthConfig) -> tuple[Schema, Iterator[Instance]]:

@@ -762,6 +762,34 @@ def test_generate_into_a_missing_directory_exits_1(tmp_path, synth_config, capsy
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_run_into_a_file_exits_1_before_the_stream(tmp_path, out, capsys):
+    # The stream does not exist: a run that opened it would exit 2.
+    (tmp_path / "afile").write_text("keep\n")
+    config = experiment_config(tmp_path, tmp_path / "absent.dsv", {"type": "online", "algorithm": "gnb"})
+    assert main(["run", "--config", config, "--out", str(tmp_path / out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'afile'} is not a directory" in err and "internal error" not in err
+    assert (tmp_path / "afile").read_text() == "keep\n"
+
+
+def test_report_refuses_an_existing_traces_csv_and_a_file_out_dir(tmp_path, synth_config, capsys):
+    stream = tmp_path / "s.dsv"
+    assert main(["generate", "--config", synth_config, "--out", str(stream), "--quiet"]) == 0
+    config = experiment_config(tmp_path, stream, {"type": "online", "algorithm": "gnb"})
+    assert main(["run", "--config", config, "--out", str(tmp_path / "runs" / "gnb"), "--quiet"]) == 0
+    out = tmp_path / "rep"
+    out.mkdir()
+    (out / "traces.csv").write_text("keep\n")
+    assert main(["report", str(tmp_path / "runs"), "--out", str(out)]) == 1
+    assert f"{out / 'traces.csv'} already exists" in capsys.readouterr().err
+    assert (out / "traces.csv").read_text() == "keep\n" and not (out / "ranking.csv").exists()
+    assert main(["report", str(tmp_path / "runs"), "--out", str(out), "--force", "--quiet"]) == 0
+    assert (out / "traces.csv").read_text().startswith("method,stream,seq,")
+    assert main(["report", str(tmp_path / "runs"), "--out", str(stream)]) == 1
+    assert f"{stream} is not a directory" in capsys.readouterr().err
+
+
 def unreadable(path, kind, what):
     """Make ``path`` a directory or a file whose bytes are not utf-8; return the message that names it."""
     if kind == "directory":

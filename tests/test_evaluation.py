@@ -107,39 +107,48 @@ def test_f1_matches_oracle_and_permutation_invariance(k, seed):
 
 
 def test_prequential_single_correct_instance():
-    state = PrequentialState(n_classes=2, window_size=10)
+    state = PrequentialState(n_classes=2)
     state.update(1, 1)
     assert state.cumulative_f1() == 1.0
     assert state.windowed_f1() == 1.0
 
 
 def test_prequential_ring_eviction():
-    state = PrequentialState(n_classes=2, window_size=2)
-    state.update(0, 1)  # wrong, will be evicted
+    state = PrequentialState(n_classes=2)
+    state.update(0, 1)  # wrong, leaves the window at new_window()
+    state.new_window()
     state.update(1, 1)
     state.update(0, 0)
     assert state.windowed_f1() == 1.0
     assert state.cumulative_f1() < 1.0
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=25))
-def test_windowed_f1_matches_rebuilt_matrix(seed, window):
-    rng = np.random.default_rng(seed)
-    state = PrequentialState(n_classes=3, window_size=window)
-    pairs = []
-    for _ in range(60):
-        t, p = int(rng.integers(3)), int(rng.integers(3))
-        state.update(t, p)
-        pairs.append((t, p))
-        recent = pairs[-window:]
-        rebuilt = f1_from_pairs([a for a, _ in recent], [b for _, b in recent], 3)
-        assert state.windowed_f1() == rebuilt  # same integer counts, so the same float
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.tuples(st.integers(0, 2), st.integers(0, 2)), st.none()), max_size=80))
+def test_windowed_f1_matches_rebuilt_matrix(steps):
+    # None starts a new window; a pair is scored. The windowed F1 is that of
+    # the pairs since the last new window, the cumulative F1 that of all pairs.
+    state = PrequentialState(n_classes=3)
+    pairs, window = [], []
+    for step in steps:
+        if step is None:
+            state.new_window()
+            window = []
+        else:
+            state.update(*step)
+            pairs.append(step)
+            window.append(step)
+        for scored, f1 in ((window, state.windowed_f1), (pairs, state.cumulative_f1)):
+            if scored:  # same integer counts, so the same float
+                assert f1().hex() == f1_from_pairs(*zip(*scored), 3).hex()
+            else:
+                with pytest.raises(MetricError):
+                    f1()
 
 
 def test_cumulative_f1_changes_slowly_after_burn_in():
     rng = np.random.default_rng(9)
-    state = PrequentialState(n_classes=3, window_size=50)
+    state = PrequentialState(n_classes=3)
     previous = None
     for i in range(2000):
         t = int(rng.integers(3))

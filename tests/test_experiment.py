@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 from driftstream.core import ConfigError, FeatureKind, Instance, Schema
 from driftstream.drift import LAST_WINDOW, SINCE_LAST_REPLACEMENT
 from driftstream.ensemble import EnsembleConfig, HybridEnsemble, MemberSpec
+from driftstream.evaluation import f1_from_pairs
 from driftstream.experiment import (
     build_member_specs,
     load_json,
@@ -22,7 +23,7 @@ from driftstream.experiment import (
     run_experiment,
     run_stream,
 )
-from driftstream.ingest import write_stream
+from driftstream.ingest import synthetic_instances, write_stream
 
 
 def test_resolve_strategy_from_catalog_id():
@@ -214,6 +215,29 @@ def test_shadow_metric_accuracy_mode():
     result = run_stream(HybridEnsemble(schema, config), instances, trace_every=100)
     assert result.drift_count >= 1
     assert result.replacement_count >= 1
+
+
+@pytest.mark.parametrize("trace_every", [1, 7])
+def test_each_trace_row_scores_the_rows_since_the_previous_one(trace_every):
+    raw = {
+        "stream": {"synthetic": {"n_instances": 100, "n_features": 3, "n_classes": 3, "drift_points": [50]}},
+        "method": {"type": "ensemble", "batch_algorithm": "gnb", "strategies": [{"id": "S4", "s": 20}]},
+        "first_fit_size": 30, "shadow_eval_size": 10, "score_window": 20,
+    }
+    config = parse_config(raw)
+    schema, instances = synthetic_instances(config.synth)
+    instances = list(instances)
+    result = run_stream(HybridEnsemble(schema, config), instances, trace_every=trace_every)
+    twin = HybridEnsemble(schema, config)
+    truth = [inst.y for inst in instances]
+    labels = [twin.process_instance(inst).final_label for inst in instances]
+
+    def f1(lo, hi):
+        return f1_from_pairs(truth[lo:hi], labels[lo:hi], 3).hex()
+
+    expected = [(n, f1(n - trace_every, n), f1(0, n)) for n in range(trace_every, 101, trace_every)]
+    assert [(n, w.hex(), c.hex()) for n, w, c in result.trace] == expected
+    assert result.final_f1.hex() == f1(0, 100)
 
 
 # ---------------------------------------------------------------------------

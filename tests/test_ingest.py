@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import tempfile
 from datetime import datetime
@@ -194,6 +195,41 @@ def test_synthetic_file_matches_in_memory_instances(tmp_path):
     for from_file, from_mem in zip(replay(path), instances):
         assert from_file.y == from_mem.y
         assert np.allclose(from_file.x, from_mem.x)
+
+
+#: SHA-256 of the stream file each config writes, taken when every row's class
+#: means were still looked up one row at a time.
+SYNTHETIC_SHA256 = [
+    (  # a gradual window that runs past the next drift point
+        dict(n_instances=300, n_features=3, n_classes=3, drift_points=[50, 90, 200], drift_kind="gradual",
+             gradual_width=60, seed=11),
+        "f0ccb3f83eb463bc10144524eb2ee22af5bf2cb61a37961282adbf0902c0b35f",
+    ),
+    (  # gradual drifts at the first and the last row
+        dict(n_instances=120, n_features=2, n_classes=2, drift_points=[0, 119], drift_kind="gradual",
+             gradual_width=7, seed=12),
+        "e8c876524d09bc4446a98dcea3c30752b2d7335796695e76ebb0a15b35d9efdb",
+    ),
+    (  # abrupt drifts at the first and the last row, five classes
+        dict(n_instances=120, n_features=4, n_classes=5, drift_points=[0, 60, 119], seed=13),
+        "ce812db1f9cdecb3df318380417b39044beed3bcf79dd7774ed5412f09d5fe07",
+    ),
+    (  # five classes, every gradual window running past the end of the stream
+        dict(n_instances=200, n_features=3, n_classes=5, drift_points=[10, 40, 45], drift_kind="gradual",
+             gradual_width=250, seed=14, class_separation=2.5),
+        "35757de5ea469167e60cc1b6b88fdb74ed13d17b5227ae77cf08202646d0f7c9",
+    ),
+    (  # one feature, an abrupt drift at the last row
+        dict(n_instances=80, n_features=1, n_classes=2, drift_points=[79], seed=15),
+        "bdf4ec294e4de3d1c1bfbc3db597bde517c52bdfcb560a73ff7f10e93891e28b",
+    ),
+]
+
+
+@pytest.mark.parametrize("config, digest", SYNTHETIC_SHA256)
+def test_synthetic_stream_bytes_are_pinned(tmp_path, config, digest):
+    _, path = generate_synthetic(SynthConfig(**config), tmp_path / "s.dsv")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_synthetic_requires_two_classes():
