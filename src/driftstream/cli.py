@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .core import ConfigError, DataError, MetricError, SchemaError, ToolkitError
 from .evaluation import ranking
-from .experiment import load_json, parse_config, read_run_dir, run_experiment
+from .experiment import RUN_FILES, load_json, parse_config, read_run_dir, run_experiment
 from .ingest import IngestConfig, SynthConfig, config_from_dict, generate_synthetic, preprocess_csv
 
 EXIT_OK = 0
@@ -80,7 +80,8 @@ def cmd_run(args) -> int:
     config = parse_config(data)
     out_dir = Path(args.out)
     _refuse_file_in_the_way(out_dir)
-    _refuse_existing(out_dir / "report.json", args.force)
+    for name in RUN_FILES:
+        _refuse_existing(out_dir / name, args.force)
     report = run_experiment(config, out_dir=out_dir)
     _say(
         args,

@@ -88,12 +88,6 @@ class Schema:
     def n_classes(self) -> int:
         return len(self.class_labels)
 
-    def class_index(self, label: str) -> int:
-        try:
-            return self.class_labels.index(label)
-        except ValueError:
-            raise SchemaError(f"unknown class label {label!r}") from None
-
 
 @dataclass
 class Instance:

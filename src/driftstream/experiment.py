@@ -36,12 +36,15 @@ from .ensemble import (
     WEIGHTED_VOTE,
 )
 from .evaluation import PrequentialState, RunReport
-from .ingest import SynthConfig, config_from_dict, replay, stream_schema, synthetic_instances
+from .ingest import BLOCK_ROWS, SynthConfig, config_from_dict, replay, stream_schema, synthetic_instances
 
 ONLINE_DISPLAY = {"gnb": "GNB", "hoeffding": "HT", "logreg": "OLR"}
 
-#: Rows ``run_stream`` reads ahead per block.
-READ_AHEAD = 256
+#: The files of a run directory, as the module docstring lists them.
+RUN_FILES = ("report.json", "trace.csv", "events.csv", "timing.json")
+
+#: Rows ``run_stream`` reads ahead per block: one block of ``replay``.
+READ_AHEAD = BLOCK_ROWS
 
 _STRATEGY_ALIASES = {"theta": "threshold", "s": "window_size", "alpha": "perf_tolerance"}
 _STRATEGY_FIELDS = {f.name for f in fields(DriftStrategy)} - {"id"}

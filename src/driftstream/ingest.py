@@ -26,6 +26,8 @@ import math
 import numbers
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import itemgetter
 from datetime import datetime
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -35,6 +37,9 @@ import numpy as np
 from .core import ConfigError, DataError, FeatureKind, Instance, Schema, SchemaError, reading
 
 SCHEMA_PREFIX = "#schema "
+
+#: Csv rows ``replay`` reads and parses at a time.
+BLOCK_ROWS = 256
 
 #: Largest accepted ``SynthConfig.class_separation``. Class means farther apart
 #: than this, in units of the unit-variance noise, separate the classes no
@@ -184,39 +189,79 @@ def stream_schema(path: str | Path) -> Schema:
 def replay(path: str | Path) -> Iterator[Instance]:
     """Yield the stored instances in order, with seq equal to row position.
 
-    Memory use is constant in the stream length. Malformed rows, including
-    rows with a nan or infinite feature value or a field longer than the csv
-    module's limit, raise a DataError naming the offending row; bytes that
-    do not decode raise one naming the file.
+    Rows are parsed ``BLOCK_ROWS`` at a time, so memory use is bounded by one
+    block, and each ``x`` is a row of its block's (rows x features) array.
+    Malformed rows, including rows with a nan or infinite feature value or a
+    field longer than the csv module's limit, raise a DataError naming the
+    offending row once the rows before it are yielded; bytes that do not
+    decode raise one naming the file.
     """
     path = Path(path)
     schema = stream_schema(path)
     label_index = {label: i for i, label in enumerate(schema.class_labels)}
-    n_features = schema.n_features
+    width = schema.n_features + 1
     with reading(path, DataError, "stream file"), path.open(newline="") as fh:
         fh.readline()  # manifest
         reader = csv.reader(fh)
-        seq = 0
         try:
             next(reader, None)  # header row
-            for row_number, row in enumerate(reader, start=3):
-                if not row:
-                    continue
-                if len(row) != n_features + 1:
-                    raise DataError(f"{path}: row {row_number}: expected {n_features + 1} fields, got {len(row)}")
-                try:
-                    x = np.array([float(v) for v in row[:-1]])
-                except ValueError as exc:
-                    raise DataError(f"{path}: row {row_number}: {exc}") from None
-                if not np.isfinite(x).all():
-                    raise DataError(f"{path}: row {row_number}: non-finite feature value")
-                label = row[-1]
-                if label not in label_index:
-                    raise DataError(f"{path}: row {row_number}: unknown class label {label!r}")
-                yield Instance(x=x, y=label_index[label], seq=seq)
-                seq += 1
         except csv.Error as exc:
             raise DataError(f"{path}: row {reader.line_num + 1}: {exc}") from None
+        number, seq = 3, 0  # the file row of the block's first csv row
+        while True:
+            block: list[list[str]] = []
+            failure = None
+            try:
+                block.extend(islice(reader, BLOCK_ROWS))  # keeps the rows read before an error
+            except csv.Error as exc:
+                failure = DataError(f"{path}: row {reader.line_num + 1}: {exc}")
+            rows = list(filter(None, block))  # blank lines hold no instance
+            try:
+                parsed = [_parse_rows(rows, width, label_index)] if rows else []
+            except ValueError:
+                parsed = _rows_before_fault(path, block, number, width, label_index)
+            for x, y in parsed:
+                for row, label in zip(x, y):
+                    yield Instance(x=row, y=label, seq=seq)
+                    seq += 1
+            if failure is not None:
+                raise failure
+            if len(block) < BLOCK_ROWS:
+                return
+            number += BLOCK_ROWS
+
+
+def _rows_before_fault(
+    path: Path, block: list[list[str]], number: int, width: int, label_index: dict[str, int]
+) -> Iterator[tuple[np.ndarray, list[int]]]:
+    """The non-empty rows of ``block``, whose first row is file row ``number``, parsed one at a time
+    up to the first that fails; that one raises a DataError naming it."""
+    for row_number, row in enumerate(block, start=number):
+        if row:
+            try:
+                one = _parse_rows([row], width, label_index)
+            except ValueError as exc:
+                raise DataError(f"{path}: row {row_number}: {exc}") from None
+            yield one
+
+
+def _parse_rows(rows: list[list[str]], width: int, label_index: dict[str, int]) -> tuple[np.ndarray, list[int]]:
+    """The (rows x features) float array and the class indices of non-empty csv rows.
+
+    Each check covers every row before the next runs: field count, float
+    parse, finiteness, class label. The first to fail raises a ValueError
+    whose message, for a single row, is the complaint about that row.
+    """
+    if widths := set(map(len, rows)) - {width}:
+        raise ValueError(f"expected {width} fields, got {widths.pop()}")
+    x = np.array(list(map(itemgetter(slice(None, -1)), rows)), dtype=float)  # float()'s parse and ValueError
+    if not np.isfinite(x).all():
+        raise ValueError("non-finite feature value")
+    labels = list(map(itemgetter(-1), rows))
+    y = list(map(label_index.get, labels))
+    if None in y:
+        raise ValueError(f"unknown class label {labels[y.index(None)]!r}")
+    return x, y
 
 
 def _numeric_mode(values: Sequence[float]) -> float:

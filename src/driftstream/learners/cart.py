@@ -10,9 +10,10 @@ and a forest fit the n-tree case. Each tree grows in its own generator
 (``_grow_tree``), a depth-first loop with the tree's own feature draws, so it
 opens its nodes, and draws their candidate features, in the order it would if
 grown alone. It yields each node's split search and is sent the result. At
-each step the trees' pending searches, in tree order and as many as
-``_SEARCH_CELLS`` holds, form one batch, and one segmented pass over it finds
-the first best split of each:
+each step a pending search wider than ``_SEARCH_CELLS`` forms a batch alone,
+or else the trees' pending searches, in tree order and as many as it holds,
+form one batch; one segmented pass over a batch finds the first best split
+of each:
 
 - A segment is one (node, candidate feature) pair. One ``argsort`` of the
   integer keys ``segment * n + rank`` orders every segment by value, where
@@ -346,12 +347,22 @@ def _lockstep(
         growing = [entry for entry in growing if entry[0]]
         if not growing:
             return
-        batch, cells = [], 0
-        for entry in growing:
-            if not batch or cells + entry[2] <= _SEARCH_CELLS:
-                batch.append(entry)
-                cells += entry[2]
+        batch = _next_batch(growing)
         results = _search([entry[1] for entry in batch], Xt, ranks, y, k)
+
+
+def _next_batch(growing: list[list]) -> list[list]:
+    """The first pending part over ``_SEARCH_CELLS`` alone, if any, else the pending parts that fit
+    under it, greedily in tree order. Taking big parts first keeps a tree's small parts from running
+    ahead while later trees wait on big ones: it would grow nearly alone, one node per search."""
+    batch, cells = [], 0
+    for entry in growing:
+        if entry[2] > _SEARCH_CELLS:
+            return [entry]
+        if cells + entry[2] <= _SEARCH_CELLS:
+            batch.append(entry)
+            cells += entry[2]
+    return batch
 
 
 def _workers(n_trees: int, n_rows: int) -> int:

@@ -7,6 +7,8 @@ reads change, not only when the benchmark itself is run.
 from __future__ import annotations
 
 import json
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -42,3 +44,20 @@ def test_wv_rf_abrupt_one_second_run_is_correct():
     # The one workload that refits forests and swaps in shadows: every round
     # must write the same bytes, and its events must be the steps' events.
     _assert_one_second_run_is_correct("wv-rf-abrupt")
+
+
+def test_forest_fit_timer_prints_each_fit_and_the_same_forest():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "scripts/time_forest_fit.py", "--trees", "2", "--rows", "300", "--repeat", "2"],
+        cwd=ROOT,
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2 and all(re.fullmatch(r"RF\(2\) rows=300 fit_s=\d+\.\d{3} sha256=[0-9a-f]{64}", s) for s in lines)
+    assert lines[0].split("sha256=")[1] == lines[1].split("sha256=")[1]

@@ -790,6 +790,21 @@ def test_report_refuses_an_existing_traces_csv_and_a_file_out_dir(tmp_path, synt
     assert f"{stream} is not a directory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["report.json", "trace.csv", "events.csv", "timing.json"])
+def test_run_refuses_any_existing_run_file_without_force(tmp_path, synth_config, name, capsys):
+    stream = tmp_path / "s.dsv"
+    assert main(["generate", "--config", synth_config, "--out", str(stream), "--quiet"]) == 0
+    config = experiment_config(tmp_path, stream, {"type": "online", "algorithm": "gnb"})
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / name).write_text("keep\n")
+    assert main(["run", "--config", config, "--out", str(out), "--quiet"]) == 1
+    assert f"{out / name} already exists" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == [name] and (out / name).read_text() == "keep\n"
+    assert main(["run", "--config", config, "--out", str(out), "--force", "--quiet"]) == 0
+    assert (out / name).read_text() != "keep\n" and len(list(out.iterdir())) == 4
+
+
 def unreadable(path, kind, what):
     """Make ``path`` a directory or a file whose bytes are not utf-8; return the message that names it."""
     if kind == "directory":

@@ -34,12 +34,6 @@ def test_schema_rejects_bad_class_catalogue():
         Schema(("x",), (FeatureKind.NUMERIC,), ("a", ""))
 
 
-def test_schema_class_index(schema2x3):
-    assert schema2x3.class_index("b") == 1
-    with pytest.raises(SchemaError):
-        schema2x3.class_index("nope")
-
-
 def test_argmax_tiebreak_prefers_lowest_index():
     assert argmax_tiebreak([1.0, 1.0, 0.5]) == 0
     assert argmax_tiebreak([0.2, 0.8, 0.8]) == 1

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from driftstream.core import ConfigError, DataError, FeatureKind, Schema
+from driftstream.core import ConfigError, DataError, FeatureKind, Instance, Schema, reading
 from driftstream.evaluation import f1_from_pairs
 from driftstream.ingest import (
     IngestConfig,
@@ -644,3 +644,163 @@ def test_write_stream_matches_the_row_at_a_time_writer(case):
         old = old_write_stream(Path(tmp) / "old.dsv", schema, rows(), labels, target_name)
         new = write_stream(Path(tmp) / "new.dsv", schema, rows(), labels, target_name)
         assert new.read_bytes() == old.read_bytes()
+
+
+# -- Replay before it parsed a block at a time ---------------------------------
+#
+# The row-at-a-time `replay` loop, kept as the reference: on every stream file
+# the block parser must yield the same instances (x bytes, dtype and length, y
+# and seq) and then raise the same DataError, or none.
+
+
+def old_replay(path: str | Path) -> Iterator:
+    path = Path(path)
+    schema = stream_schema(path)
+    label_index = {label: i for i, label in enumerate(schema.class_labels)}
+    n_features = schema.n_features
+    with reading(path, DataError, "stream file"), path.open(newline="") as fh:
+        fh.readline()  # manifest
+        reader = csv.reader(fh)
+        seq = 0
+        try:
+            next(reader, None)  # header row
+            for row_number, row in enumerate(reader, start=3):
+                if not row:
+                    continue
+                if len(row) != n_features + 1:
+                    raise DataError(f"{path}: row {row_number}: expected {n_features + 1} fields, got {len(row)}")
+                try:
+                    x = np.array([float(v) for v in row[:-1]])
+                except ValueError as exc:
+                    raise DataError(f"{path}: row {row_number}: {exc}") from None
+                if not np.isfinite(x).all():
+                    raise DataError(f"{path}: row {row_number}: non-finite feature value")
+                label = row[-1]
+                if label not in label_index:
+                    raise DataError(f"{path}: row {row_number}: unknown class label {label!r}")
+                yield Instance(x=x, y=label_index[label], seq=seq)
+                seq += 1
+        except csv.Error as exc:
+            raise DataError(f"{path}: row {reader.line_num + 1}: {exc}") from None
+
+
+def replay_outcome(replayer, path):
+    """Every yielded instance as (x bytes, x dtype, x length, y, seq), and the DataError message or None."""
+    got = []
+    try:
+        for inst in replayer(path):
+            got.append((inst.x.tobytes(), inst.x.dtype, len(inst.x), inst.y, inst.seq))
+    except DataError as exc:
+        return got, str(exc)
+    return got, None
+
+
+def csv_line(fields: Sequence[str]) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    return buf.getvalue()
+
+
+def write_stream_text(path: Path, labels: Sequence[str], n_features: int, rows: Sequence[Sequence[str] | None]) -> Path:
+    """A stream file of ``rows`` (feature texts, then the label text); None writes a blank line."""
+    schema = Schema(
+        feature_names=tuple(f"f{j}" for j in range(n_features)),
+        feature_kinds=(FeatureKind.NUMERIC,) * n_features,
+        class_labels=tuple(labels),
+    )
+    lines = ["\n" if row is None else csv_line(row) for row in rows]
+    path.write_text(_manifest_line(schema, "target") + "\n" + csv_line([*schema.feature_names, "target"]) + "".join(lines))
+    return path
+
+
+#: Feature texts float() reads, signed zero, the smallest subnormal and the largest double among them.
+VALUE_TEXTS = ["-0.0", "0.0", "5e-324", "1.7976931348623157e308", "-1.7976931348623157e308", "2.5", " 7", "1_0", "1e-320"]
+
+#: One fault each, applied to a row's fields.
+FAULTS = {
+    "short": lambda fields: fields[1:],
+    "long": lambda fields: ["0.5", *fields],
+    "unparsable": lambda fields: ["x1", *fields[1:]],
+    "nan": lambda fields: ["nan", *fields[1:]],
+    "overflow": lambda fields: [*fields[:-2], "1e999", fields[-1]],
+    "label": lambda fields: [*fields[:-1], "nope"],
+    "csv": lambda fields: ["9" * 200_000, *fields[1:]],
+}
+
+
+def stream_rows(rng, labels, n_features, n_rows, blank=0.0, faults=()):
+    """``n_rows`` rows of value texts and labels, a blank line before a row with probability ``blank``,
+    and ``faults`` as (row position, FAULTS key) applied in turn."""
+    rows = []
+    for _ in range(n_rows):
+        picks, normals = rng.integers(0, 2 * len(VALUE_TEXTS), n_features), rng.normal(scale=1e3, size=n_features)
+        values = [VALUE_TEXTS[i] if i < len(VALUE_TEXTS) else repr(v) for i, v in zip(picks, normals.tolist())]
+        rows.append([*values, labels[rng.integers(len(labels))]])
+    for position, kind in faults:
+        rows[position] = FAULTS[kind](rows[position])
+    out = []
+    for row in rows:
+        if rng.random() < blank:
+            out.append(None)
+        out.append(row)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    labels=st.lists(LABEL_TEXTS, min_size=1, max_size=3, unique=True),
+    n_features=st.integers(1, 3),
+    n_rows=st.one_of(st.integers(0, 20), st.integers(240, 600), st.integers(500, 600)),
+    seed=st.integers(0, 2**32 - 1),
+    blank=st.sampled_from([0.0, 0.05, 0.5]),
+    faults=st.lists(st.tuples(st.floats(0, 1, exclude_max=True), st.sampled_from(sorted(FAULTS))), max_size=2),
+)
+def test_replay_matches_the_row_at_a_time_reader(labels, n_features, n_rows, seed, blank, faults):
+    rng = np.random.default_rng(seed)
+    faults = [(int(at * n_rows), kind) for at, kind in faults] if n_rows else []
+    rows = stream_rows(rng, labels, n_features, n_rows, blank, faults)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_stream_text(Path(tmp) / "s.dsv", labels, n_features, rows)
+        assert replay_outcome(replay, path) == replay_outcome(old_replay, path)
+
+
+def faulty_stream(tmp_path, faults, n_rows=600):
+    """A 2-feature stream of ``n_rows`` rows with ``faults`` as (file row, FAULTS key)."""
+    rows = stream_rows(np.random.default_rng(3), ["a", "b"], 2, n_rows, faults=[(r - 3, kind) for r, kind in faults])
+    return write_stream_text(tmp_path / "s.dsv", ["a", "b"], 2, rows)
+
+
+@pytest.mark.parametrize("kind", sorted(FAULTS))
+@pytest.mark.parametrize("row", [259, 400, 258])  # the second block's first row, mid-block, the first block's last
+def test_replay_yields_the_rows_before_a_fault_then_raises_it(tmp_path, row, kind):
+    path = faulty_stream(tmp_path, [(row, kind)])
+    got, error = replay_outcome(replay, path)
+    assert len(got) == row - 3
+    assert error is not None and error.startswith(f"{path}: row {row}: ")
+    assert (got, error) == replay_outcome(old_replay, path)
+
+
+@pytest.mark.parametrize(
+    "faults, complaint",
+    [
+        ([(300, "label"), (310, "nan")], "row 300: unknown class label 'nope'"),
+        ([(300, "short"), (305, "unparsable")], "row 300: expected 3 fields, got 2"),
+        ([(300, "unparsable"), (305, "short")], "row 300: could not convert string to float: 'x1'"),
+        ([(300, "label"), (301, "csv")], "row 300: unknown class label 'nope'"),
+        ([(300, "label"), (300, "nan")], "row 300: non-finite feature value"),  # one row: finiteness first
+        ([(300, "unparsable"), (300, "short")], "row 300: expected 3 fields, got 2"),  # one row: width first
+    ],
+)
+def test_replay_reports_the_earlier_of_two_faults_in_a_block(tmp_path, faults, complaint):
+    path = faulty_stream(tmp_path, faults)
+    got, error = replay_outcome(replay, path)
+    assert len(got) == 297 and error == f"{path}: {complaint}"
+    assert (got, error) == replay_outcome(old_replay, path)
+
+
+def test_replay_x_is_a_row_of_its_block_array(tmp_path):
+    path = faulty_stream(tmp_path, [], n_rows=300)
+    instances = list(replay(path))
+    assert [inst.seq for inst in instances] == list(range(300))
+    assert instances[0].x.base is instances[255].x.base and instances[256].x.base is not instances[0].x.base
+    assert instances[0].x.base.shape == (256, 2) and instances[256].x.base.shape == (44, 2)

@@ -581,14 +581,29 @@ def test_roots_wider_than_a_search_batch_grow_the_same_trees(monkeypatch, max_fe
     schema = make_schema(d, k)
     X = np.hstack([rng.integers(0, 40, size=(n, 2)).astype(float), rng.normal(size=(n, d - 2)).round(2)])
     y = (X[:, 0] // 10 + (X[:, 2] > 0) + (rng.random(n) < 0.05)).astype(int) % k
-    assert n * 2 * k > cart_module._SEARCH_CELLS  # a root's 2 ("sqrt" of 6) candidate features
-    params = dict(n_trees=3, seed=7, max_features=max_features)
+    budget = cart_module._SEARCH_CELLS
+    assert n * 2 * k > budget  # a root's 2 ("sqrt" of 6) candidate features
+    pending, next_batch = [], cart_module._next_batch
+
+    def recording(growing):
+        if cart_module._SEARCH_CELLS == budget:
+            pending.append([entry[2] for entry in growing])  # the cells of each tree's pending part
+        return next_batch(growing)
+
+    monkeypatch.setattr(cart_module, "_next_batch", recording)
+    params = dict(n_trees=6, seed=7, max_features=max_features)
     fits = []
-    for cells in (cart_module._SEARCH_CELLS, 1 << 30):
+    for cells in (budget, 1 << 30):
         monkeypatch.setattr(cart_module, "_SEARCH_CELLS", cells)
         for workers in (1, 2, 3):
             fits.append(tree_bytes(fit_with_workers(monkeypatch, workers, schema, X, y, **params)))
     assert all(fit == fits[0] for fit in fits[1:])
+    # Some tree's small part was pending before another tree's over-budget part, which went first.
+    assert any(
+        any(c <= budget for c in cells[: next(i for i, c in enumerate(cells) if c > budget)])
+        for cells in pending
+        if max(cells) > budget
+    )
 
 
 def test_a_forest_grows_its_shares_here_when_it_cannot_fork(monkeypatch):
