@@ -3,8 +3,9 @@
 There are two member classes. An ``OnlineMember`` predicts one row and then
 learns it. A batch ``Member`` goes through warm-up, serving with periodic
 drift checks, and the comparison of a shadow model against its incumbent.
-The ensemble keeps one score window per member; the drift and replacement
-counts of a run are the ``DriftEvent``s and ``ReplacementEvent``s it returns.
+With two or more members the ensemble keeps one score window per member;
+the drift and replacement counts of a run are the ``DriftEvent``s and
+``ReplacementEvent``s it returns.
 
 For every stream instance, in order:
 
@@ -20,7 +21,9 @@ For every stream instance, in order:
    when that member's window changes; the weights and the vote are computed
    on Python floats, adding the scores in member order below 8 members and
    with numpy's sum from 8 on, which gives numpy's floats to the bit;
-3. the weighted hard vote produces the final prediction;
+3. the weighted hard vote produces the final prediction. A one-member run
+   skips steps 2 and 3 and keeps no score window: its weight is always 1.0
+   and its member's label is the vote;
 4. the label is revealed: the instance, its label and every member's step-1
    prediction are appended once to the shared ``History``, and each member's
    score window slides over the step-1 prediction in one step;
@@ -284,6 +287,7 @@ class _Shadow:
 
 
 _PREDICT_FAILED = "member %s failed to predict, falling back to class 0"
+_SOLO_WEIGHTS = np.ones(1)  # a one-member run's weights at every step
 
 #: The phases whose swallowed failures a member counts; "learn" covers its fits and drift checks.
 FAILURE_PHASES = ("predict", "shadow_predict", "learn")
@@ -368,9 +372,11 @@ class Member:
                 self._retrain(inst.seq, verdict.triggers, events)
 
     def _cache_append(self) -> None:
-        """Warn once when the newest row pushes the cache past ``cache_cap``."""
-        cap = self.config.cache_cap
-        if not self._cache_warned and self.cache_limit == cap and self.history.end - self.cache_start > cap:
+        """Warn once when the newest row pushes the cache past ``cache_cap``, where the cap limits it:
+        in warm-up, or for a since-last-replacement member (a last-window member drops rows by design)."""
+        cap, strategy = self.config.cache_cap, self.strategy
+        if (not self._cache_warned and self.history.end - self.cache_start > cap
+                and (not self.fitted or strategy.monitors_any and strategy.retrain_scope != LAST_WINDOW)):
             logger.warning("member %s cache reached its cap of %d instances, dropping oldest", self.spec.id, cap)
             self._cache_warned = True
 
@@ -444,8 +450,11 @@ class HybridEnsemble:
             for i, (spec, seed) in enumerate(zip(config.members, seeds))
         ]
         self._batch = [m for m in self.members if isinstance(m, Member)]
-        self.windows = [ConfusionMatrix(schema.n_classes) for _ in self.members]  # score windows, by member index
-        self.scores = [0.0] * len(self.members)  # each window's macro F1, 0.0 while it is empty
+        # One member's weight is always 1.0 and the vote its label, so a one-member run keeps no score window.
+        self._solo = len(self.members) == 1
+        self._score_rows = 0 if self._solo else config.score_window  # history rows the score windows read
+        self.windows = [] if self._solo else [ConfusionMatrix(schema.n_classes) for _ in self.members]
+        self.scores = [0.0] * len(self.windows)  # each window's macro F1, 0.0 while it is empty
         self._next_seq = 0
         self._ahead: list[Instance] = []  # the rows read ahead, and their features
         self._ahead_X = np.empty((0, schema.n_features))
@@ -484,15 +493,18 @@ class HybridEnsemble:
                 label = 0
             labels.append(label)
         member_labels = tuple(labels)
-        weights = compute_weights(self.scores, self.config.combiner)
-        final = combine_votes(member_labels, weights, self.schema.n_classes)
+        if self._solo:
+            weights, final = _SOLO_WEIGHTS.copy(), int(labels[0])
+        else:
+            weights = compute_weights(self.scores, self.config.combiner)
+            final = combine_votes(member_labels, weights, self.schema.n_classes)
 
         history = self.history
-        score_window = self.config.score_window
         if history.end - history.start == len(history.y):
-            history.compact(min([history.end - score_window, *(m.first_readable() for m in self._batch)]))
+            history.compact(min([history.end - self._score_rows, *(m.first_readable() for m in self._batch)]))
         history.append(inst.x, inst.y, member_labels)
-        self._rescore(inst.y, member_labels)
+        if not self._solo:
+            self._rescore(inst.y, member_labels)
         events: list = []
         for member in self.members:
             try:

@@ -23,7 +23,6 @@ import csv
 import io
 import json
 import math
-import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
@@ -34,7 +33,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import ConfigError, DataError, FeatureKind, Instance, Schema, SchemaError, reading
+from .core import ConfigError, DataError, FeatureKind, Instance, Schema, SchemaError, is_number, reading
 
 SCHEMA_PREFIX = "#schema "
 
@@ -92,11 +91,18 @@ class SynthConfig:
     class_separation: float = 3.0
 
     def __post_init__(self) -> None:
+        pts = list(self.drift_points)
+        for key in ("n_instances", "n_features", "n_classes", "gradual_width", "seed"):
+            if not is_number(value := getattr(self, key), integral=True):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
+        if not all(is_number(p, integral=True) for p in pts):
+            raise ConfigError(f"drift_points must be integers, got {pts!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.n_classes < 2:
             raise ConfigError("synthetic streams need at least two classes")
         if self.n_instances < 1 or self.n_features < 1:
             raise ConfigError("n_instances and n_features must be positive")
-        pts = list(self.drift_points)
         if pts != sorted(set(pts)) or any(p < 0 or p >= self.n_instances for p in pts):
             raise ConfigError("drift_points must be strictly increasing and < n_instances")
         if self.drift_kind not in ("abrupt", "gradual"):
@@ -104,7 +110,7 @@ class SynthConfig:
         if self.drift_kind == "gradual" and self.gradual_width < 1:
             raise ConfigError("gradual drift needs gradual_width >= 1")
         sep = self.class_separation
-        if isinstance(sep, bool) or not isinstance(sep, numbers.Real) or not 0 <= sep <= MAX_CLASS_SEPARATION:
+        if not is_number(sep) or not 0 <= sep <= MAX_CLASS_SEPARATION:
             # Also refuses nan and inf, which would make every feature value nan or inf.
             raise ConfigError(f"class_separation must be a number in [0, {MAX_CLASS_SEPARATION:g}], got {sep!r}")
 

@@ -342,6 +342,44 @@ def test_non_finite_synthetic_stream_exits_1_before_the_stream(tmp_path, separat
     assert not out_dir.exists()
 
 
+GRADUAL = {**SYNTHETIC, "drift_points": [50], "drift_kind": "gradual", "gradual_width": 5}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("seed", -1),
+        ("seed", True),
+        ("n_instances", 50.5),
+        ("n_features", 2.5),
+        ("n_classes", 2.5),
+        ("drift_points", [10.5]),
+        ("gradual_width", 2.5),
+    ],
+)
+def test_synthetic_stream_with_a_bad_integer_exits_1_before_any_row(tmp_path, field, value, capsys):
+    synth = {**GRADUAL, field: value}
+    path = write_json(tmp_path / "synth.json", synth)
+    out = tmp_path / "s.dsv"
+    assert main(["generate", "--config", path, "--out", str(out)]) == 1
+    assert not out.exists()
+    config = write_json(tmp_path / "run.json", {"stream": {"synthetic": synth}, "method": {"type": "online", "algorithm": "gnb"}})
+    out_dir = tmp_path / "r"
+    assert main(["run", "--config", config, "--out", str(out_dir), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.count(field) == 2 and "internal error" not in err
+    assert not out_dir.exists()
+
+
+def test_generate_with_a_negative_seed_flag_exits_1(tmp_path, capsys):
+    path = write_json(tmp_path / "synth.json", SYNTHETIC)
+    out = tmp_path / "s.dsv"
+    assert main(["generate", "--config", path, "--out", str(out), "--seed", "-1"]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "seed" in err and "internal error" not in err
+
+
 def test_run_malformed_row_inside_a_read_ahead_block_exits_2(tmp_path, synth_config, capsys):
     # File line 302 (seq 299) lies inside the second block of READ_AHEAD = 256
     # rows, after the RF member's first fit; no run directory is written.

@@ -1,3 +1,4 @@
+import itertools
 import logging
 import os
 from dataclasses import replace
@@ -21,7 +22,7 @@ from driftstream.ensemble import (
     compute_weights,
 )
 from driftstream.evaluation import f1_from_pairs
-from driftstream.learners import BATCH_LEARNERS, OnlineGaussianNB, RandomForestClassifier
+from driftstream.learners import BATCH_LEARNERS, ONLINE_LEARNERS, RandomForestClassifier
 from driftstream.learners import cart as cart_module
 
 from conftest import gaussian_instances
@@ -226,9 +227,10 @@ def test_weights_and_vote_are_bit_identical_to_the_numpy_versions(combiner):
                     assert combine_votes(labels, w, k) == combine_votes_numpy(labels, w, k)
 
 
-@pytest.mark.parametrize("run", ["wv-rf", "ds-gnb"])
+@pytest.mark.parametrize("run", ["wv-rf", "ds-gnb", "rf-b1", "cart-s2"])
 def test_every_step_weighs_the_members_by_their_last_score_window(run):
-    # The kept scores against each member's F1 recomputed from the StepResults before the step.
+    # The kept scores against each member's F1 recomputed from the StepResults before the step;
+    # the one-member runs keep no scores, and must still give what the combiner would.
     config, schema, _ = golden_stream(run)
     steps = golden_steps(run)
     w, k = config.score_window, schema.n_classes
@@ -240,6 +242,7 @@ def test_every_step_weighs_the_members_by_their_last_score_window(run):
             for m in range(len(config.members))
         ]
         assert hexes(step.weights) == hexes(compute_weights(scores, config.combiner)), t
+        assert step.final_label == combine_votes(step.member_labels, step.weights, k), t
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +382,24 @@ def test_retrain_last_window_larger_than_cache_cap(monkeypatch):
     assert created[1].fit_seqs() == list(range(1500, 2500))  # the last s rows, not the last cache_cap
 
 
+@pytest.mark.parametrize(
+    "scope, member_first_fit, warned",
+    [
+        ("last_window", None, False),  # its window equals the cap: it drops rows by design
+        ("last_window", 150, True),  # its warm-up outgrows the cap
+        ("since_last_replacement", None, True),
+    ],
+)
+def test_cache_cap_warning_only_where_the_cap_limits_the_cache(monkeypatch, caplog, scope, member_first_fit, warned):
+    with caplog.at_level(logging.WARNING, logger="driftstream.ensemble"):
+        run_spy_member(
+            monkeypatch, ["oracle"], scope, 400, fire_at=set(), window_size=100,
+            member_first_fit=member_first_fit, first_fit_size=100, cache_cap=100,
+        )
+    capped = [r for r in caplog.records if "reached its cap of 100" in r.getMessage()]
+    assert len(capped) == warned
+
+
 def test_first_fit_longer_than_cache_cap_uses_last_cache_cap_rows(monkeypatch):
     created, events, ensemble = run_spy_member(
         monkeypatch, ["oracle"], "since_last_replacement", 800,
@@ -402,8 +423,9 @@ def test_rejected_shadow_keeps_the_since_replacement_cache(monkeypatch):
 
 
 def test_history_keeps_only_readable_rows(monkeypatch):
-    # A last-window member with s = 100 and a score window of 200 reads at
-    # most the last 200 rows, so the history compacts without growing.
+    # A last-window member with s = 100 reads at most the last 2 s = 200 rows,
+    # and a one-member run keeps no score window, so the history compacts
+    # without growing.
     created, events, ensemble = run_spy_member(
         monkeypatch, ["oracle"], "last_window", 5000, fire_at=set(), window_size=100, score_window=200
     )
@@ -479,20 +501,40 @@ def test_replacements_never_exceed_drifts(monkeypatch):
 # the per-instance protocol
 
 
-def test_single_member_reduces_to_standalone(schema2x3=None):
+def test_single_member_reduces_to_standalone():
     means = np.array([[0.0, 0.0], [3.0, 3.0], [-3.0, 3.0]])
     schema = Schema(("f0", "f1"), (FeatureKind.NUMERIC,) * 2, ("a", "b", "c"))
     instances = gaussian_instances(means, 400, seed=31)
-    for combiner in ("wv", "ds"):
-        config = EnsembleConfig(members=(online_spec("gnb"),), combiner=combiner, seed=0)
+    for algo, combiner in itertools.product(ONLINE_LEARNERS, ("wv", "ds")):
+        config = EnsembleConfig(members=(online_spec(algo),), combiner=combiner, seed=0)
         ensemble = HybridEnsemble(schema, config)
-        standalone = OnlineGaussianNB(schema)
+        standalone = ONLINE_LEARNERS[algo](schema)
         for inst in instances:
             step = ensemble.process_instance(inst)
             expected = standalone.predict(inst.x)
             standalone.learn_one(inst.x, inst.y)
             assert step.final_label == expected
             assert step.final_label == step.member_labels[0]
+            assert type(step.final_label) is int
+            assert hexes(step.weights) == [(1.0).hex()]
+
+
+def test_a_lone_member_whose_predict_raises_answers_zero_with_weight_one():
+    config = EnsembleConfig(members=(online_spec("gnb"),), seed=0)
+    ensemble = HybridEnsemble(SCHEMA, config)
+
+    class Broken:
+        def predict(self, x):
+            raise RuntimeError("boom")
+
+        def learn_one(self, x, y):
+            pass
+
+    ensemble.members[0].model = Broken()
+    step = ensemble.process_instance(encoded_stream(1)[0])
+    assert (step.final_label, step.member_labels) == (0, (0,))
+    assert hexes(step.weights) == [(1.0).hex()]
+    assert ensemble.failures == {"gnb": {"predict": 1, "shadow_predict": 0, "learn": 0}}
 
 
 def test_ds_final_prediction_is_always_some_members():
