@@ -46,16 +46,17 @@ def _refuse_file_in_the_way(out_dir: Path) -> None:
 
 def cmd_preprocess(args) -> int:
     data = load_json(args.config)
-    if "input" not in data:
-        raise ConfigError("preprocess config needs an 'input' CSV path")
+    if not isinstance(data.get("input"), str):
+        raise ConfigError(f"preprocess config needs an 'input' CSV path string, got {data.get('input')!r}")
     raw_path = data.pop("input")
     config = config_from_dict(IngestConfig, data)
     out = Path(args.out)
     _refuse_existing(out, args.force)
     _refuse_missing_dir(out)
     schema, path = preprocess_csv(raw_path, config, out)
-    with path.open() as fh:
-        n_rows = sum(1 for _ in fh) - 2  # manifest + header
+    with path.open(newline="") as fh:
+        next(fh)  # the manifest line
+        n_rows = sum(1 for row in csv.reader(fh) if row) - 1  # records less the header: a label may span lines
     _say(args, f"wrote {path}: {n_rows} instances, {schema.n_features} features, {schema.n_classes} classes")
     return EXIT_OK
 

@@ -23,7 +23,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .core import ConfigError, DataError, Instance, Schema, reading
+from .core import ConfigError, DataError, Instance, Schema, ToolkitError, reading
 from .drift import DriftStrategy, strategy_catalog
 from .ensemble import (
     BATCH,
@@ -162,16 +162,16 @@ def parse_config(data: dict) -> ExperimentConfig:
     )
 
 
-def load_json(path: str | Path) -> dict:
-    """A JSON config file's contents; a missing or malformed file is a ``ConfigError``."""
-    with reading(path, ConfigError, "config file"):
+def load_json(path: str | Path, error: type[ToolkitError] = ConfigError, what: str = "config file") -> dict:
+    """The JSON object in the ``what`` at ``path``; a missing or malformed file raises ``error``."""
+    with reading(path, error, what):
         text = Path(path).read_text()
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+        raise error(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(data, dict):
-        raise ConfigError(f"{path}: expected a JSON object, got {type(data).__name__}")
+        raise error(f"{path}: expected a JSON object, got {type(data).__name__}")
     return data
 
 
@@ -339,14 +339,7 @@ def read_run_dir(run_dir: Path) -> RunReport:
                     expected = "seq,windowed_f1,cumulative_f1"
                     raise DataError(f"{trace_path}:{reader.line_num}: expected {expected}, got {row}") from None
     report_path = run_dir / "report.json"
-    with reading(report_path, DataError, "report file"):
-        text = report_path.read_text()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{report_path}: invalid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise DataError(f"{report_path}: expected a JSON object, got {type(data).__name__}")
+    data = load_json(report_path, DataError, "report file")
     try:
         return RunReport.from_json_dict(data, trace=trace)
     except KeyError as exc:

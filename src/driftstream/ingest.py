@@ -62,6 +62,13 @@ class IngestConfig:
     datetime_format: str | None = None
 
     def __post_init__(self) -> None:
+        kinds = {"target_column": str, "missing_category_label": str, "datetime_format": (str, type(None))}
+        for key, kind in kinds.items():
+            if not isinstance(value := getattr(self, key), kind):
+                raise ConfigError(f"{key} must be a string{'' if kind is str else ' or null'}, got {value!r}")
+        for key in ("datetime_columns", "categorical_columns", "drop_columns"):
+            if not isinstance(value := getattr(self, key), list) or not all(isinstance(v, str) for v in value):
+                raise ConfigError(f"{key} must be a list of strings, got {value!r}")
         roles = (("drop", self.drop_columns), ("datetime", self.datetime_columns))
         for role, names in (*roles, ("categorical", self.categorical_columns)):
             if self.target_column in names:

@@ -6,9 +6,9 @@ score with one function, ``_gaussian_nb_log_joint``, so fitting the batch
 model on a prefix of a stream is numerically equivalent to running the online
 model over the same prefix. The online model labels one row at a time through
 ``first_best``, which normalises only on a near tie; the batch model keeps
-only its fitted counts, means and variances, and passes a whole block of rows
-to the same function as one (rows x 1 x features) array. Every block score
-equals the per-row score (``_gaussian_nb_scores``) bit for bit.
+only its fitted counts, means and variances, and labels a whole block of rows
+through ``_gaussian_nb_scores`` as one (rows x 1 x features) array: one
+posterior and one softmax for a row and a block, equal bit for bit.
 """
 
 from __future__ import annotations
@@ -35,10 +35,10 @@ def _floored(variances: np.ndarray, global_variance: np.ndarray) -> np.ndarray:
 
 
 def _normalised(z: np.ndarray) -> np.ndarray:
-    """``exp(z - max(z))`` over its sum: the softmax of ``z``, computed in ``z``."""
-    z -= np.maximum.reduce(z)
+    """``exp(z - max(z))`` over its sum along the last axis, in ``z``: the softmax of one row or of each row."""
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
     e = np.exp(z, out=z)
-    e /= np.add.reduce(e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
 
 
@@ -81,7 +81,9 @@ def _gaussian_nb_log_joint(
     ``total`` is ``class_counts``' sum, which the caller has. ``x`` is one row,
     or a (rows x 1 x features) block that scores every row at once (rows x
     classes). The terms are built in place, with the ufuncs and operands of
-    ``log(2 pi var) + diff * diff / var``.
+    ``log(2 pi var) + diff * diff / var``. If some sum is not finite, a feature
+    whose terms in a row are inf or NaN for every class (an overflowed
+    variance) tells no class apart there: they count 0 and the sums are redone.
     """
     var = _floored(variances, global_variance)
     terms = x - means
@@ -96,6 +98,9 @@ def _gaussian_nb_log_joint(
         with np.errstate(divide="ignore"):  # an unseen class's log prior is -inf
             log_prior = np.log(prior)
     log_lik = np.add.reduce(terms, axis=-1)
+    if not math.isfinite(np.add.reduce(log_lik, axis=None)):
+        np.copyto(terms, 0.0, where=~np.isfinite(terms).any(axis=-2, keepdims=True))
+        log_lik = np.add.reduce(terms, axis=-1)
     log_lik *= -0.5
     log_lik += log_prior
     return log_lik
@@ -172,15 +177,6 @@ class BatchGaussianNB(BatchClassifier):
     def class_variances(self) -> np.ndarray:
         return self._variances.copy()
 
-    def _block_scores(self, X: np.ndarray) -> np.ndarray:
-        """``_gaussian_nb_scores`` of every row of ``X`` at once: (rows x classes)."""
-        counts = self.class_counts
-        log_joint = _gaussian_nb_log_joint(
-            X[:, None, :], counts, self._means, self._variances, self._global_variance, counts.sum()
-        )
-        scores = np.exp(log_joint - log_joint.max(axis=1, keepdims=True))
-        return scores / scores.sum(axis=1, keepdims=True)
-
     def predict(self, x: np.ndarray) -> int:
         self._check_x(x)
         return int(self.predict_labels(np.reshape(x, (1, -1)))[0])
@@ -188,10 +184,13 @@ class BatchGaussianNB(BatchClassifier):
     def predict_labels(self, X: np.ndarray) -> np.ndarray:
         X = self._check_block(X)
         labels = np.zeros(len(X), dtype=np.int64)
-        if not self.class_counts.sum():
+        counts, total = self.class_counts, self.class_counts.sum()
+        if not total:
             return labels
         step = max(1, _BLOCK_CELLS // self._means.size)
         for lo in range(0, len(X), step):
-            # argmax_tiebreak of each row's normalised scores: the first maximum.
-            labels[lo : lo + step] = self._block_scores(X[lo : lo + step]).argmax(axis=1)
+            # argmax_tiebreak of each row's posterior: the first maximum.
+            labels[lo : lo + step] = _gaussian_nb_scores(
+                X[lo : lo + step, None, :], counts, self._means, self._variances, self._global_variance, total
+            ).argmax(axis=1)
         return labels

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftstream.cli import main
+from driftstream.ingest import replay
 from driftstream.learners import ONLINE_LEARNERS
 
 
@@ -881,3 +882,39 @@ def test_report_on_an_unreadable_run_file_exits_2_naming_it(tmp_path, synth_conf
     assert main(["report", str(tmp_path / "runs"), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert message in err and "internal error" not in err
+
+
+@pytest.mark.parametrize(
+    "field, value, expected",
+    [
+        ("categorical_columns", "ab", "must be a list of strings"),  # not a substring test that takes a, b and ab
+        ("categorical_columns", ["a", 1], "must be a list of strings"),
+        ("drop_columns", None, "must be a list of strings"),
+        ("datetime_columns", "a", "must be a list of strings"),
+        ("missing_category_label", 5, "must be a string"),  # not an internal TypeError (exit 3) when ab is encoded
+        ("target_column", ["mode"], "must be a string"),
+        ("datetime_format", 7, "must be a string or null"),
+        ("input", 5, "CSV path string"),  # not an internal TypeError (exit 3) from opening it
+    ],
+)
+def test_preprocess_config_field_of_the_wrong_type_exits_1_before_reading(tmp_path, field, value, expected, capsys):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("a,b,ab,mode\n1,2,,car\n3,4,x,bike\n")
+    out = tmp_path / "stream.dsv"
+    for raw_path in (raw, tmp_path / "missing.csv"):
+        ingest = {"input": str(raw_path), "target_column": "mode", "categorical_columns": ["ab"], field: value}
+        config = write_json(tmp_path / "ing.json", ingest)
+        assert main(["preprocess", "--config", config, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert field in err and expected in err and "internal error" not in err
+        assert not out.exists()
+
+
+def test_preprocess_counts_instances_not_lines(tmp_path, capsys):
+    raw = tmp_path / "raw.csv"
+    raw.write_text('v,mode\n1,car\n2,"bi\nke"\n3,car\n')
+    config = write_json(tmp_path / "ing.json", {"input": str(raw), "target_column": "mode"})
+    out = tmp_path / "stream.dsv"
+    assert main(["preprocess", "--config", config, "--out", str(out)]) == 0
+    assert len(list(replay(out))) == 3
+    assert "3 instances" in capsys.readouterr().out  # five lines after the manifest: one label spans two

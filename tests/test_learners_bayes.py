@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from driftstream.core import DataError, FeatureKind, Schema, SchemaError, argmax_tiebreak
 from driftstream.learners import BATCH_LEARNERS, BatchGaussianNB, OnlineGaussianNB, RunningMoments
 from driftstream.learners import bayes
-from driftstream.learners.bayes import _gaussian_nb_scores
+from driftstream.learners.bayes import _gaussian_nb_scores, _normalised
 
 from conftest import gaussian_instances
 
@@ -124,9 +127,52 @@ def test_block_scores_equal_per_row_scores_bit_for_bit(d):
         model, probes = random_batch_fit(rng, d, int(rng.integers(3, 9)))
         assert np.count_nonzero(model.class_counts == 0) >= 1
         assert np.count_nonzero(model.class_counts == 1) >= 1
-        block = model._block_scores(probes)
+        counts = model.class_counts
+        block = _gaussian_nb_scores(
+            probes[:, None, :], counts, model._means, model._variances, model._global_variance, counts.sum()
+        )
         for x, scores in zip(probes, block):
             assert np.array_equal(scores, row_scores(model, x))
+
+
+@st.composite
+def score_blocks(draw):
+    """(rows x classes) raw scores, 1-12 classes, with -inf columns for unseen classes and exact ties."""
+    k = draw(st.integers(1, 12))
+    pool = draw(st.lists(st.floats(-800, 800), min_size=1, max_size=3))  # values drawn again tie exactly
+    entry = st.one_of(st.sampled_from([*pool, -math.inf]), st.floats(-1e6, 1e6))
+    z = draw(arrays(np.float64, (draw(st.integers(1, 10)), k), elements=entry))
+    unseen = draw(st.lists(st.integers(0, k - 1), max_size=k - 1))
+    z[:, unseen] = -math.inf
+    seen = [c for c in range(k) if c not in unseen][0]
+    z[np.isinf(z).all(axis=1), seen] = pool[0]  # every row has a class with a finite score
+    return z
+
+
+@settings(max_examples=1000, deadline=None)
+@given(z=score_blocks())
+def test_normalised_block_equals_normalised_rows_bit_for_bit(z):
+    block = _normalised(z.copy())
+    assert block.shape == z.shape
+    for row, scores in zip(z, block):
+        assert scores.tobytes() == _normalised(row.copy()).tobytes()
+
+
+def test_a_feature_whose_variance_overflows_for_every_class_counts_as_uninformative():
+    # Feature 0 separates the classes; feature 1's squares overflow, so every class variance of it is inf.
+    rng = np.random.default_rng(0)
+    y = rng.integers(0, 2, 100)
+    X = np.column_stack([4 * y + 0.1 * rng.normal(size=100), rng.normal(size=100) * 1e160])
+    batch, online = BatchGaussianNB(make_schema(2, 2)), OnlineGaussianNB(make_schema(2, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch.fit(X, y)
+        for x, label in zip(X, y.tolist()):
+            online.learn_one(x, label)
+        assert np.isinf(batch.class_variances()[:, 1]).all() and np.isinf(online.class_variances()[:, 1]).all()
+        # Feature 1's terms are NaN for both classes; kept, they would make every score NaN and every label 0.
+        assert batch.predict_labels(X).tolist() == y.tolist()
+        assert [online.predict(x) for x in X] == y.tolist()
+        assert np.isfinite(_scores(batch, X[0])).all()
 
 
 @pytest.mark.parametrize("d", [3, 68])
