@@ -14,6 +14,7 @@ trigger marks the pair as drifted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +53,7 @@ class DriftStrategy:
             ("monitor_features", "true or false", isinstance(self.monitor_features, bool)),
             ("monitor_target", "true or false", isinstance(self.monitor_target, bool)),
             ("monitor_performance", "true or false", isinstance(self.monitor_performance, bool)),
-            ("threshold", "a number", is_number(self.threshold)),
+            ("threshold", "a finite number", is_number(self.threshold) and -math.inf < self.threshold < math.inf),
             ("perf_tolerance", "a number", is_number(self.perf_tolerance)),
             ("window_size", "an integer", is_number(self.window_size, integral=True)),
             ("first_fit_size", "an integer or null",

@@ -9,12 +9,11 @@ the drift and replacement counts of a run are the ``DriftEvent``s and
 
 For every stream instance, in order:
 
-1. every member predicts (the true label is not visible to this step). Batch
-   members and shadows are frozen between fits, so each frozen model labels
-   the rows read ahead with ``lookahead`` in one ``predict_labels`` call and
-   answers later steps of that block from its cache; only the features of
-   those rows are read. Online members learn between instances and predict
-   one row at a time;
+1. every member predicts (the true label is not visible to this step). A
+   batch member's incumbent is frozen between fits, so it labels the rows read
+   ahead with ``lookahead`` in one ``predict_labels`` call and answers later
+   steps of that block from its cache; only the features of those rows are
+   read. Online members learn between instances and predict one row at a time;
 2. combination weights are computed from each member's windowed F1 *before*
    this instance is scored, so the weights never depend on the label being
    predicted. The ensemble keeps every member's score and recomputes it only
@@ -30,9 +29,9 @@ For every stream instance, in order:
 5. online members learn the instance;
 6. batch members fit, check and compare on slices of that history: they run
    their drift check every ``window_size`` instances after their first fit,
-   train a shadow model on a drift verdict, and evaluate a pending shadow
-   against the incumbent over the comparison window, swapping only on
-   strictly better performance;
+   train a shadow model on a drift verdict, and label the shadow's complete
+   comparison window in one ``predict_labels`` call (class 0 if it raises; a
+   shadow reads no read-ahead rows), swapping only on strictly better scores;
 7. the caller updates global metrics from the returned step record.
 
 Batch members answer with the majority class of the labels seen so far until
@@ -215,11 +214,10 @@ class History:
 
     Rows are addressed by arrival index: ``X``, ``y`` and ``labels`` (the
     members' recorded predictions, one column per member) hold rows ``start``
-    to ``end - 1``,
-    and ``class_counts`` counts the labels of every row ever appended. When
-    the block is full, ``compact`` drops the rows no member needs and moves
-    the rest to the front, doubling the block only when less than half of it
-    would be free.
+    to ``end - 1``, and ``class_counts`` counts the labels of every row ever
+    appended. When the block is full, ``compact`` drops the rows no member
+    needs and moves the rest to the front, doubling the block only when less
+    than half of it would be free.
     """
 
     def __init__(self, n_features: int, n_members: int, n_classes: int) -> None:
@@ -281,9 +279,8 @@ class FrozenModel:
 
 @dataclass
 class _Shadow:
-    frozen: FrozenModel
-    started_at: int
-    labels: list[int] = field(default_factory=list)  # its predictions for the rows after started_at
+    model: object
+    started_at: int  # it is judged on the rows after this one
 
 
 _PREDICT_FAILED = "member %s failed to predict, falling back to class 0"
@@ -304,7 +301,7 @@ class OnlineMember:
     def predict(self, inst: Instance, block: np.ndarray, i: int) -> int:
         return self.model.predict(inst.x)
 
-    def learn(self, inst: Instance, events: list, block: np.ndarray, i: int) -> None:
+    def learn(self, inst: Instance, events: list) -> None:
         self.model.learn_one(inst.x, inst.y)
 
 
@@ -352,7 +349,7 @@ class Member:
             first = min(first, self.shadow.started_at + 1)
         return first
 
-    def learn(self, inst: Instance, events: list, block: np.ndarray, i: int) -> None:
+    def learn(self, inst: Instance, events: list) -> None:
         strategy = self.strategy
         self._cache_append()
         if not self.fitted:  # warm-up: fit on the check grid until a fit succeeds
@@ -364,7 +361,7 @@ class Member:
                 elif strategy.retrain_scope == LAST_WINDOW:
                     self._trim_cache(strategy.window_size)
         elif self.shadow is not None:  # comparing
-            self._shadow_step(inst, events, block, i)
+            self._shadow_step(inst, events)
         elif strategy.monitors_any and self._on_grid() and self.history.end >= 2 * strategy.window_size:
             # serving, with a drift check due once two windows of rows exist
             verdict = check_windows(self._window_pair(), strategy, self.schema)
@@ -406,7 +403,7 @@ class Member:
     def _retrain(self, seq: int, triggers: tuple[Trigger, ...], events: list) -> None:
         model = self.spec.new_model(self.schema, seed=self.seed)
         model.fit(*self._cache_arrays())
-        self.shadow = _Shadow(FrozenModel(model), started_at=seq)
+        self.shadow = _Shadow(model, started_at=seq)
         events.append(DriftEvent(seq=seq, member_id=self.spec.id, triggers=triggers))
 
     def _pair_metric(self, y_true: np.ndarray, y_pred: Sequence[int]) -> float:
@@ -414,22 +411,20 @@ class Member:
             return np.count_nonzero(y_true == y_pred) / len(y_true)
         return f1_from_pairs(y_true, y_pred, self.schema.n_classes)
 
-    def _shadow_step(self, inst: Instance, events: list, block: np.ndarray, i: int) -> None:
-        shadow = self.shadow
+    def _shadow_step(self, inst: Instance, events: list) -> None:
+        shadow, history = self.shadow, self.history
+        rows = history.rows(shadow.started_at + 1)
+        y = history.y[rows]
+        if len(y) < self.config.shadow_eval_size:
+            return
         try:
-            label = shadow.frozen.label(block, i)
+            labels = shadow.model.predict_labels(history.X[rows])
         except Exception:
             logger.warning(_PREDICT_FAILED, f"{self.spec.id} shadow", exc_info=True)
             self.failures["shadow_predict"] += 1
-            label = 0
-        shadow.labels.append(label)
-        if len(shadow.labels) < self.config.shadow_eval_size:
-            return
-        history = self.history
-        rows = history.rows(shadow.started_at + 1)
-        y = history.y[rows]
-        if self._pair_metric(y, np.asarray(shadow.labels)) > self._pair_metric(y, history.labels[rows, self.index]):
-            self.incumbent = shadow.frozen
+            labels = np.zeros_like(y)
+        if self._pair_metric(y, labels) > self._pair_metric(y, history.labels[rows, self.index]):
+            self.incumbent = FrozenModel(shadow.model)
             events.append(ReplacementEvent(seq=inst.seq, member_id=self.spec.id))
             if self.strategy.retrain_scope != LAST_WINDOW:
                 self.cache_start = history.end
@@ -481,12 +476,11 @@ class HybridEnsemble:
             self.lookahead([inst])  # checks the width of a row not read ahead
             i = 0
         self._next_seq += 1
-        block = self._ahead_X
 
         labels = []
         for member in self.members:
             try:
-                label = member.predict(inst, block, i)
+                label = member.predict(inst, self._ahead_X, i)
             except Exception:
                 logger.warning(_PREDICT_FAILED, member.spec.id, exc_info=True)
                 member.failures["predict"] += 1
@@ -508,18 +502,12 @@ class HybridEnsemble:
         events: list = []
         for member in self.members:
             try:
-                member.learn(inst, events, block, i)
+                member.learn(inst, events)
             except Exception:
                 logger.warning("member %s failed to learn", member.spec.id, exc_info=True)
                 member.failures["learn"] += 1
-        return StepResult(
-            seq=inst.seq,
-            y_true=inst.y,
-            final_label=final,
-            member_labels=member_labels,
-            weights=weights,
-            events=events,
-        )
+        return StepResult(seq=inst.seq, y_true=inst.y, final_label=final, member_labels=member_labels,
+                          weights=weights, events=events)
 
     def _rescore(self, y: int, labels: Sequence[int]) -> None:
         """Slide each member's score window over the newest row, and rescore the windows that changed."""

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import numbers
 import time
 from dataclasses import dataclass, field, fields, replace
 from itertools import islice
@@ -43,9 +44,6 @@ ONLINE_DISPLAY = {"gnb": "GNB", "hoeffding": "HT", "logreg": "OLR"}
 #: The files of a run directory, as the module docstring lists them.
 RUN_FILES = ("report.json", "trace.csv", "events.csv", "timing.json")
 
-#: Rows ``run_stream`` reads ahead per block: one block of ``replay``.
-READ_AHEAD = BLOCK_ROWS
-
 _STRATEGY_ALIASES = {"theta": "threshold", "s": "window_size", "alpha": "perf_tolerance"}
 _STRATEGY_FIELDS = {f.name for f in fields(DriftStrategy)} - {"id"}
 
@@ -66,8 +64,8 @@ def resolve_strategy(entry) -> DriftStrategy:
         raise ConfigError(f"strategy entry must be an id or an object, got {type(entry).__name__}")
     entry = dict(entry)
     sid = entry.pop("id", None)
-    if sid is None:
-        raise ConfigError("strategy object needs an 'id'")
+    if not isinstance(sid, str):
+        raise ConfigError(f"strategy object needs a string 'id', got {sid!r}")
     overrides = {}
     for key, value in entry.items():
         key = _STRATEGY_ALIASES.get(key, key)
@@ -142,20 +140,25 @@ def parse_config(data: dict) -> ExperimentConfig:
     if len(stream) != 1:
         raise ConfigError("stream section needs exactly one of 'path' and 'synthetic'")
     if "path" in stream:
+        if not isinstance(stream["path"], str):
+            raise ConfigError(f"stream.path must be a string, got {stream['path']!r}")
         source = {"stream_path": Path(stream["path"])}
     else:
         source = {"synth": config_from_dict(SynthConfig, stream["synthetic"])}
     kind = method.get("type")
-    if kind not in _METHOD_KEYS:
+    if not isinstance(kind, str) or kind not in _METHOD_KEYS:
         raise ConfigError("method.type must be 'online', 'batch' or 'ensemble'")
     _refuse_unknown(method, _METHOD_KEYS[kind], f"{kind} method")
     members = build_member_specs(method)
     combiner = method.get("combiner", WEIGHTED_VOTE) if kind == "ensemble" else WEIGHTED_VOTE
     options = {key: data[key] for key in _OPTION_KEYS if key in data}
+    method_id = data.get("method_id")
+    if method_id is not None and not isinstance(method_id, str):
+        raise ConfigError(f"method_id must be a string, got {method_id!r}")
     return ExperimentConfig(
         members=members,
         combiner=combiner,
-        method_id=data.get("method_id") or _derive_method_id(kind, members, combiner),
+        method_id=method_id or _derive_method_id(kind, members, combiner),
         raw=data,
         **source,
         **options,
@@ -235,7 +238,7 @@ def run_stream(
 ) -> RunResult:
     """Drive the ensemble over a stream, collecting prequential metrics.
 
-    The stream is read in blocks of ``READ_AHEAD`` rows, so frozen models can
+    The stream is read in blocks of ``BLOCK_ROWS`` rows, as ``replay`` parses it, so frozen models can
     label a block in one call; each row is still processed on its own.
     """
     metrics = PrequentialState(ensemble.schema.n_classes)
@@ -243,7 +246,7 @@ def run_stream(
     events: list = []
     n = 0
     rows = iter(instances)
-    while block := list(islice(rows, READ_AHEAD)):
+    while block := list(islice(rows, BLOCK_ROWS)):
         ensemble.lookahead(block)
         for inst in block:
             step = ensemble.process_instance(inst)
@@ -341,6 +344,12 @@ def read_run_dir(run_dir: Path) -> RunReport:
     report_path = run_dir / "report.json"
     data = load_json(report_path, DataError, "report file")
     try:
-        return RunReport.from_json_dict(data, trace=trace)
+        report = RunReport.from_json_dict(data, trace=trace)
     except KeyError as exc:
         raise DataError(f"{report_path}: missing key {exc}") from None
+    kinds = {"str": str, "float": numbers.Real, "int": numbers.Integral}  # a bool is none of them
+    for f in fields(RunReport):
+        value, kind = getattr(report, f.name), kinds.get(f.type)
+        if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
+            raise DataError(f"{report_path}: {f.name} must be of type {f.type}, got {value!r}")
+    return report

@@ -382,7 +382,7 @@ def test_generate_with_a_negative_seed_flag_exits_1(tmp_path, capsys):
 
 
 def test_run_malformed_row_inside_a_read_ahead_block_exits_2(tmp_path, synth_config, capsys):
-    # File line 302 (seq 299) lies inside the second block of READ_AHEAD = 256
+    # File line 302 (seq 299) lies inside the second block of BLOCK_ROWS = 256
     # rows, after the RF member's first fit; no run directory is written.
     stream = tmp_path / "s.dsv"
     assert main(["generate", "--config", synth_config, "--out", str(stream), "--quiet"]) == 0
@@ -660,6 +660,10 @@ def test_preprocess_target_column_in_another_role_exits_1_before_reading(tmp_pat
 
 GNB_S4 = {"type": "batch", "algorithm": "gnb", "strategy": "S4"}
 GNB_ENSEMBLE = {"type": "ensemble", "batch_algorithm": "gnb"}
+CUSTOM_STRATEGY = {
+    "id": "X", "monitor_features": True, "monitor_target": True, "monitor_performance": False,
+    "window_size": 300, "perf_tolerance": 0.2,
+}
 
 
 @pytest.mark.parametrize(
@@ -676,6 +680,12 @@ GNB_ENSEMBLE = {"type": "ensemble", "batch_algorithm": "gnb"}
         ({**GNB_S4, "strategy": {"id": "B2", "first_fit_size": 0}}, {}, "first_fit_size"),
         ({**GNB_ENSEMBLE, "strategies": "S4"}, {}, "method.strategies must be a list"),
         ({**GNB_ENSEMBLE, "online_members": "gnb"}, {}, "method.online_members must be a list"),
+        ({**GNB_S4, "strategy": {**CUSTOM_STRATEGY, "threshold": float("nan")}}, {}, "threshold must be a finite"),
+        ({**GNB_S4, "strategy": {"id": "S4", "theta": float("inf")}}, {}, "threshold must be a finite"),
+        ({"type": "online", "algorithm": "gnb"}, {"stream": {"path": 5}}, "stream.path must be a string"),
+        ({"type": ["ensemble"]}, {}, "method.type"),
+        ({**GNB_S4, "strategy": {"id": ["S4"]}}, {}, "string 'id'"),
+        (GNB_S4, {"method_id": ["x"]}, "method_id must be a string"),
     ],
     ids=[
         "string-window",
@@ -689,6 +699,12 @@ GNB_ENSEMBLE = {"type": "ensemble", "batch_algorithm": "gnb"}
         "zero-strategy-first-fit",
         "string-strategies",
         "string-online-members",
+        "nan-threshold",
+        "infinite-threshold",
+        "number-stream-path",
+        "list-method-type",
+        "list-strategy-id",
+        "list-method-id",
     ],
 )
 def test_run_config_value_of_the_wrong_type_exits_1_before_the_stream(tmp_path, method, extra, named, capsys):
@@ -759,6 +775,29 @@ def test_report_on_a_broken_report_json_exits_2_naming_it(tmp_path, content, rea
     assert main(["report", str(tmp_path / "runs"), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert str(report) in err and reason in err and "internal error" not in err
+
+
+REPORT = {
+    "run_id": "r", "stream_id": "s", "method_id": "GNB", "final_f1_macro": 0.5, "drift_count": 0,
+    "replacement_count": 0, "seed": 0, "config_digest": "d", "n_instances": 10,
+}
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("final_f1_macro", "0.5"), ("stream_id", ["x"]), ("method_id", None), ("drift_count", True), ("seed", 1.5)],
+)
+def test_report_on_a_report_json_value_of_the_wrong_type_exits_2_naming_it(tmp_path, key, value, capsys):
+    good = tmp_path / "good" / "x" / "report.json"
+    good.parent.mkdir(parents=True)
+    write_json(good, REPORT)
+    assert main(["report", str(tmp_path / "good"), "--out", str(tmp_path / "good-out")]) == 0
+    report = tmp_path / "runs" / "x" / "report.json"
+    report.parent.mkdir(parents=True)
+    write_json(report, {**REPORT, key: value})
+    assert main(["report", str(tmp_path / "runs"), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert str(report) in err and f"{key} must be of type" in err and "internal error" not in err
 
 
 def test_report_on_a_broken_trace_csv_exits_2_naming_it(tmp_path, synth_config, capsys):

@@ -264,3 +264,11 @@ def test_strategy_validation():
         make_strategy(threshold=0.0)  # statistical monitors on require a threshold
     with pytest.raises(ConfigError):
         make_strategy(retrain_scope="bogus")
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("monitors", [True, False])
+def test_a_non_finite_threshold_is_refused(threshold, monitors):
+    # A NaN threshold would never flag: every comparison with it is false.
+    with pytest.raises(ConfigError, match="threshold must be a finite number"):
+        make_strategy(threshold=threshold, monitor_features=monitors, monitor_target=monitors)

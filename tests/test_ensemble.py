@@ -17,6 +17,7 @@ from driftstream.ensemble import (
     EnsembleConfig,
     HybridEnsemble,
     MemberSpec,
+    SHADOW_METRICS,
     ReplacementEvent,
     combine_votes,
     compute_weights,
@@ -646,6 +647,68 @@ def test_broken_member_falls_back_and_logs(caplog):
     }
 
 
+class NoisyOracle(SpyBatchModel):
+    """An oracle spy that answers one class too high on every ``every``-th row, and records what it labels."""
+
+    def __init__(self, schema, every):
+        super().__init__(schema, "oracle")
+        self.every = every
+        self.blocks: list[np.ndarray] = []
+
+    def predict(self, x):
+        label = int(x[1])
+        return (label + 1) % 3 if int(x[0]) % self.every == 0 else label
+
+    def predict_labels(self, X):
+        self.blocks.append(np.array(X))
+        return super().predict_labels(X)
+
+
+@pytest.mark.parametrize("metric", SHADOW_METRICS)
+def test_a_shadow_is_labelled_once_on_its_comparison_rows(monkeypatch, metric):
+    # Warm-up 100, a drift on every check from seq 199 and shadows judged over
+    # 60 rows: shadows start at 199, 299, ..., 899, the last judged at 959.
+    everies = iter([4, 3, 7, 2, 5, 9, 6, 13, 8])  # the incumbent's, then one per shadow
+    created = []
+
+    def factory(schema, seed):
+        created.append(NoisyOracle(schema, next(everies)))
+        return created[-1]
+
+    monkeypatch.setitem(BATCH_LEARNERS, "cart", factory)
+    monkeypatch.setattr("driftstream.ensemble.check_windows", always_drift)
+    config = EnsembleConfig(
+        members=(batch_spec(perf_strategy(window_size=100)),), first_fit_size=100, shadow_eval_size=60,
+        shadow_metric=metric, seed=0,
+    )
+    ensemble = HybridEnsemble(SCHEMA, config)
+    instances = encoded_stream(960)
+    steps = []
+    for start in range(0, len(instances), 256):
+        ensemble.lookahead(instances[start:start + 256])
+        steps += [ensemble.process_instance(inst) for inst in instances[start:start + 256]]
+    events = [e for s in steps for e in s.events]
+    drifts = [e.seq for e in events if isinstance(e, DriftEvent)]
+    replaced = {e.seq for e in events if isinstance(e, ReplacementEvent)}
+    assert drifts == list(range(199, 960, 100))
+    assert 0 < len(replaced) < len(drifts)  # some shadows win and some lose
+
+    def score(y, labels):
+        if metric == "accuracy":
+            return np.count_nonzero(np.array(y) == np.array(labels)) / len(y)
+        return f1_from_pairs(y, labels, 3)
+
+    for shadow, seq in zip(created[1:], drifts, strict=True):
+        window = instances[seq + 1:seq + 61]
+        # One call on the comparison rows; a promoted shadow's later calls label rows after them.
+        assert [b[:, 0].tolist() for b in shadow.blocks if b[0, 0] <= seq + 60] == [[inst.x[0] for inst in window]]
+        y = [inst.y for inst in window]
+        row_by_row = [shadow.predict(inst.x) for inst in window]
+        incumbent = [s.member_labels[0] for s in steps[seq + 1:seq + 61]]
+        assert (score(y, row_by_row) > score(y, incumbent)) == (seq + 60 in replaced)
+        assert len(shadow.blocks) == 1 or seq + 60 in replaced
+
+
 # ---------------------------------------------------------------------------
 # batch member failures: one logged warning each, and the fallback
 
@@ -721,12 +784,19 @@ def test_failed_incumbent_predict_answers_zero(monkeypatch):
 
 
 def test_failed_shadow_predict_records_zero(monkeypatch):
+    # The seq-99 shadow is judged on rows 100..119 at seq 119. Its one call
+    # raises, so it labels all 20 rows 0 and ties the constant-0 incumbent,
+    # which the oracle's labels would beat.
     models = [FlakySpy(), FlakySpy(fail_predicts={1})]
-    steps, member, failures = run_flaky_member(monkeypatch, models, always_drift, 102)
+    models[0].behaviour = "constant0"
+    steps, member, failures = run_flaky_member(monkeypatch, models, always_drift, 121)
     assert failures == 1
     assert member.failures == {"predict": 0, "shadow_predict": 1, "learn": 0}
     assert [e.seq for e in drift_events(steps)] == [99]
-    assert member.shadow.labels == [0, 101 % 3]  # the oracle would answer 100 % 3 = 1 first
+    assert not any(isinstance(e, ReplacementEvent) for s in steps for e in s.events)
+    assert models[1].predict_calls == 1
+    assert member.shadow is None
+    assert member.incumbent.model is models[0]
 
 
 def test_failed_warm_up_fit_keeps_the_majority_answer(monkeypatch):

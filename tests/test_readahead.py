@@ -93,10 +93,13 @@ def assert_block_size_does_not_change_any_step(run, model_class, block_size, mon
     if block_size > 1:
         assert max(calls) > 1 and len(calls) < sum(calls) / 4  # labelled a block per call
     if block_size == 3000:
-        # One call per model: each member's first fit and each shadow. A
-        # replacement hands the shadow's labels over to the member.
-        shadows = sum(isinstance(e, DriftEvent) for s in per_instance for e in s.events)
-        assert len(calls) == 4 + shadows
+        # One call per model: each member's first fit, each shadow over its
+        # comparison window if that ends within the stream, and each promoted
+        # shadow over its first block as the incumbent.
+        events = [e for s in per_instance for e in s.events]
+        window = golden_stream(run)[0].shadow_eval_size
+        judged = sum(isinstance(e, DriftEvent) and e.seq + window < len(per_instance) for e in events)
+        assert len(calls) == 4 + judged + sum(isinstance(e, ReplacementEvent) for e in events)
 
 
 BLOCK_SIZES = [1, 7, 256, 3000]
