@@ -18,7 +18,7 @@ from .core import (
     SchemaError,
     ToolkitError,
 )
-from .drift import DriftStrategy, DriftVerdict, Trigger, WindowPair, check_windows, select_test, strategy_catalog
+from .drift import DriftStrategy, DriftVerdict, Trigger, check_windows, select_test, strategy_catalog
 from .ensemble import (
     EnsembleConfig,
     HybridEnsemble,
@@ -61,7 +61,6 @@ __all__ = [
     "SynthConfig",
     "ToolkitError",
     "Trigger",
-    "WindowPair",
     "check_windows",
     "combine_votes",
     "compute_weights",

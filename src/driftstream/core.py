@@ -105,7 +105,8 @@ class Instance:
 
 def is_number(value, integral: bool = False) -> bool:
     """An int (``integral``) or real number that is not a bool, as JSON configs spell them."""
-    return isinstance(value, numbers.Integral if integral else numbers.Real) and not isinstance(value, bool)
+    kind = numbers.Integral if integral else numbers.Real
+    return type(value) is int or isinstance(value, kind) and not isinstance(value, bool)  # an int skips the slow ABC
 
 
 def argmax_tiebreak(values: Sequence[float] | np.ndarray) -> int:

@@ -8,8 +8,9 @@ treated as categorical. The performance monitor compares the macro F1 of the
 member's own recorded predictions between the two windows and flags drift on
 a relative drop beyond ``perf_tolerance``.
 
-A verdict is a pure function of (window pair, strategy, schema): at least one
-trigger marks the pair as drifted.
+A verdict is a pure function of (history rows, strategy, schema): the rows
+are a member's last ``2 * window_size`` instances, the reference window then
+the current one, and at least one trigger marks them as drifted.
 """
 
 from __future__ import annotations
@@ -77,24 +78,6 @@ class DriftStrategy:
         return self.monitor_features or self.monitor_target or self.monitor_performance
 
 
-@dataclass
-class WindowPair:
-    """Adjacent reference/current batches with the member's own predictions."""
-
-    X_ref: np.ndarray
-    y_ref: np.ndarray
-    pred_ref: np.ndarray
-    X_cur: np.ndarray
-    y_cur: np.ndarray
-    pred_cur: np.ndarray
-
-    def __post_init__(self) -> None:
-        sizes = {len(self.X_ref), len(self.y_ref), len(self.pred_ref)}
-        sizes_cur = {len(self.X_cur), len(self.y_cur), len(self.pred_cur)}
-        if len(sizes) != 1 or len(sizes_cur) != 1 or sizes != sizes_cur:
-            raise ValueError("reference and current windows must have equal sizes")
-
-
 @dataclass(frozen=True)
 class Trigger:
     source: str  # "feature:<name>" | "target" | "performance"
@@ -128,7 +111,8 @@ def select_test(kind: FeatureKind, n_unique: int, window_size: int) -> str | Non
     return "js" if large else "chi2"
 
 
-def _column_outcome(test: str, ref: np.ndarray, cur: np.ndarray):
+def _column_outcome(test: str, column: np.ndarray, s: int):
+    ref, cur = column[:s], column[s:]
     if test == "wasserstein":
         return wasserstein_1d(ref, cur, float(np.std(ref, ddof=1)))
     if test == "ks":
@@ -140,37 +124,39 @@ def _column_outcome(test: str, ref: np.ndarray, cur: np.ndarray):
     if test == "chi2":
         return chi_squared(ref, cur)
     if test == "zprop":
-        top = np.max(np.concatenate([ref, cur]))
+        top = column.max()
         return z_proportion(int((ref == top).sum()), ref.size, int((cur == top).sum()), cur.size)
     raise ValueError(f"unknown test {test!r}")
 
 
-def _flags(outcome, threshold: float) -> bool:
-    if outcome.score_kind == P_VALUE:
-        return outcome.drift_score < threshold
-    return outcome.drift_score > threshold
+def check_windows(rows: tuple[np.ndarray, ...], strategy: DriftStrategy, schema: Schema) -> DriftVerdict:
+    """Run every enabled monitor over a member's last two windows and aggregate triggers.
 
-
-def check_windows(pair: WindowPair, strategy: DriftStrategy, schema: Schema) -> DriftVerdict:
-    """Run every enabled monitor over one window pair and aggregate triggers."""
+    ``rows`` is ``(X, y, pred)``: the features, labels and the member's own
+    predictions of ``2 s`` history rows, the reference window first.
+    """
+    X, y, pred = rows
+    s = len(y) // 2
+    if len(y) % 2 or not len(X) == len(y) == len(pred):
+        raise ValueError("the two windows need an even number of rows, as many in X, y and pred")
     triggers: list[Trigger] = []
-    s = len(pair.y_ref)
-    columns = []  # (trigger source, kind, reference column, current column), in trigger order
+    columns = []  # (trigger source, kind, column of both windows), in trigger order
     if strategy.monitor_features:
         for j, (name, kind) in enumerate(zip(schema.feature_names, schema.feature_kinds)):
-            columns.append((f"feature:{name}", kind, pair.X_ref[:, j], pair.X_cur[:, j]))
+            columns.append((f"feature:{name}", kind, X[:, j]))
     if strategy.monitor_target:
-        columns.append(("target", FeatureKind.CATEGORICAL, pair.y_ref.astype(float), pair.y_cur.astype(float)))
-    for source, kind, ref, cur in columns:
-        test = select_test(kind, np.unique(np.concatenate([ref, cur])).size, s)
+        columns.append(("target", FeatureKind.CATEGORICAL, y.astype(float)))
+    for source, kind, column in columns:
+        test = select_test(kind, np.unique(column).size, s)
         if test is None:
             continue
-        outcome = _column_outcome(test, ref, cur)
-        if _flags(outcome, strategy.threshold):
-            triggers.append(Trigger(source, outcome.drift_score))
+        outcome = _column_outcome(test, column, s)
+        score, threshold = outcome.drift_score, strategy.threshold
+        if score < threshold if outcome.score_kind == P_VALUE else score > threshold:  # a p-value flags low
+            triggers.append(Trigger(source, score))
     if strategy.monitor_performance:
-        f1_ref = f1_from_pairs(pair.y_ref, pair.pred_ref, schema.n_classes)
-        f1_cur = f1_from_pairs(pair.y_cur, pair.pred_cur, schema.n_classes)
+        f1_ref = f1_from_pairs(y[:s], pred[:s], schema.n_classes)
+        f1_cur = f1_from_pairs(y[s:], pred[s:], schema.n_classes)
         if f1_cur < (1.0 - strategy.perf_tolerance) * f1_ref:
             drop = 1.0 - f1_cur / f1_ref if f1_ref > 0 else 0.0
             triggers.append(Trigger("performance", drop))

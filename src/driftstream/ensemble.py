@@ -52,8 +52,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ConfigError, Instance, Schema, SchemaError, argmax_tiebreak, is_number
-from .drift import LAST_WINDOW, DriftStrategy, Trigger, WindowPair, check_windows
+from .core import ConfigError, DataError, Instance, Schema, SchemaError, argmax_tiebreak, is_number
+from .drift import LAST_WINDOW, DriftStrategy, Trigger, check_windows
 from .evaluation import ConfusionMatrix, f1_from_pairs
 from .learners import BATCH_LEARNERS, ONLINE_LEARNERS
 
@@ -390,15 +390,11 @@ class Member:
         end = self.history.end
         return end >= self.first_fit_size and (end - self.first_fit_size) % self.strategy.window_size == 0
 
-    def _window_pair(self) -> WindowPair:
-        s = self.strategy.window_size
+    def _window_pair(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The last two windows of history rows as one block: features, labels and this member's predictions."""
         history = self.history
-        rows = history.rows(history.end - 2 * s)
-        X, y, pred = history.X[rows], history.y[rows], history.labels[rows, self.index]
-        return WindowPair(
-            X_ref=X[:s], y_ref=y[:s], pred_ref=pred[:s],
-            X_cur=X[s:], y_cur=y[s:], pred_cur=pred[s:],
-        )
+        rows = history.rows(history.end - 2 * self.strategy.window_size)
+        return history.X[rows], history.y[rows], history.labels[rows, self.index]
 
     def _retrain(self, seq: int, triggers: tuple[Trigger, ...], events: list) -> None:
         model = self.spec.new_model(self.schema, seed=self.seed)
@@ -457,15 +453,23 @@ class HybridEnsemble:
     def lookahead(self, instances: Sequence[Instance]) -> None:
         """Read the next rows ahead, for frozen models to label in one call each.
 
-        Only their features are stored, after every row's width is checked.
-        Each row must still go through ``process_instance`` in order; a row
-        that is not one of these very instances is read ahead on its own.
+        Only their features are stored. Each row must still go through
+        ``process_instance`` in order; a row that is not one of these very
+        instances is read ahead on its own. No row is taken when one has the
+        wrong width or a label that is no integer class index (a bool is none),
+        which raise ``SchemaError``, or a non-finite feature (``DataError``).
         """
         for inst in instances:
             if len(inst.x) != self.schema.n_features:
                 raise SchemaError(f"instance {inst.seq} has {len(inst.x)} features, expected {self.schema.n_features}")
+            if not (is_number(inst.y, integral=True) and 0 <= inst.y < self.schema.n_classes):
+                raise SchemaError(
+                    f"instance {inst.seq} has label {inst.y!r}, not a class index below {self.schema.n_classes}")
+        X = np.array([inst.x for inst in instances], dtype=float)
+        if not (finite := np.isfinite(X)).all():
+            raise DataError(f"instance {instances[finite.all(axis=1).argmin()].seq} has a non-finite feature")
         self._ahead = list(instances)
-        self._ahead_X = np.array([inst.x for inst in instances], dtype=float)
+        self._ahead_X = X
 
     def process_instance(self, inst: Instance) -> StepResult:
         if inst.seq != self._next_seq:
@@ -473,7 +477,7 @@ class HybridEnsemble:
         ahead = self._ahead
         i = inst.seq - ahead[0].seq if ahead else 0
         if not (0 <= i < len(ahead) and ahead[i] is inst):
-            self.lookahead([inst])  # checks the width of a row not read ahead
+            self.lookahead([inst])  # checks a row not read ahead
             i = 0
         self._next_seq += 1
 

@@ -1,18 +1,23 @@
+import collections
+import functools
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import driftstream.drift as drift_mod
 from driftstream.core import ConfigError, FeatureKind, Schema
 from driftstream.drift import (
     LAST_WINDOW,
     SINCE_LAST_REPLACEMENT,
     DriftStrategy,
-    WindowPair,
     check_windows,
     select_test,
     strategy_catalog,
 )
+from driftstream.evaluation import f1_from_pairs
+from driftstream.stattests import P_VALUE, chi_squared, js_divergence, ks_two_sample, wasserstein_1d, z_proportion
 
 
 def make_strategy(**overrides) -> DriftStrategy:
@@ -29,14 +34,12 @@ def make_strategy(**overrides) -> DriftStrategy:
     return DriftStrategy(**base)
 
 
-def make_pair(X_ref, y_ref, pred_ref, X_cur, y_cur, pred_cur) -> WindowPair:
-    return WindowPair(
-        X_ref=np.asarray(X_ref, dtype=float),
-        y_ref=np.asarray(y_ref, dtype=int),
-        pred_ref=np.asarray(pred_ref, dtype=int),
-        X_cur=np.asarray(X_cur, dtype=float),
-        y_cur=np.asarray(y_cur, dtype=int),
-        pred_cur=np.asarray(pred_cur, dtype=int),
+def make_pair(X_ref, y_ref, pred_ref, X_cur, y_cur, pred_cur) -> tuple[np.ndarray, ...]:
+    """The rows of two windows as ``check_windows`` reads them: (X, y, pred), the reference window first."""
+    return (
+        np.concatenate([np.asarray(X_ref, dtype=float), np.asarray(X_cur, dtype=float)]),
+        np.concatenate([np.asarray(y_ref, dtype=int), np.asarray(y_cur, dtype=int)]),
+        np.concatenate([np.asarray(pred_ref, dtype=int), np.asarray(pred_cur, dtype=int)]),
     )
 
 
@@ -183,9 +186,14 @@ def test_verdict_is_pure(schema_nb):
     assert first == second
 
 
-def test_unequal_windows_rejected():
-    with pytest.raises(ValueError):
-        make_pair(np.zeros((3, 1)), [0, 0, 0], [0, 0, 0], np.zeros((2, 1)), [0, 0], [0, 0])
+def test_unequal_windows_rejected(schema_nb):
+    strategy = make_strategy(window_size=2)
+    odd = make_pair(np.zeros((3, 2)), [0, 0, 1], [0, 0, 1], np.ones((2, 2)), [1, 0], [1, 0])
+    short_pred = (np.zeros((4, 2)), np.zeros(4, dtype=int), np.zeros(2, dtype=int))
+    long_X = (np.zeros((6, 2)), np.zeros(4, dtype=int), np.zeros(4, dtype=int))
+    for rows in (odd, short_pred, long_X):
+        with pytest.raises(ValueError, match="even number of rows"):
+            check_windows(rows, strategy, schema_nb)
 
 
 def test_drifted_iff_triggers(schema_nb):
@@ -202,6 +210,127 @@ def test_drifted_iff_triggers(schema_nb):
             make_pair(X_ref, y, y, X_cur, y, y), make_strategy(window_size=s), schema_nb
         )
         assert verdict.drifted == bool(verdict.triggers)
+
+
+def pair_check(X_ref, y_ref, pred_ref, X_cur, y_cur, pred_cur, strategy, schema):
+    """The check as it ran on a pair of separate windows, joining each column's halves again.
+
+    Kept as the reference for ``check_windows``, which reads one block of
+    rows: both must give the same triggers, to the bit.
+    """
+
+    def outcome_of(test, ref, cur):
+        if test == "wasserstein":
+            return wasserstein_1d(ref, cur, float(np.std(ref, ddof=1)))
+        if test == "ks":
+            return ks_two_sample(ref, cur)
+        if test == "js":
+            return js_divergence(ref, cur)
+        if test == "chi2":
+            return chi_squared(ref, cur)
+        top = np.max(np.concatenate([ref, cur]))
+        return z_proportion(int((ref == top).sum()), ref.size, int((cur == top).sum()), cur.size)
+
+    triggers = []
+    columns = []
+    if strategy.monitor_features:
+        for j, (name, kind) in enumerate(zip(schema.feature_names, schema.feature_kinds)):
+            columns.append((f"feature:{name}", kind, X_ref[:, j], X_cur[:, j]))
+    if strategy.monitor_target:
+        columns.append(("target", FeatureKind.CATEGORICAL, y_ref.astype(float), y_cur.astype(float)))
+    for source, kind, ref, cur in columns:
+        test = select_test(kind, np.unique(np.concatenate([ref, cur])).size, len(y_ref))
+        if test is None:
+            continue
+        outcome = outcome_of(test, ref, cur)
+        if outcome.score_kind == P_VALUE:
+            flagged = outcome.drift_score < strategy.threshold
+        else:
+            flagged = outcome.drift_score > strategy.threshold
+        if flagged:
+            triggers.append((source, outcome.drift_score))
+    if strategy.monitor_performance:
+        f1_ref = f1_from_pairs(y_ref, pred_ref, schema.n_classes)
+        f1_cur = f1_from_pairs(y_cur, pred_cur, schema.n_classes)
+        if f1_cur < (1.0 - strategy.perf_tolerance) * f1_ref:
+            triggers.append(("performance", 1.0 - f1_cur / f1_ref if f1_ref > 0 else 0.0))
+    return triggers
+
+
+SIGNED_ZERO_SCHEMA = Schema(
+    feature_names=("num", "few", "bin", "cat", "const", "zeros", "signed", "signed_bin", "appears"),
+    feature_kinds=(
+        FeatureKind.NUMERIC,
+        FeatureKind.NUMERIC,
+        FeatureKind.BINARY,
+        FeatureKind.CATEGORICAL,
+        FeatureKind.NUMERIC,
+        FeatureKind.NUMERIC,
+        FeatureKind.NUMERIC,
+        FeatureKind.BINARY,
+        FeatureKind.NUMERIC,
+    ),
+    class_labels=("a", "b", "c"),
+)
+
+
+def history_block(rng, s):
+    """2 s history rows as a member reads them, the current window drifting by a random amount."""
+    n = 2 * s
+    cur = np.arange(n) >= s
+    shift = rng.uniform(0.0, 0.6)
+    zero = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    X = np.column_stack([
+        rng.normal(size=n) + shift * cur,
+        rng.integers(0, 4, n),
+        rng.random(n) < 0.3 + shift * cur,
+        rng.integers(0, 7, n),
+        np.full(n, 2.5),
+        zero,  # one value: -0.0 == 0.0
+        np.where(rng.random(n) < 0.4 + shift * cur, -1.0, zero),  # two values, the larger a signed zero
+        np.where(rng.random(n) < 0.5 - shift * cur / 2, 1.0, zero),
+        np.where(cur & (rng.random(n) < 0.2 + shift), 1.0, zero),  # its larger value only in the current window
+    ])
+    y = np.where(rng.random(n) < shift * cur, 0, rng.integers(0, 3, n))
+    labels = np.column_stack([y, np.where(rng.random(n) < 0.2 + shift * cur, (y + 1) % 3, y)])
+    return X, y, labels[:, 1]  # the member's predictions are a column of the history's labels
+
+
+def counting(calls, name, fn):
+    @functools.wraps(fn)
+    def counted(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    return counted
+
+
+def test_one_block_of_rows_gives_the_triggers_of_the_window_pair(monkeypatch):
+    calls = collections.Counter()
+    for name in ("wasserstein_1d", "ks_two_sample", "js_divergence", "chi_squared", "z_proportion"):
+        monkeypatch.setattr(drift_mod, name, counting(calls, name, getattr(drift_mod, name)))
+    rng = np.random.default_rng(30)
+    sources = collections.Counter()
+    for s in (20, 400, 1000, 1001, 1500):
+        for _ in range(3):
+            X, y, pred = history_block(rng, s)
+            threshold = float(rng.choice([0.02, 0.1, 0.4]))
+            for features, target, performance in itertools.product((False, True), repeat=3):
+                strategy = make_strategy(
+                    monitor_features=features, monitor_target=target, monitor_performance=performance,
+                    threshold=threshold, window_size=s,
+                )
+                verdict = check_windows((X, y, pred), strategy, SIGNED_ZERO_SCHEMA)
+                want = pair_check(X[:s], y[:s], pred[:s], X[s:], y[s:], pred[s:], strategy, SIGNED_ZERO_SCHEMA)
+                assert [(t.source, t.drift_score.hex()) for t in verdict.triggers] == [
+                    (source, score.hex()) for source, score in want
+                ]
+                assert verdict.drifted == bool(want)
+                sources.update(t.source for t in verdict.triggers)
+    assert set(calls) == {"wasserstein_1d", "ks_two_sample", "js_divergence", "chi_squared", "z_proportion"}
+    # Every tested column and the performance monitor fired at least once; the constant columns never.
+    names = [f"feature:{name}" for name in SIGNED_ZERO_SCHEMA.feature_names if name not in ("const", "zeros")]
+    assert set(sources) == {*names, "target", "performance"}
 
 
 # ---------------------------------------------------------------------------

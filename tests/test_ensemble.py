@@ -1,6 +1,7 @@
 import itertools
 import logging
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftstream.core import BatchClassifier, ConfigError, FeatureKind, Instance, Schema, SchemaError, argmax_tiebreak
+from driftstream.core import (
+    BatchClassifier,
+    ConfigError,
+    DataError,
+    FeatureKind,
+    Instance,
+    Schema,
+    SchemaError,
+    argmax_tiebreak,
+)
 from driftstream.drift import DriftStrategy, DriftVerdict, Trigger, strategy_catalog
 from driftstream.ensemble import (
     DYNAMIC_SWITCH,
@@ -23,6 +33,7 @@ from driftstream.ensemble import (
     compute_weights,
 )
 from driftstream.evaluation import f1_from_pairs
+from driftstream.experiment import run_stream
 from driftstream.learners import BATCH_LEARNERS, ONLINE_LEARNERS, RandomForestClassifier
 from driftstream.learners import cart as cart_module
 
@@ -614,6 +625,66 @@ def test_a_row_of_the_wrong_width_does_not_advance_the_stream():
     with pytest.raises(SchemaError, match="instance 1 has 1 features"):
         ensemble.lookahead([rows[0], Instance(np.array([0.0]), 0, 1)])
     assert [ensemble.process_instance(inst).seq for inst in rows] == [0, 1]
+
+
+def gnb_ensemble():
+    """A batch Gaussian NB member with drift checks beside the three online learners."""
+    members = (batch_spec(perf_strategy(window_size=50), algo="gnb"), *map(online_spec, ("gnb", "hoeffding", "logreg")))
+    return HybridEnsemble(SCHEMA, EnsembleConfig(members=members, first_fit_size=100, seed=0))
+
+
+def bad_row(rows, seq, **change):
+    """``rows`` with row ``seq`` given another x or label."""
+    return [*rows[:seq], replace(rows[seq], **change), *rows[seq + 1:]]
+
+
+# A negative, bool or numpy-negative label used to be learnt as some class with one swallowed online learn failure
+# each; 3 and 1.0 ended in an IndexError.
+BAD_LABELS = [-1, True, np.int64(-2), 3, 1.0, np.float64(1.0), np.bool_(False), "1", None]
+BAD_LABEL_IDS = ["-1", "True", "int64(-2)", "3", "1.0", "float64(1.0)", "bool_(False)", "str", "None"]
+
+
+@pytest.mark.parametrize("label", BAD_LABELS, ids=BAD_LABEL_IDS)
+def test_run_stream_refuses_a_label_that_is_no_class_index(label):
+    rows = bad_row(gaussian_instances(np.eye(3, 2) * 3, 300, seed=1), 150, y=label)
+    with pytest.raises(SchemaError, match=re.escape(f"instance 150 has label {label!r}, not a class index below 3")):
+        run_stream(gnb_ensemble(), rows)
+
+
+@pytest.mark.parametrize("label", BAD_LABELS, ids=BAD_LABEL_IDS)
+def test_a_row_not_read_ahead_with_a_bad_label_is_refused_before_any_member_sees_it(label):
+    rows = gaussian_instances(np.eye(3, 2) * 3, 300, seed=1)
+    ensemble = gnb_ensemble()
+    for inst in rows[:150]:
+        ensemble.process_instance(inst)
+    with pytest.raises(SchemaError, match="instance 150 has label"):
+        ensemble.process_instance(bad_row(rows, 150, y=label)[150])
+    assert ensemble.history.end == 150
+    assert all(count == 0 for phases in ensemble.failures.values() for count in phases.values())
+    assert ensemble.process_instance(rows[150]).seq == 150  # the stream did not advance
+
+
+def test_numpy_integer_labels_give_the_same_steps():
+    rows = gaussian_instances(np.eye(3, 2) * 3, 300, seed=1)
+    as_numpy = [Instance(inst.x, np.int64(inst.y), inst.seq) for inst in rows]
+    expected = run_stream(gnb_ensemble(), rows)
+    got = run_stream(gnb_ensemble(), as_numpy)
+    assert (got.final_f1, got.events, got.failures) == (expected.final_f1, expected.events, expected.failures)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_feature_is_refused_naming_the_first_bad_row(value):
+    # One NaN in a 2000-row run used to move the final F1 with no failure counted.
+    rows = gaussian_instances(np.eye(3, 2) * 3, 2000, seed=1)
+    rows = bad_row(bad_row(rows, 1500, x=np.array([1.0, value])), 1510, x=np.array([value, value]))
+    with pytest.raises(DataError, match="instance 1500 has a non-finite feature"):
+        run_stream(gnb_ensemble(), rows)
+    ensemble = gnb_ensemble()
+    for inst in rows[:1500]:
+        ensemble.process_instance(inst)
+    with pytest.raises(DataError, match="instance 1500 has a non-finite feature"):
+        ensemble.process_instance(rows[1500])  # not read ahead: checked on its own
+    assert ensemble.history.end == 1500
 
 
 def test_out_of_order_instances_rejected():
