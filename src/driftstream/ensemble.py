@@ -25,7 +25,11 @@ For every stream instance, in order:
    and its member's label is the vote;
 4. the label is revealed: the instance, its label and every member's step-1
    prediction are appended once to the shared ``History``, and each member's
-   score window slides over the step-1 prediction in one step;
+   score window slides over the step-1 prediction in one step. A one-member
+   run turns quiet, for good, once its member can never read a row again: an
+   online member from row 0, a batch member that monitors nothing from the step
+   after its first fit. A quiet run stores no row, and a batch member there
+   no longer learns, as its learn would do nothing;
 5. online members learn the instance;
 6. batch members fit, check and compare on slices of that history: they run
    their drift check every ``window_size`` instances after their first fit,
@@ -214,10 +218,10 @@ class History:
 
     Rows are addressed by arrival index: ``X``, ``y`` and ``labels`` (the
     members' recorded predictions, one column per member) hold rows ``start``
-    to ``end - 1``, and ``class_counts`` counts the labels of every row ever
-    appended. When the block is full, ``compact`` drops the rows no member
-    needs and moves the rest to the front, doubling the block only when less
-    than half of it would be free.
+    to ``end - 1``, and ``class_counts`` counts the labels of the rows ever
+    stored (a quiet run stores none). When the block is full, ``compact``
+    drops the rows no member needs and moves the rest to the front, doubling
+    the block only when less than half of it would be free.
     """
 
     def __init__(self, n_features: int, n_members: int, n_classes: int) -> None:
@@ -444,6 +448,11 @@ class HybridEnsemble:
         # One member's weight is always 1.0 and the vote its label, so a one-member run keeps no score window.
         self._solo = len(self.members) == 1
         self._score_rows = 0 if self._solo else config.score_window  # history rows the score windows read
+        # A quiet run (step 4 of the module docstring) stores no row and calls no learn that has nothing to do.
+        lone = self.members[0] if self._solo else None
+        self._quiet = isinstance(lone, OnlineMember)
+        self._learners = self.members  # the members whose learn has work to do
+        self._train_once = lone if isinstance(lone, Member) and not lone.strategy.monitors_any else None
         self.windows = [] if self._solo else [ConfusionMatrix(schema.n_classes) for _ in self.members]
         self.scores = [0.0] * len(self.windows)  # each window's macro F1, 0.0 while it is empty
         self._next_seq = 0
@@ -498,18 +507,23 @@ class HybridEnsemble:
             final = combine_votes(member_labels, weights, self.schema.n_classes)
 
         history = self.history
-        if history.end - history.start == len(history.y):
-            history.compact(min([history.end - self._score_rows, *(m.first_readable() for m in self._batch)]))
-        history.append(inst.x, inst.y, member_labels)
-        if not self._solo:
-            self._rescore(inst.y, member_labels)
+        if self._quiet:
+            history.start = history.end = history.end + 1
+        else:
+            if history.end - history.start == len(history.y):
+                history.compact(min([history.end - self._score_rows, *(m.first_readable() for m in self._batch)]))
+            history.append(inst.x, inst.y, member_labels)
+            if not self._solo:
+                self._rescore(inst.y, member_labels)
         events: list = []
-        for member in self.members:
+        for member in self._learners:
             try:
                 member.learn(inst, events)
             except Exception:
                 logger.warning("member %s failed to learn", member.spec.id, exc_info=True)
                 member.failures["learn"] += 1
+        if self._train_once is not None and self._train_once.fitted:
+            self._quiet, self._learners, self._train_once = True, [], None
         return StepResult(seq=inst.seq, y_true=inst.y, final_label=final, member_labels=member_labels,
                           weights=weights, events=events)
 

@@ -25,7 +25,9 @@ from driftstream.ensemble import (
     WEIGHTED_VOTE,
     DriftEvent,
     EnsembleConfig,
+    History,
     HybridEnsemble,
+    Member,
     MemberSpec,
     SHADOW_METRICS,
     ReplacementEvent,
@@ -74,7 +76,8 @@ class SpyBatchModel(BatchClassifier):
     """Test double: records every fit; behaviour is fixed per creation index.
 
     "oracle" reads the label encoded in the second feature, "constant0"
-    always answers class 0.
+    always answers class 0, and "fail_first_fit" is an oracle whose first fit
+    raises.
     """
 
     def __init__(self, schema, behaviour):
@@ -84,13 +87,15 @@ class SpyBatchModel(BatchClassifier):
 
     def fit(self, X, y):
         self.fits.append((np.array(X), np.array(y)))
+        if self.behaviour == "fail_first_fit" and len(self.fits) == 1:
+            raise RuntimeError("first fit failed on purpose")
 
     def fit_seqs(self, i=0):
         """Arrival indices of the rows of the i-th fit, read from the first feature."""
         return self.fits[i][0][:, 0].astype(int).tolist()
 
     def predict(self, x):
-        if self.behaviour == "oracle":
+        if self.behaviour in ("oracle", "fail_first_fit"):
             return int(x[1])
         return 0
 
@@ -445,6 +450,68 @@ def test_history_keeps_only_readable_rows(monkeypatch):
     assert history.end == 5000
     assert len(history.y) == 1024
     assert history.start > 5000 - 1024
+
+
+def count_storing(monkeypatch):
+    """Count the rows each run appends to its history, its compactions and its batch members' learn calls."""
+    calls = {"append": 0, "compact": 0, "learn": 0}
+    for cls, name, key in ((History, "append", "append"), (History, "compact", "compact"), (Member, "learn", "learn")):
+        def counted(*args, _method=getattr(cls, name), _key=key):
+            calls[_key] += 1
+            return _method(*args)
+
+        monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def run_lone_train_once(monkeypatch, behaviour, n):
+    """A lone spy member that monitors nothing (warm-up 500, fit retried every 100 rows) on ``n`` rows.
+    Returns the created spies, the member's labels and the ensemble."""
+    created = install_spies(monkeypatch, [behaviour])
+    train_once = perf_strategy(monitor_performance=False, window_size=100)
+    ensemble = HybridEnsemble(SCHEMA, EnsembleConfig(members=(batch_spec(train_once),), first_fit_size=500, seed=0))
+    labels = [ensemble.process_instance(inst).member_labels[0] for inst in encoded_stream(n)]
+    return created, labels, ensemble
+
+
+def test_one_member_runs_store_only_rows_their_member_reads(monkeypatch):
+    calls = count_storing(monkeypatch)
+    online = HybridEnsemble(SCHEMA, EnsembleConfig(members=(online_spec(),), seed=0))
+    for inst in encoded_stream(3000):
+        online.process_instance(inst)
+    assert online.history.end == 3000
+    assert online.history.end == online.history.start
+    assert calls == {"append": 0, "compact": 0, "learn": 0}
+
+    # A train-once member stores and learns rows 0..499, fits at seq 499, and
+    # from seq 500 on stores and learns nothing.
+    calls = count_storing(monkeypatch)
+    created, labels, ensemble = run_lone_train_once(monkeypatch, "oracle", 3000)
+    assert len(created[0].fits) == 1
+    assert created[0].fit_seqs() == list(range(500))
+    assert labels[500:] == [seq % 3 for seq in range(500, 3000)]
+    assert calls == {"append": 500, "compact": 0, "learn": 500}
+    assert ensemble.history.end == 3000
+    assert ensemble.members[0].failures == {"predict": 0, "shadow_predict": 0, "learn": 0}
+
+    # A monitoring member reads its last two windows: every row is stored, and
+    # the 1024-row block fills and keeps 200 rows at rows 1024, 1848 and 2672.
+    calls = count_storing(monkeypatch)
+    created, events, ensemble = run_spy_member(
+        monkeypatch, ["oracle"], "last_window", 3000, fire_at=set(), window_size=100
+    )
+    assert calls == {"append": 3000, "compact": 3, "learn": 3000}
+    assert ensemble.history.start > 0
+
+
+def test_a_lone_train_once_member_whose_first_fit_fails_keeps_storing_until_its_retry(monkeypatch):
+    calls = count_storing(monkeypatch)
+    created, labels, ensemble = run_lone_train_once(monkeypatch, "fail_first_fit", 1000)
+    assert ensemble.members[0].failures == {"predict": 0, "shadow_predict": 0, "learn": 1}
+    assert [created[0].fit_seqs(i) for i in range(2)] == [list(range(500)), list(range(600))]
+    assert labels[:600] == [0] * 600  # labels cycle 0, 1, 2: class 0 leads or ties
+    assert labels[600:] == [seq % 3 for seq in range(600, 1000)]
+    assert calls == {"append": 600, "compact": 0, "learn": 600}
 
 
 def test_shadow_tie_keeps_incumbent(monkeypatch):

@@ -3,9 +3,10 @@
 Every run but ``wv-gnb-long`` replays the same seeded synthetic stream.
 Together the runs cover a capped since-last-replacement cache, a last-window
 member whose window is larger than ``cache_cap``, a warm-up longer than
-``cache_cap``, a replacement that clears a member's cache, a train-once member
-and both shadow metrics. ``wv-gnb-long`` has a longer stream of its own, so
-windows above 1000 rows run the Wasserstein and Jensen-Shannon tests.
+``cache_cap``, a replacement that clears a member's cache, a train-once member,
+an online learner alone and both shadow metrics. ``wv-gnb-long`` has a longer
+stream of its own, so windows above 1000 rows run the Wasserstein and
+Jensen-Shannon tests.
 Every run must also swallow no member failure, so that none can hide behind
 the fallback label.
 
@@ -67,6 +68,7 @@ GRID = {
         "method": {"type": "batch", "algorithm": "rf", "strategy": "B1", "params": {"n_trees": 5}},
         "first_fit_size": 300,
     },
+    "hoeffding": {"method": {"type": "online", "algorithm": "hoeffding"}},
     "cart-s2": {
         "method": {"type": "batch", "algorithm": "cart", "strategy": {"id": "S2", "s": 300}},
         "first_fit_size": 300,
