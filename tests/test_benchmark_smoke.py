@@ -135,3 +135,49 @@ def test_bench_pairs_voids_a_pair_with_a_failed_run():
     assert "change wins 7 of 7" in _metric_line(lines, "step_p50_us")
     assert holds is False  # a voided pair counts as lost: 7 of 10
     assert _summary(parent, change, claim=None)[1] is None
+
+
+def _verify_paper_run():
+    spec = importlib.util.spec_from_file_location("verify_paper_run", ROOT / "scripts" / "verify_paper_run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+#: The catalog-scale check's code path on a 1,500-row stream with forests of 3 trees and windows of 100 and 150.
+_TINY_RUN = {
+    "stream": {"synthetic": {"n_instances": 1500, "n_features": 4, "n_classes": 3, "drift_points": [750], "seed": 5}},
+    "method": {
+        "type": "ensemble",
+        "batch_algorithm": "rf",
+        "batch_params": {"n_trees": 3},
+        "strategies": [{"id": "S4", "s": 100}, {"id": "S5", "s": 100}, {"id": "S6", "s": 150}, {"id": "S7", "s": 150}],
+        "combiner": "wv",
+    },
+    "first_fit_size": 200,
+    "shadow_eval_size": 100,
+    "score_window": 100,
+    "trace_every": 250,
+    "seed": 1,
+}
+_TINY_PINNED = {
+    "report.json": "2b83dadf8b49bd2ab3da5d828d1e3240138a602c61ec2711ca702587630091e2",
+    "trace.csv": "7e9c91af9598ffb515581de5cc7f441d4413e6a49503e33312403063083afa1d",
+    "events.csv": "c3a7d59ad588a1aaec405cc7c088b6a931792f2917377ab62eec04c5d63d92f1",
+}
+
+
+def test_paper_run_check_passes_a_tiny_run_and_names_a_file_that_differs(capsys):
+    # 12 drifts and 10 replacements: the events file pins refits and swaps, not only warm-up fits.
+    module = _verify_paper_run()
+    fit = module.RandomForestClassifier.fit
+    assert module.verify(_TINY_RUN, _TINY_PINNED) == []
+    lines = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"wall_s=\d+\.\d\d rf_fits=16 rf_fit_s=\d+\.\d\d cpus=\d+", lines[0])
+    assert lines[1:] == ["same bytes: report.json, trace.csv, events.csv"]
+    assert module.RandomForestClassifier.fit is fit  # the fit timer is taken off again
+
+    wrong = {**_TINY_PINNED, "trace.csv": "0" * 64}
+    assert module.verify(_TINY_RUN, wrong) == ["trace.csv"]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == [f"trace.csv differs: sha256 {_TINY_PINNED['trace.csv']}, pinned {'0' * 64}"]
