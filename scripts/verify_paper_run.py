@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import multiprocessing
 import os
-import subprocess
 import sys
 import tempfile
 import time
@@ -80,6 +80,11 @@ def verify(config: dict, pinned: dict[str, str]) -> list[str]:
     return differ
 
 
+def _check_on_one_cpu(cpu: int) -> None:
+    os.sched_setaffinity(0, {cpu})
+    sys.exit(1 if verify(CONFIG, PINNED) else 0)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--one-cpu", action="store_true", help="run the check in a child process pinned to one CPU")
@@ -87,9 +92,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.one_cpu:
         if not hasattr(os, "sched_setaffinity"):
             parser.error("--one-cpu needs os.sched_setaffinity, which this platform lacks")
-        cpu = min(os.sched_getaffinity(0))
-        child = subprocess.run([sys.executable, __file__], preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
-        return child.returncode
+        child = multiprocessing.get_context("spawn").Process(
+            target=_check_on_one_cpu, args=(min(os.sched_getaffinity(0)),))
+        child.start()
+        child.join()
+        return child.exitcode
     return 1 if verify(CONFIG, PINNED) else 0
 
 

@@ -114,7 +114,12 @@ def select_test(kind: FeatureKind, n_unique: int, window_size: int) -> str | Non
 def _column_outcome(test: str, column: np.ndarray, s: int):
     ref, cur = column[:s], column[s:]
     if test == "wasserstein":
-        return wasserstein_1d(ref, cur, float(np.std(ref, ddof=1)))
+        with np.errstate(over="ignore", invalid="ignore"):  # the squares overflow above about 1e154
+            std = float(np.std(ref, ddof=1))
+        if not np.isfinite(std):  # score the column scaled by a power of two, which leaves every ratio exact
+            column = np.ldexp(column, -np.frexp(np.abs(column).max())[1])
+            ref, cur, std = column[:s], column[s:], float(np.std(column[:s], ddof=1))
+        return wasserstein_1d(ref, cur, std)
     if test == "ks":
         return ks_two_sample(ref, cur)
     if test == "js":

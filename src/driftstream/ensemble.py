@@ -25,11 +25,11 @@ For every stream instance, in order:
    and its member's label is the vote;
 4. the label is revealed: the instance, its label and every member's step-1
    prediction are appended once to the shared ``History``, and each member's
-   score window slides over the step-1 prediction in one step. A one-member
-   run turns quiet, for good, once its member can never read a row again: an
-   online member from row 0, a batch member that monitors nothing from the step
-   after its first fit. A quiet run stores no row, and a batch member there
-   no longer learns, as its learn would do nothing;
+   score window slides over the step-1 prediction in one step. A row is
+   stored only while a score window or a batch member may read it: a lone
+   online member stores none, and a lone batch member leaves the readers and
+   stops its no-op learns for good at the step after its ``first_readable``
+   reaches the newest row (a fitted member that monitors nothing);
 5. online members learn the instance;
 6. batch members fit, check and compare on slices of that history: they run
    their drift check every ``window_size`` instances after their first fit,
@@ -219,7 +219,7 @@ class History:
     Rows are addressed by arrival index: ``X``, ``y`` and ``labels`` (the
     members' recorded predictions, one column per member) hold rows ``start``
     to ``end - 1``, and ``class_counts`` counts the labels of the rows ever
-    stored (a quiet run stores none). When the block is full, ``compact``
+    stored (a row nothing reads is not). When the block is full, ``compact``
     drops the rows no member needs and moves the rest to the front, doubling
     the block only when less than half of it would be free.
     """
@@ -444,16 +444,12 @@ class HybridEnsemble:
             else Member(spec, schema, config, int(seed), self.history, i)
             for i, (spec, seed) in enumerate(zip(config.members, seeds))
         ]
-        self._batch = [m for m in self.members if isinstance(m, Member)]
         # One member's weight is always 1.0 and the vote its label, so a one-member run keeps no score window.
-        self._solo = len(self.members) == 1
-        self._score_rows = 0 if self._solo else config.score_window  # history rows the score windows read
-        # A quiet run (step 4 of the module docstring) stores no row and calls no learn that has nothing to do.
-        lone = self.members[0] if self._solo else None
-        self._quiet = isinstance(lone, OnlineMember)
-        self._learners = self.members  # the members whose learn has work to do
-        self._train_once = lone if isinstance(lone, Member) and not lone.strategy.monitors_any else None
-        self.windows = [] if self._solo else [ConfusionMatrix(schema.n_classes) for _ in self.members]
+        self.windows = [ConfusionMatrix(schema.n_classes) for _ in self.members] if len(self.members) > 1 else []
+        self._score_rows = config.score_window if self.windows else 0  # history rows the score windows read
+        # A row is stored only while a score window or one of these may read it (step 4 of the module docstring).
+        self._readers = [m for m in self.members if isinstance(m, Member)]
+        self._learners = list(self.members)  # the members whose learn has work to do
         self.scores = [0.0] * len(self.windows)  # each window's macro F1, 0.0 while it is empty
         self._next_seq = 0
         self._ahead: list[Instance] = []  # the rows read ahead, and their features
@@ -500,20 +496,20 @@ class HybridEnsemble:
                 label = 0
             labels.append(label)
         member_labels = tuple(labels)
-        if self._solo:
+        history, windows, readers = self.history, self.windows, self._readers
+        if not windows:
             weights, final = _SOLO_WEIGHTS.copy(), int(labels[0])
         else:
             weights = compute_weights(self.scores, self.config.combiner)
             final = combine_votes(member_labels, weights, self.schema.n_classes)
 
-        history = self.history
-        if self._quiet:
+        if not (windows or readers):  # nothing reads the row: it is passed over, not stored
             history.start = history.end = history.end + 1
         else:
             if history.end - history.start == len(history.y):
-                history.compact(min([history.end - self._score_rows, *(m.first_readable() for m in self._batch)]))
+                history.compact(min([history.end - self._score_rows, *(m.first_readable() for m in readers)]))
             history.append(inst.x, inst.y, member_labels)
-            if not self._solo:
+            if windows:
                 self._rescore(inst.y, member_labels)
         events: list = []
         for member in self._learners:
@@ -522,8 +518,8 @@ class HybridEnsemble:
             except Exception:
                 logger.warning("member %s failed to learn", member.spec.id, exc_info=True)
                 member.failures["learn"] += 1
-        if self._train_once is not None and self._train_once.fitted:
-            self._quiet, self._learners, self._train_once = True, [], None
+        if readers and not windows and readers[0].first_readable() == history.end:  # a lone member reads no more
+            self._learners.remove(readers.pop())
         return StepResult(seq=inst.seq, y_true=inst.y, final_label=final, member_labels=member_labels,
                           weights=weights, events=events)
 

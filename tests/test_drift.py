@@ -333,6 +333,22 @@ def test_one_block_of_rows_gives_the_triggers_of_the_window_pair(monkeypatch):
     assert set(sources) == {*names, "target", "performance"}
 
 
+@pytest.mark.parametrize("k", [0, 400, 520, 1000])
+def test_wasserstein_flags_a_shift_at_any_scale_with_the_same_score(k, recwarn):
+    # Above about 1e154 the reference deviation's squares overflow: unscaled, a
+    # 2^520 or 2^1000 column scored 0.0 or NaN and no drift was flagged.
+    s = 1500
+    rng = np.random.default_rng(0)
+    column = np.concatenate([rng.normal(size=s), rng.normal(1.0, 1.0, size=s)])  # a 1-sigma shift
+    schema = Schema(feature_names=("f0",), feature_kinds=(FeatureKind.NUMERIC,), class_labels=("a", "b"))
+    strategy = make_strategy(monitor_target=False, monitor_performance=False, threshold=0.5, window_size=s)
+    y = np.zeros(2 * s, dtype=int)
+    verdict = check_windows((np.ldexp(column, k)[:, None], y, y), strategy, schema)
+    assert [(t.source, t.drift_score.hex()) for t in verdict.triggers] == [("feature:f0", 0.9726024869938257.hex())]
+    assert verdict.drifted
+    assert not recwarn.list
+
+
 # ---------------------------------------------------------------------------
 # strategy catalog
 

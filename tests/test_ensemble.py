@@ -514,6 +514,26 @@ def test_a_lone_train_once_member_whose_first_fit_fails_keeps_storing_until_its_
     assert calls == {"append": 600, "compact": 0, "learn": 600}
 
 
+def test_a_train_once_member_beside_an_online_member_stores_and_learns_every_row(monkeypatch):
+    # Two members keep score windows, which read every new row, so the train-once
+    # member never leaves the readers: every row is stored and learned, and the
+    # 1024-row block keeps the last 200 (the score window) at rows 1024, 1848 and 2672.
+    calls = count_storing(monkeypatch)
+    created = install_spies(monkeypatch, ["oracle"])
+    train_once = perf_strategy(monitor_performance=False, window_size=100)
+    config = EnsembleConfig(
+        members=(batch_spec(train_once), online_spec()), first_fit_size=500, score_window=200, seed=0
+    )
+    ensemble = HybridEnsemble(SCHEMA, config)
+    labels = [ensemble.process_instance(inst).member_labels[0] for inst in encoded_stream(3000)]
+    assert len(created[0].fits) == 1
+    assert created[0].fit_seqs() == list(range(500))
+    assert labels[500:] == [seq % 3 for seq in range(500, 3000)]
+    assert calls == {"append": 3000, "compact": 3, "learn": 3000}
+    assert ensemble.history.end == 3000
+    assert ensemble.history.start == 2672 - 200
+
+
 def test_shadow_tie_keeps_incumbent(monkeypatch):
     # Both incumbent and shadow answer constant 0: identical records tie, and
     # a tie keeps the incumbent.
