@@ -327,6 +327,7 @@ class Member:
         self.history = history
         self.index = index  # this member's column of history.labels
         self.strategy = spec.strategy
+        self.check_rows = 2 * self.strategy.window_size if self.strategy.monitors_any else 0  # a drift check's rows
         # A bad param fails here, before the stream starts.
         self.incumbent = FrozenModel(spec.new_model(schema, seed=seed))
         self.fitted = False
@@ -346,9 +347,7 @@ class Member:
     def first_readable(self) -> int:
         """The oldest history row this member can still read."""
         end = self.history.end
-        first = max(self.cache_start, end - self.cache_limit)
-        if self.strategy.monitors_any:
-            first = min(first, end - 2 * self.strategy.window_size)
+        first = min(max(self.cache_start, end - self.cache_limit), end - self.check_rows)
         if self.shadow is not None:
             first = min(first, self.shadow.started_at + 1)
         return first
@@ -366,7 +365,7 @@ class Member:
                     self._trim_cache(strategy.window_size)
         elif self.shadow is not None:  # comparing
             self._shadow_step(inst, events)
-        elif strategy.monitors_any and self._on_grid() and self.history.end >= 2 * strategy.window_size:
+        elif strategy.monitors_any and self._on_grid() and self.history.end >= self.check_rows:
             # serving, with a drift check due once two windows of rows exist
             verdict = check_windows(self._window_pair(), strategy, self.schema)
             if verdict.drifted:
@@ -397,7 +396,7 @@ class Member:
     def _window_pair(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The last two windows of history rows as one block: features, labels and this member's predictions."""
         history = self.history
-        rows = history.rows(history.end - 2 * self.strategy.window_size)
+        rows = history.rows(history.end - self.check_rows)
         return history.X[rows], history.y[rows], history.labels[rows, self.index]
 
     def _retrain(self, seq: int, triggers: tuple[Trigger, ...], events: list) -> None:
