@@ -3,8 +3,7 @@
 There are two member classes. An ``OnlineMember`` predicts one row and then
 learns it. A batch ``Member`` goes through warm-up, serving with periodic
 drift checks, and the comparison of a shadow model against its incumbent.
-With two or more members the ensemble keeps one score window per member;
-the drift and replacement counts of a run are the ``DriftEvent``s and
+The drift and replacement counts of a run are the ``DriftEvent``s and
 ``ReplacementEvent``s it returns.
 
 For every stream instance, in order:
@@ -16,20 +15,17 @@ For every stream instance, in order:
    read. Online members learn between instances and predict one row at a time;
 2. combination weights are computed from each member's windowed F1 *before*
    this instance is scored, so the weights never depend on the label being
-   predicted. The ensemble keeps every member's score and recomputes it only
-   when that member's window changes; the weights and the vote are computed
-   on Python floats, adding the scores in member order below 8 members and
-   with numpy's sum from 8 on, which gives numpy's floats to the bit;
-3. the weighted hard vote produces the final prediction. A one-member run
-   skips steps 2 and 3 and keeps no score window: its weight is always 1.0
-   and its member's label is the vote;
-4. the label is revealed: the instance, its label and every member's step-1
-   prediction are appended once to the shared ``History``, and each member's
-   score window slides over the step-1 prediction in one step. A row is
-   stored only while a score window or a batch member may read it: a lone
-   online member stores none, and a lone batch member leaves the readers and
-   stops its no-op learns for good at the step after its ``first_readable``
-   reaches the newest row (a fitted member that monitors nothing);
+   predicted. The ``Combiner`` rescores a member only when its window
+   changes; the weights and the vote are computed on Python floats, adding
+   the scores in member order below 8 members and with numpy's sum from 8
+   on, which gives numpy's floats to the bit;
+3. the weighted hard vote produces the final prediction; a one-member run
+   keeps no score window, its weight is always 1.0 and its label the vote;
+4. the label is revealed: the score windows slide over the row, and the
+   instance, its label and every member's step-1 prediction are appended once
+   to the shared ``History`` while a batch member may read it. One that
+   monitors nothing reads no row once fitted, so it leaves the readers and
+   the learners after the step of its first fit;
 5. online members learn the instance;
 6. batch members fit, check and compare on slices of that history: they run
    their drift check every ``window_size`` instances after their first fit,
@@ -51,6 +47,7 @@ from __future__ import annotations
 
 import inspect
 import logging
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -213,6 +210,41 @@ def combine_votes(labels: Sequence[int], weights: np.ndarray, n_classes: int) ->
     return tally.index(max(tally))
 
 
+class Combiner:
+    """The weighted hard vote, each member weighed by its macro F1 over the last ``score_window`` rows.
+
+    Those rows' ``(y, member labels)`` pairs are kept, oldest first, in its own ring. A one-member
+    combiner keeps no window: its weight is always 1.0 and its member's label is the vote.
+    """
+
+    def __init__(self, n_members: int, n_classes: int, score_window: int, combiner: str) -> None:
+        self.n_classes = n_classes
+        self.combiner = combiner
+        self.windows = [ConfusionMatrix(n_classes) for _ in range(n_members)] if n_members > 1 else []
+        self.scores = [0.0] * len(self.windows)  # each window's macro F1, 0.0 while it is empty
+        self.pairs: deque[tuple[int, tuple[int, ...]]] = deque(maxlen=score_window)
+
+    def step(self, y: int, labels: tuple[int, ...]) -> tuple[np.ndarray, int]:
+        """The weights and the vote of a row, from the scores before it; then the row slides every window."""
+        if not self.windows:
+            return _SOLO_WEIGHTS.copy(), int(labels[0])
+        weights = compute_weights(self.scores, self.combiner)
+        final = combine_votes(labels, weights, self.n_classes)
+        windows, scores, pairs = self.windows, self.scores, self.pairs
+        if len(pairs) < pairs.maxlen:
+            for index, label in enumerate(labels):
+                windows[index].update(y, label)
+                scores[index] = windows[index].f1_macro()
+        else:
+            old_y, old_labels = pairs[0]  # the pair the append below evicts
+            for index, (window, label, old_label) in enumerate(zip(windows, labels, old_labels)):
+                if label != old_label or y != old_y:  # an equal pair leaves the counts as they are
+                    window.slide(y, label, old_y, old_label)
+                    scores[index] = window.f1_macro()
+        pairs.append((y, labels))
+        return weights, final
+
+
 class History:
     """The stream rows that members can still read, in one contiguous block.
 
@@ -313,8 +345,8 @@ class Member:
     """A batch learner: warm-up, then serving with drift checks, then a shadow under comparison.
 
     Its cache is the history rows from ``cache_start`` on, at most the last
-    ``cache_limit``: ``cache_cap`` until the first fit, then ``window_size``
-    for a last-window member and 0 for a train-once one.
+    ``cache_limit``: ``cache_cap``, or ``window_size`` for a last-window member
+    after its first fit.
     """
 
     def __init__(
@@ -359,13 +391,11 @@ class Member:
             if self._on_grid():
                 self.incumbent.model.fit(*self._cache_arrays())
                 self.fitted = True
-                if not strategy.monitors_any:
-                    self._trim_cache(0)  # train-once member: the cache is never read again
-                elif strategy.retrain_scope == LAST_WINDOW:
+                if strategy.retrain_scope == LAST_WINDOW:
                     self._trim_cache(strategy.window_size)
         elif self.shadow is not None:  # comparing
             self._shadow_step(inst, events)
-        elif strategy.monitors_any and self._on_grid() and self.history.end >= self.check_rows:
+        elif self._on_grid() and self.history.end >= self.check_rows:
             # serving, with a drift check due once two windows of rows exist
             verdict = check_windows(self._window_pair(), strategy, self.schema)
             if verdict.drifted:
@@ -376,7 +406,7 @@ class Member:
         in warm-up, or for a since-last-replacement member (a last-window member drops rows by design)."""
         cap, strategy = self.config.cache_cap, self.strategy
         if (not self._cache_warned and self.history.end - self.cache_start > cap
-                and (not self.fitted or strategy.monitors_any and strategy.retrain_scope != LAST_WINDOW)):
+                and (not self.fitted or strategy.retrain_scope != LAST_WINDOW)):
             logger.warning("member %s cache reached its cap of %d instances, dropping oldest", self.spec.id, cap)
             self._cache_warned = True
 
@@ -443,13 +473,11 @@ class HybridEnsemble:
             else Member(spec, schema, config, int(seed), self.history, i)
             for i, (spec, seed) in enumerate(zip(config.members, seeds))
         ]
-        # One member's weight is always 1.0 and the vote its label, so a one-member run keeps no score window.
-        self.windows = [ConfusionMatrix(schema.n_classes) for _ in self.members] if len(self.members) > 1 else []
-        self._score_rows = config.score_window if self.windows else 0  # history rows the score windows read
-        # A row is stored only while a score window or one of these may read it (step 4 of the module docstring).
+        self.combiner = Combiner(len(self.members), schema.n_classes, config.score_window, config.combiner)
+        # A row is stored only while one of these may read it (step 4 of the module docstring).
         self._readers = [m for m in self.members if isinstance(m, Member)]
         self._learners = list(self.members)  # the members whose learn has work to do
-        self.scores = [0.0] * len(self.windows)  # each window's macro F1, 0.0 while it is empty
+        self._train_once = [m for m in self._readers if not m.check_rows]  # they leave both lists once fitted
         self._next_seq = 0
         self._ahead: list[Instance] = []  # the rows read ahead, and their features
         self._ahead_X = np.empty((0, schema.n_features))
@@ -495,21 +523,15 @@ class HybridEnsemble:
                 label = 0
             labels.append(label)
         member_labels = tuple(labels)
-        history, windows, readers = self.history, self.windows, self._readers
-        if not windows:
-            weights, final = _SOLO_WEIGHTS.copy(), int(labels[0])
-        else:
-            weights = compute_weights(self.scores, self.config.combiner)
-            final = combine_votes(member_labels, weights, self.schema.n_classes)
+        weights, final = self.combiner.step(inst.y, member_labels)
 
-        if not (windows or readers):  # nothing reads the row: it is passed over, not stored
+        history, readers = self.history, self._readers
+        if not readers:  # nothing reads the row: it is passed over, not stored
             history.start = history.end = history.end + 1
         else:
             if history.end - history.start == len(history.y):
-                history.compact(min([history.end - self._score_rows, *(m.first_readable() for m in readers)]))
+                history.compact(min(m.first_readable() for m in readers))
             history.append(inst.x, inst.y, member_labels)
-            if windows:
-                self._rescore(inst.y, member_labels)
         events: list = []
         for member in self._learners:
             try:
@@ -517,26 +539,12 @@ class HybridEnsemble:
             except Exception:
                 logger.warning("member %s failed to learn", member.spec.id, exc_info=True)
                 member.failures["learn"] += 1
-        if readers and not windows and readers[0].first_readable() == history.end:  # a lone member reads no more
-            self._learners.remove(readers.pop())
+        if self._train_once:  # a member that monitors nothing reads no row once fitted
+            for member in [m for m in self._train_once if m.fitted]:
+                for group in (self._train_once, self._readers, self._learners):
+                    group.remove(member)
         return StepResult(seq=inst.seq, y_true=inst.y, final_label=final, member_labels=member_labels,
                           weights=weights, events=events)
-
-    def _rescore(self, y: int, labels: Sequence[int]) -> None:
-        """Slide each member's score window over the newest row, and rescore the windows that changed."""
-        history, windows, scores = self.history, self.windows, self.scores
-        score_window = self.config.score_window
-        if history.end <= score_window:
-            for index, label in enumerate(labels):
-                windows[index].update(y, label)
-                scores[index] = windows[index].f1_macro()
-            return
-        leaving = history.end - 1 - score_window - history.start  # block position of the evicted row
-        old_y = history.y.item(leaving)
-        for index, (window, label, old_label) in enumerate(zip(windows, labels, history.labels[leaving].tolist())):
-            if label != old_label or y != old_y:  # an equal pair leaves the counts as they are
-                window.slide(y, label, old_y, old_label)
-                scores[index] = window.f1_macro()
 
     @property
     def failures(self) -> dict[str, dict[str, int]]:

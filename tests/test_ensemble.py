@@ -30,6 +30,7 @@ from driftstream.ensemble import (
     Member,
     MemberSpec,
     SHADOW_METRICS,
+    Combiner,
     ReplacementEvent,
     combine_votes,
     compute_weights,
@@ -242,6 +243,35 @@ def test_weights_and_vote_are_bit_identical_to_the_numpy_versions(combiner):
                 labels = rng.integers(0, min(k, int(rng.integers(1, 4))), n).tolist()  # duplicate labels
                 for w in (weights, np.full(n, 1.0 / n)):  # the second has only tied votes
                     assert combine_votes(labels, w, k) == combine_votes_numpy(labels, w, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 12),  # 8 members on add the weights with numpy's sum
+    k=st.integers(2, 12),
+    score_window=st.integers(1, 80),
+    kind=st.sampled_from([WEIGHTED_VOTE, DYNAMIC_SWITCH]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_combiner_equals_a_recomputation_from_the_rows_before_each_step(n, k, score_window, kind, seed):
+    rng = np.random.default_rng(seed)
+    used = int(rng.integers(1, k + 1))  # few classes in use give empty classes and tied scores
+    rows = int(rng.integers(score_window + 1, 2 * score_window + 40))  # long enough to wrap the ring
+    accuracy = rng.random(n)
+    ys = rng.integers(0, used, rows).tolist()
+    guesses = rng.integers(0, used, (rows, n)).tolist()
+    right = (rng.random((rows, n)) < accuracy).tolist()
+    pairs = [(y, tuple(y if hit else g for hit, g in zip(hits, row))) for y, hits, row in zip(ys, right, guesses)]
+    combiner = Combiner(n, k, score_window, kind)
+    for t, (y, labels) in enumerate(pairs):
+        window = pairs[max(0, t - score_window):t]
+        window_y = [pair[0] for pair in window]
+        scores = [f1_from_pairs(window_y, [pair[1][m] for pair in window], k) if window else 0.0 for m in range(n)]
+        if n > 1:  # a one-member combiner keeps no score
+            assert [s.hex() for s in combiner.scores] == [s.hex() for s in scores], t
+        weights, final = combiner.step(y, labels)
+        assert hexes(weights) == hexes(compute_weights(scores, kind)), t
+        assert final == combine_votes(labels, weights, k), t
 
 
 @pytest.mark.parametrize("run", ["wv-rf", "ds-gnb", "rf-b1", "cart-s2"])
@@ -514,10 +544,10 @@ def test_a_lone_train_once_member_whose_first_fit_fails_keeps_storing_until_its_
     assert calls == {"append": 600, "compact": 0, "learn": 600}
 
 
-def test_a_train_once_member_beside_an_online_member_stores_and_learns_every_row(monkeypatch):
-    # Two members keep score windows, which read every new row, so the train-once
-    # member never leaves the readers: every row is stored and learned, and the
-    # 1024-row block keeps the last 200 (the score window) at rows 1024, 1848 and 2672.
+def test_a_train_once_member_beside_an_online_member_stores_and_learns_only_until_its_first_fit(monkeypatch):
+    # The combiner keeps its own score-window pairs, so a row is stored only for the
+    # batch member: it stores and learns rows 0..499, fits at seq 499, and from seq
+    # 500 on nothing is stored and only the online member learns.
     calls = count_storing(monkeypatch)
     created = install_spies(monkeypatch, ["oracle"])
     train_once = perf_strategy(monitor_performance=False, window_size=100)
@@ -529,9 +559,60 @@ def test_a_train_once_member_beside_an_online_member_stores_and_learns_every_row
     assert len(created[0].fits) == 1
     assert created[0].fit_seqs() == list(range(500))
     assert labels[500:] == [seq % 3 for seq in range(500, 3000)]
-    assert calls == {"append": 3000, "compact": 3, "learn": 3000}
+    assert calls == {"append": 500, "compact": 0, "learn": 500}
     assert ensemble.history.end == 3000
-    assert ensemble.history.start == 2672 - 200
+    assert ensemble.history.start == 3000
+
+
+def test_train_once_members_leave_the_readers_each_after_its_own_first_fit(monkeypatch):
+    # The second member's first fit fails at seq 499 and succeeds at its retry at seq 599,
+    # so rows are stored until then and each member learns until its own first fit.
+    calls = count_storing(monkeypatch)
+    created = install_spies(monkeypatch, ["oracle", "fail_first_fit"])
+    train_once = perf_strategy(monitor_performance=False, window_size=100)
+    config = EnsembleConfig(
+        members=(batch_spec(train_once, id="b1"), batch_spec(train_once, id="b2"), online_spec()),
+        first_fit_size=500, seed=0,
+    )
+    ensemble = HybridEnsemble(SCHEMA, config)
+    steps = [ensemble.process_instance(inst) for inst in encoded_stream(1000)]
+    assert [created[1].fit_seqs(i) for i in range(2)] == [list(range(500)), list(range(600))]
+    assert [s.member_labels[1] for s in steps[600:]] == [seq % 3 for seq in range(600, 1000)]
+    assert calls == {"append": 600, "compact": 0, "learn": 500 + 600}
+    assert ensemble.history.start == ensemble.history.end == 1000
+    assert ensemble.failures["b2"]["learn"] == 1
+
+
+def test_an_online_only_ensemble_stores_no_row_and_weighs_by_the_last_score_window(monkeypatch):
+    calls = count_storing(monkeypatch)
+    config = EnsembleConfig(members=(online_spec("gnb"), online_spec("hoeffding"), online_spec("logreg")),
+                            score_window=50, seed=0)
+    schema = Schema(("f0", "f1"), (FeatureKind.NUMERIC,) * 2, ("a", "b", "c"))
+    means = np.array([[0.0, 0.0], [1.0, 1.0], [-1.0, 1.0]])
+    ensemble = HybridEnsemble(schema, config)
+    steps = [ensemble.process_instance(inst) for inst in gaussian_instances(means, 400, seed=36)]
+    assert calls == {"append": 0, "compact": 0, "learn": 0}
+    assert ensemble.history.start == ensemble.history.end == 400
+    assert len({step.member_labels for step in steps}) > 1
+    for t, step in enumerate(steps):
+        window = steps[max(0, t - 50):t]
+        y = [s.y_true for s in window]
+        scores = [f1_from_pairs(y, [s.member_labels[m] for s in window], 3) if window else 0.0 for m in range(3)]
+        assert hexes(step.weights) == hexes(compute_weights(scores, config.combiner)), t
+        assert step.final_label == combine_votes(step.member_labels, step.weights, 3), t
+
+
+def test_a_lone_monitoring_member_is_asked_for_its_first_readable_row_only_at_compactions(monkeypatch):
+    calls = count_storing(monkeypatch)
+    first_readable = Member.first_readable
+
+    def counted(member):
+        calls["first_readable"] = calls.get("first_readable", 0) + 1
+        return first_readable(member)
+
+    monkeypatch.setattr(Member, "first_readable", counted)
+    run_spy_member(monkeypatch, ["oracle"], "last_window", 3000, fire_at=set(), window_size=100)
+    assert calls == {"append": 3000, "compact": 3, "learn": 3000, "first_readable": 3}
 
 
 def test_shadow_tie_keeps_incumbent(monkeypatch):
